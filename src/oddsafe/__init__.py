@@ -14,8 +14,6 @@ from .dtmc import (
     Dtmc,
     PropertyResult,
     build_model,
-    check_bounded_reach,
-    criticality,
     rank_situations,
 )
 from .learn import (

@@ -12,12 +12,13 @@ from .dtmc import (
     PropertyResult,
     bounded_reach_vector,
     build_model,
-    criticality,
+    criticality_report,
     rank_situations,
-    transition_matrix,
+    reach_vectors,
+    score_value,
 )
 from .errors import ModelError, NotFoundError
-from .scg import AugmentedScg, require_valid, sink_situation
+from .scg import AugmentedScg, sink_situation
 
 DEFAULT_MAX_REMOVALS = 4
 
@@ -94,15 +95,16 @@ def analyze(
     scg: AugmentedScg, current: str, properties: list[BoundedReachProperty]
 ) -> AnalysisResult:
     """Check the current situation first; rank everything only on violation."""
-    require_valid(scg)
+    model = build_model(scg)
     if not scg.is_situation(current):
         raise NotFoundError(f"unknown situation {current!r}")
     if current in scg.sunk:
         raise ModelError(f"current situation {current!r} is sunk")
-    model = build_model(scg, current)
-    results = {p.name: criticality(model, p) for p in properties}
+    vectors = reach_vectors(model, properties)
+    i = model.index[current]
+    results = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
     compliant = all(r.compliant for r in results.values())
-    full = None if compliant else rank_situations(scg, properties)
+    full = None if compliant else criticality_report(scg, model, vectors, properties)
     return AnalysisResult(current=results, compliant=compliant, full_report=full)
 
 
@@ -115,7 +117,6 @@ def synthesize_safe_controller(
 
     Gives up (success=False) once sinking would exceed config.max_removals.
     """
-    require_valid(scg)
     avoided: list[str] = []
     iterations = 0
     initial_violations: list[str] = []
@@ -177,15 +178,14 @@ def out_of_odd_reach(
     scg: AugmentedScg, out_of_odd: set[str], horizon: int
 ) -> float:
     """Worst-case (over non-sunk initial situations) reach of the given set."""
-    states, mat = transition_matrix(scg)
-    index = {sid: i for i, sid in enumerate(states)}
-    targets = {index[sid] for sid in out_of_odd if sid in index}
+    model = build_model(scg)
+    targets = {model.index[sid] for sid in out_of_odd if sid in model.index}
     if not targets:
         return 0.0
-    x = bounded_reach_vector(mat, targets, horizon)
+    x = bounded_reach_vector(model.matrix, targets, horizon)
     # the out-of-ODD situations themselves are not legitimate start states
     starts = [
-        index[s]
+        model.index[s]
         for s in scg.situation_ids
         if s not in scg.sunk and s not in out_of_odd
     ]

@@ -158,9 +158,8 @@ def cmd_experiment_rq2(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    n_list = [int(x) for x in args.n.split(",")]
     rows = experiments.run_bench(
-        n_list, horizon=args.horizon, density=args.density,
+        args.n, horizon=args.horizon, density=args.density,
         seed=args.seed if args.seed is not None else 0,
     )
     out = Path(args.out or "bench.csv")
@@ -174,6 +173,22 @@ def cmd_bench(args) -> int:
         print(f"n={row['n']:>4} states={row['states']:>4} "
               f"transitions={row['transitions']:>7} ms={row['ms']:.3f}")
     return 0
+
+
+def _bench_sizes(text: str) -> list[int]:
+    """Type of bench --n: comma-separated situation counts, each >= 2."""
+    sizes = [int(x) for x in text.split(",")]  # argparse reports a ValueError as misuse
+    if min(sizes) < 2:
+        raise argparse.ArgumentTypeError(f"sizes must be >= 2: {text!r}")
+    return sizes
+
+
+def _bench_density(text: str) -> float:
+    """Type of bench --density: the filled fraction of each row, in (0, 1]."""
+    density = float(text)
+    if not 0.0 < density <= 1.0:
+        raise argparse.ArgumentTypeError(f"density must be in (0, 1]: {text!r}")
+    return density
 
 
 def cmd_export_prism(args) -> int:
@@ -198,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json", "table"), default="table"
     )
     parser.add_argument("--max-removals", type=int, default=None, dest="max_removals")
-    parser.add_argument(
-        "--estimator", choices=("frequentist", "bayesian"), default=None
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify an SCG against properties")
@@ -218,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment_rq2)
 
     p = sub.add_parser("bench", help="criticality-scoring scalability ladder")
-    p.add_argument("--n", default="10,20,40,80,160")
+    p.add_argument("--n", type=_bench_sizes, default="10,20,40,80,160")
     p.add_argument("--horizon", type=int, default=50)
-    p.add_argument("--density", type=float, default=1.0)
+    p.add_argument("--density", type=_bench_density, default=1.0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-prism", help="emit PRISM model and property files")

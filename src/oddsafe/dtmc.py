@@ -1,23 +1,27 @@
-"""Per-situation Markov chains and bounded-reachability checking.
+"""Compiled SCG models and bounded-reachability checking.
 
-The checker runs value iteration for exactly k sweeps: x0(s) = 1 iff s carries
-the target label, and x{j}(s) = 1 for labelled states, otherwise the
-expectation of x{j-1} under the transition row.  Dense numpy is used for
-well-filled matrices with a scipy.sparse fallback for sparse ones.
+Each SCG belief is compiled once into a Dtmc whose operator is dense or CSR
+by its density.  The checker runs value iteration for exactly k sweeps:
+x0(s) = 1 iff s carries the target label, and x{j}(s) = 1 for labelled
+states, otherwise the expectation of x{j-1} under the transition row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NotFoundError
+from .errors import ModelError, NotFoundError
 from .scg import AugmentedScg, require_valid
 
-#: switch to CSR matvecs when at most this fraction of entries is nonzero
+#: build the operator as CSR when at most this fraction of entries is nonzero
 SPARSE_DENSITY_CUTOFF = 0.25
+
+#: a row-stochastic transition operator, shape (n, n)
+Operator = np.ndarray | sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,11 @@ class PropertyResult:
 
 @dataclass
 class Dtmc:
-    """A DTMC over all SCG states with one situation as initial state."""
+    """The compiled model of one SCG belief, shared by every start state."""
 
     states: list[str]
-    initial: int
-    matrix: np.ndarray  # row-stochastic, shape (n, n)
+    index: dict[str, int]  # state id -> row of the operator
+    matrix: Operator
     labels: dict[str, set[int]]  # failure label -> state indices
 
 
@@ -128,59 +132,71 @@ class CriticalityReport:
         )
 
 
-def transition_matrix(scg: AugmentedScg) -> tuple[list[str], np.ndarray]:
-    """Dense row-stochastic matrix over situations-then-failures ordering."""
+def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
+    """The operator over situations-then-failures ordering, filled from delta.
+
+    Dense when more than SPARSE_DENSITY_CUTOFF of its entries are nonzero,
+    otherwise CSR with int32 indices and sorted columns, never O(n^2) memory.
+    """
     states = scg.state_ids
     index = {sid: i for i, sid in enumerate(states)}
     n = len(states)
-    mat = np.zeros((n, n))
-    for sid in scg.situation_ids:
-        i = index[sid]
-        for target, p in scg.delta[sid].items():
-            mat[i, index[target]] += p
-    for fid in scg.failure_ids:
-        i = index[fid]
-        mat[i, i] = 1.0
+    rows = [scg.delta[sid] for sid in scg.situation_ids]
+    failures = range(len(rows), n)  # absorbing failure states
+    nnz = len(failures) + sum(len(row) - countOf(row.values(), 0.0) for row in rows)
+    if nnz / (n * n) > SPARSE_DENSITY_CUTOFF:
+        mat = np.zeros((n, n))
+        for i, row in enumerate(rows):
+            cols = np.fromiter(map(index.__getitem__, row), np.intp, len(row))
+            mat[i, cols] = np.fromiter(row.values(), np.float64, len(row))
+        mat[failures, failures] = 1.0
+        return states, mat
+    lengths = [len(row) for row in rows] + [1] * len(failures)
+    cols = [index[t] for row in rows for t in row] + list(failures)
+    vals = [p for row in rows for p in row.values()] + [1.0] * len(failures)
+    csr = (np.array(vals, np.float64), np.array(cols, np.int32), np.cumsum([0] + lengths))
+    mat = sp.csr_matrix(csr, shape=(n, n))
+    mat.sort_indices()  # delta rows are unordered
+    mat.eliminate_zeros()  # a zero probability in delta is no transition
     return states, mat
 
 
-def build_model(scg: AugmentedScg, initial: str) -> Dtmc:
-    """Assemble the DTMC whose initial state is the given situation."""
+def build_model(scg: AugmentedScg) -> Dtmc:
+    """Validate the SCG and compile it into the model every check runs on."""
     require_valid(scg)
-    if not scg.is_situation(initial):
-        raise NotFoundError(f"unknown initial situation {initial!r}")
     states, mat = transition_matrix(scg)
     index = {sid: i for i, sid in enumerate(states)}
     labels = {f.label: {index[f.id]} for f in scg.failures}
-    return Dtmc(states=states, initial=index[initial], matrix=mat, labels=labels)
+    return Dtmc(states=states, index=index, matrix=mat, labels=labels)
 
 
-def bounded_reach_vector(matrix: np.ndarray, targets: set[int], k: int) -> np.ndarray:
+def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndarray:
     """Reach-within-k probabilities of the target set, from every state."""
-    n = matrix.shape[0]
-    target_idx = sorted(targets)
-    x = np.zeros(n)
+    target_idx = np.array(sorted(targets), dtype=np.intp)
+    x = np.zeros(matrix.shape[0])
     x[target_idx] = 1.0
-    if k == 0 or not target_idx:
-        return x
-    density = np.count_nonzero(matrix) / matrix.size
-    op = sp.csr_matrix(matrix) if density <= SPARSE_DENSITY_CUTOFF else matrix
     for _ in range(k):
-        x = op @ x
+        x = matrix @ x
         x[target_idx] = 1.0
     return x
 
 
-def check_bounded_reach(model: Dtmc, target_label: str, horizon: int) -> float:
-    """Probability of reaching any target-labelled state within `horizon` steps."""
-    if target_label not in model.labels:
-        raise NotFoundError(f"unknown label {target_label!r}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    x = bounded_reach_vector(model.matrix, model.labels[target_label], horizon)
-    value = float(x[model.initial])
-    assert -1e-9 <= value <= 1.0 + 1e-9, f"reach value {value} escaped [0, 1]"
-    return value
+def reach_vectors(
+    model: Dtmc, properties: list[BoundedReachProperty]
+) -> dict[str, np.ndarray]:
+    """Property name -> reach vector of its target label at its horizon.
+
+    Values outside [0, 1] (beyond rounding) raise ModelError, never a verdict.
+    """
+    out: dict[str, np.ndarray] = {}
+    for prop in properties:
+        if prop.target_label not in model.labels:
+            raise NotFoundError(f"unknown label {prop.target_label!r}")
+        x = bounded_reach_vector(model.matrix, model.labels[prop.target_label], prop.horizon)
+        if not (-1e-9 <= x.min() and x.max() <= 1.0 + 1e-9):
+            raise ModelError(f"{prop.name}: reach values {x.min()}..{x.max()} escape [0, 1]")
+        out[prop.name] = x
+    return out
 
 
 def score_value(value: float, prop: BoundedReachProperty) -> PropertyResult:
@@ -198,44 +214,20 @@ def score_value(value: float, prop: BoundedReachProperty) -> PropertyResult:
     return PropertyResult(value=value, score=score, compliant=compliant)
 
 
-def criticality(model: Dtmc, prop: BoundedReachProperty) -> PropertyResult:
-    """Check one property against one model and score the outcome."""
-    value = check_bounded_reach(model, prop.target_label, prop.horizon)
-    return score_value(value, prop)
-
-
-def rank_situations(
-    scg: AugmentedScg, properties: list[BoundedReachProperty]
+def criticality_report(
+    scg: AugmentedScg,
+    model: Dtmc,
+    vectors: dict[str, np.ndarray],
+    properties: list[BoundedReachProperty],
 ) -> CriticalityReport:
-    """Evaluate every property from every non-sunk situation.
-
-    All per-situation models share the transition matrix, so one k-sweep
-    value iteration per property yields the value for every initial state.
-    """
-    require_valid(scg)
+    """Score every non-sunk situation from the model's reach vectors."""
     if not properties:
         raise ValueError("need at least one property")
-    states, mat = transition_matrix(scg)
-    index = {sid: i for i, sid in enumerate(states)}
-    label_to_idx = {f.label: {index[f.id]} for f in scg.failures}
-    active = [sid for sid in scg.situation_ids if sid not in scg.sunk]
-
-    per_prop: dict[str, np.ndarray] = {}
-    for prop in properties:
-        if prop.target_label not in label_to_idx:
-            raise NotFoundError(f"unknown label {prop.target_label!r}")
-        per_prop[prop.name] = bounded_reach_vector(
-            mat, label_to_idx[prop.target_label], prop.horizon
-        )
-
     records: dict[str, dict[str, PropertyResult]] = {}
     worst_scores: dict[str, float] = {}
-    for sid in active:
-        props: dict[str, PropertyResult] = {}
-        for prop in properties:
-            value = float(per_prop[prop.name][index[sid]])
-            assert -1e-9 <= value <= 1.0 + 1e-9
-            props[prop.name] = score_value(value, prop)
+    for sid in (s for s in scg.situation_ids if s not in scg.sunk):
+        i = model.index[sid]
+        props = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
         records[sid] = props
         worst_scores[sid] = max(r.score for r in props.values())
 
@@ -246,3 +238,15 @@ def rank_situations(
     return CriticalityReport(
         records=records, worst_scores=worst_scores, worst_situation=worst_situation
     )
+
+
+def rank_situations(
+    scg: AugmentedScg, properties: list[BoundedReachProperty]
+) -> CriticalityReport:
+    """Evaluate every property from every non-sunk situation.
+
+    All start states share the compiled model, so one k-sweep value
+    iteration per property yields the value for every situation.
+    """
+    model = build_model(scg)
+    return criticality_report(scg, model, reach_vectors(model, properties), properties)

@@ -115,19 +115,7 @@ def run_variants(
         scenario = replace(config.scenario, seed=variant_seed)
         _, belief = generate_scenario(scenario)
         drifted = drift_scg(belief, config.drift_magnitude, variant_seed + 1)
-        report = rank_situations(drifted, properties)
-        if report.all_compliant():
-            records.append(
-                ExperimentRecord(
-                    id=i,
-                    properties_violated=[],
-                    worst_criticality_score=max(report.worst_scores.values()),
-                    save_success=True,
-                    critical_situations_avoided=[],
-                    drifted_scg=drifted,
-                )
-            )
-            continue
+        # a compliant variant ends synthesis at its first ranking, sinking nothing
         outcome = synthesize_safe_controller(
             drifted,
             properties,

@@ -18,17 +18,16 @@ DEFAULT_KAPPA = 20.0
 
 @dataclass
 class TransitionCounts:
-    """Observed (situation -> state) transition counts with cached row sums."""
+    """Observed (situation -> state) transition counts."""
 
     failure_ids: frozenset[str] = frozenset()
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    totals: dict[str, int] = field(default_factory=dict)
 
     def row(self, sid: str) -> dict[str, int]:
         return dict(self.counts.get(sid, {}))
 
     def total(self, sid: str) -> int:
-        return self.totals.get(sid, 0)
+        return sum(self.counts.get(sid, {}).values())
 
     def to_dict(self) -> dict:
         return {
@@ -39,11 +38,7 @@ class TransitionCounts:
     @classmethod
     def from_dict(cls, doc: dict) -> "TransitionCounts":
         counts = {s: {t: int(c) for t, c in row.items()} for s, row in doc["counts"].items()}
-        return cls(
-            failure_ids=frozenset(doc.get("failure_ids", [])),
-            counts=counts,
-            totals={s: sum(row.values()) for s, row in counts.items()},
-        )
+        return cls(failure_ids=frozenset(doc.get("failure_ids", [])), counts=counts)
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,6 @@ def ingest(counts: TransitionCounts, frm: str, to: str) -> TransitionCounts:
         raise TraceError(f"failure {frm!r} cannot be a transition source")
     row = counts.counts.setdefault(frm, {})
     row[to] = row.get(to, 0) + 1
-    counts.totals[frm] = counts.totals.get(frm, 0) + 1
     return counts
 
 

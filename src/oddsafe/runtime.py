@@ -123,7 +123,6 @@ class KnowledgeBase:
     baseline: bool = False  # True: planning disabled (fixed controller)
     prev: str | None = None  # previous-situation cursor within the episode
     last_t: int = -1
-    scg_version: int = 0
 
     @property
     def active_controller(self) -> Controller:
@@ -176,7 +175,6 @@ def _rebuild_belief(kb: KnowledgeBase) -> None:
     for sid in sorted(kb.active_controller.scg.sunk):
         belief = sink_situation(belief, sid)
     kb.scg = belief
-    kb.scg_version += 1
 
 
 def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEntry]:
@@ -296,7 +294,6 @@ def snapshot(kb: KnowledgeBase) -> dict:
         "baseline": kb.baseline,
         "prev": kb.prev,
         "last_t": kb.last_t,
-        "scg_version": kb.scg_version,
     }
 
 
@@ -350,7 +347,6 @@ def load(doc: dict) -> KnowledgeBase:
             baseline=bool(doc.get("baseline", False)),
             prev=doc.get("prev"),
             last_t=int(doc.get("last_t", -1)),
-            scg_version=int(doc.get("scg_version", 0)),
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed knowledge-base snapshot: {exc}") from exc

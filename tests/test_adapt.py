@@ -10,7 +10,7 @@ from oddsafe.adapt import (
     select_controller,
     synthesize_safe_controller,
 )
-from oddsafe.dtmc import BoundedReachProperty
+from oddsafe.dtmc import BoundedReachProperty, rank_situations
 from oddsafe.errors import ModelError, NotFoundError
 from oddsafe.scg import sink_situation
 
@@ -51,10 +51,24 @@ def test_analyze_ranks_on_violation():
     assert result.full_report.worst_situation == "s0"
 
 
+def test_analyze_report_equals_full_ranking():
+    scg = _violating_scg()
+    props = [PROP, BoundedReachProperty("psi", "f1", 3, "<=", 0.2)]
+    result = analyze(scg, "s1", props)
+    assert not result.compliant
+    assert result.full_report.to_dict() == rank_situations(scg, props).to_dict()
+
+
 def test_analyze_errors():
     scg = _benign_scg()
     with pytest.raises(NotFoundError):
         analyze(scg, "s9", [PROP])
+    with pytest.raises(NotFoundError):
+        analyze(scg, "f1", [PROP])
+    with pytest.raises(NotFoundError):
+        analyze(scg, "s1", [BoundedReachProperty("p", "nope", 5, "<", 0.5)])
+    with pytest.raises(ModelError):
+        analyze(make_scg({"s0": {"s0": 0.5}}, 1), "s0", [PROP])
     with pytest.raises(ModelError):
         analyze(sink_situation(scg, "s1"), "s1", [PROP])
 

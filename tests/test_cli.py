@@ -99,6 +99,27 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["4", "6"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--n", "1"],
+        ["bench", "--n", "abc"],
+        ["bench", "--n", "4,"],
+        ["bench", "--density", "2"],
+        ["bench", "--density", "-1"],
+        ["bench", "--density", "0"],
+        ["bench", "--density", "nan"],
+        ["--estimator", "bayesian", "bench", "--n", "4"],
+    ],
+)
+def test_bad_option_values_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "bench.csv")] + argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_export_prism_writes_files(fixtures, tmp_path):
     out = tmp_path / "prism"
     rc = main(

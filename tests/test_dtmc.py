@@ -2,19 +2,20 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oddsafe.dtmc import (
     BoundedReachProperty,
     CriticalityReport,
+    Dtmc,
     bounded_reach_vector,
     build_model,
-    check_bounded_reach,
-    criticality,
     rank_situations,
+    reach_vectors,
     score_value,
     transition_matrix,
 )
-from oddsafe.errors import NotFoundError
+from oddsafe.errors import ModelError, NotFoundError
 from oddsafe.scg import sink_situation
 
 from helpers import make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
@@ -30,34 +31,53 @@ def test_transition_matrix_layout():
 
 
 def test_build_model_errors():
-    scg = make_scg({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}}, 2)
-    with pytest.raises(NotFoundError):
-        build_model(scg, "s9")
-    with pytest.raises(NotFoundError):
-        build_model(scg, "f1")
+    # a row that does not sum to 1 is rejected before any matrix is built
+    scg = make_scg({"s0": {"s0": 0.5}, "s1": {"s1": 1.0}}, 2)
+    with pytest.raises(ModelError):
+        build_model(scg)
+    with pytest.raises(ModelError):
+        rank_situations(scg, [BoundedReachProperty("p", "f1", 5, "<", 0.5)])
 
 
 def test_check_bounded_reach_hand_example():
     scg = make_scg({"s0": {"f1": 0.5, "s0": 0.5}, "s1": {"s1": 1.0}}, 2)
-    model = build_model(scg, "s0")
-    assert check_bounded_reach(model, "f1", 1) == 0.5
-    assert check_bounded_reach(model, "f1", 2) == 0.75
-    assert check_bounded_reach(model, "f2", 50) == 0.0
+    props = [
+        BoundedReachProperty("k1", "f1", 1, "<", 1.0),
+        BoundedReachProperty("k2", "f1", 2, "<", 1.0),
+        BoundedReachProperty("k50", "f2", 50, "<", 1.0),
+    ]
+    records = rank_situations(scg, props).records["s0"]
+    assert records["k1"].value == 0.5
+    assert records["k2"].value == 0.75
+    assert records["k50"].value == 0.0
 
 
 def test_check_bounded_reach_horizon_zero_is_indicator():
     scg = make_scg({"s0": {"f1": 1.0}, "s1": {"s1": 1.0}}, 2)
-    model = build_model(scg, "s0")
-    assert check_bounded_reach(model, "f1", 0) == 0.0
+    states, mat = transition_matrix(scg)
+    x = bounded_reach_vector(mat, {states.index("f1")}, 0)
+    assert x.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_check_bounded_reach_errors():
     scg = make_scg({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}}, 2)
-    model = build_model(scg, "s0")
     with pytest.raises(NotFoundError):
-        check_bounded_reach(model, "nope", 5)
-    with pytest.raises(ValueError):
-        check_bounded_reach(model, "f1", -1)
+        rank_situations(scg, [BoundedReachProperty("p", "nope", 5, "<", 0.5)])
+
+
+def test_reach_vectors_reject_values_outside_unit_interval():
+    # row 0 sums to 2, so two sweeps take its reach value to 2.0
+    model = Dtmc(
+        states=["a", "f"],
+        index={"a": 0, "f": 1},
+        matrix=np.array([[1.0, 1.0], [0.0, 1.0]]),
+        labels={"f": {1}},
+    )
+    prop = BoundedReachProperty("p", "f", 2, "<", 0.5)
+    with pytest.raises(ModelError):
+        reach_vectors(model, [prop])
+    within = reach_vectors(model, [BoundedReachProperty("p", "f", 1, "<", 0.5)])
+    assert within["p"].tolist() == [1.0, 1.0]
 
 
 def test_property_validation():
@@ -117,12 +137,12 @@ def test_rank_situations_matches_per_situation_models():
         BoundedReachProperty("p2", "f2", 3, "<=", 0.2),
     ]
     report = rank_situations(scg, props)
+    rows = scg_rows_with_sinks(scg)
     for sid in scg.situation_ids:
-        model = build_model(scg, sid)
         for prop in props:
-            single = criticality(model, prop)
+            expected = reach_by_paths(rows, sid, {prop.target_label}, prop.horizon)
             assert report.records[sid][prop.name].value == pytest.approx(
-                single.value, abs=1e-12
+                expected, abs=1e-12
             )
 
 
@@ -132,12 +152,30 @@ def test_rank_situations_requires_properties():
         rank_situations(scg, [])
 
 
+def _dict_filled(scg):
+    states = scg.state_ids
+    mat = np.zeros((len(states), len(states)))
+    for sid, row in scg.delta.items():
+        for target, p in row.items():
+            mat[states.index(sid), states.index(target)] = p
+    for fid in scg.failure_ids:
+        mat[states.index(fid), states.index(fid)] = 1.0
+    return mat
+
+
 def test_sparse_path_matches_oracle():
     # 30 situations with row support 3 puts the matrix below the CSR cutoff
     rng = random.Random(11)
     scg = random_scg(rng, n_situations=30)
     states, mat = transition_matrix(scg)
-    assert np.count_nonzero(mat) / mat.size <= 0.25
+    assert isinstance(mat, sp.csr_matrix)
+    assert mat.indices.dtype == np.int32 and mat.has_sorted_indices
+    assert np.array_equal(mat.toarray(), _dict_filled(scg))
+    rows = {f"s{i}": {f"s{j}": 1.0 / 5 for j in range(5)} for i in range(5)}
+    dense_scg = make_scg(rows, 5)
+    _, dense = transition_matrix(dense_scg)
+    assert isinstance(dense, np.ndarray)
+    assert np.array_equal(dense, _dict_filled(dense_scg))
     index = {sid: i for i, sid in enumerate(states)}
     rows = scg_rows_with_sinks(scg)
     x = bounded_reach_vector(mat, {index["f1"]}, 4)

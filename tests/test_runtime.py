@@ -166,6 +166,9 @@ def test_snapshot_round_trip_preserves_everything():
     assert again.active_controller.id == kb.active_controller.id
     assert again.prev == kb.prev
     assert again.last_t == kb.last_t
+    # snapshots written before the belief-version counter was dropped carry it
+    assert "scg_version" not in doc
+    assert snapshot(load({**doc, "scg_version": 3})) == doc
 
 
 def test_snapshot_file_round_trip(tmp_path):
