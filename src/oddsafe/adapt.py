@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .dtmc import (
     BoundedReachProperty,
     CriticalityReport,
+    Dtmc,
     PropertyResult,
     bounded_reach_vector,
     build_model,
@@ -92,10 +93,13 @@ class AnalysisResult:
 
 
 def analyze(
-    scg: AugmentedScg, current: str, properties: list[BoundedReachProperty]
+    scg: AugmentedScg,
+    model: Dtmc,
+    current: str,
+    properties: list[BoundedReachProperty],
 ) -> AnalysisResult:
-    """Check the current situation first; rank everything only on violation."""
-    model = build_model(scg)
+    """Check the current situation on `model`, the compiled model of `scg`;
+    rank everything only on violation."""
     if not scg.is_situation(current):
         raise NotFoundError(f"unknown situation {current!r}")
     if current in scg.sunk:
@@ -178,7 +182,12 @@ def out_of_odd_reach(
     scg: AugmentedScg, out_of_odd: set[str], horizon: int
 ) -> float:
     """Worst-case (over non-sunk initial situations) reach of the given set."""
-    model = build_model(scg)
+    return _out_of_odd_reach(scg, build_model(scg), out_of_odd, horizon)
+
+
+def _out_of_odd_reach(
+    scg: AugmentedScg, model: Dtmc, out_of_odd: set[str], horizon: int
+) -> float:
     targets = {model.index[sid] for sid in out_of_odd if sid in model.index}
     if not targets:
         return 0.0
@@ -210,12 +219,14 @@ def select_controller(
     horizon = config.out_of_odd_horizon
     if horizon is None:
         horizon = max((p.horizon for p in properties), default=1)
-    safe = [
-        c for c in candidates if rank_situations(c.scg, properties).all_compliant()
-    ]
-    if not safe:
+    scored = []
+    for c in candidates:
+        model = build_model(c.scg)
+        vectors = reach_vectors(model, properties)
+        if criticality_report(c.scg, model, vectors, properties).all_compliant():
+            scored.append((_out_of_odd_reach(c.scg, model, out_of_odd, horizon), c))
+    if not scored:
         return None
-    scored = [(out_of_odd_reach(c.scg, out_of_odd, horizon), c) for c in safe]
     best = min(score for score, _ in scored)
     tied = [c for score, c in scored if score == best]
     if len(tied) == 1:

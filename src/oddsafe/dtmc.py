@@ -10,18 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import countOf
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ModelError, NotFoundError
 from .scg import AugmentedScg, require_valid
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+    #: a row-stochastic transition operator, shape (n, n)
+    Operator = np.ndarray | sp.csr_matrix
+
 #: build the operator as CSR when at most this fraction of entries is nonzero
 SPARSE_DENSITY_CUTOFF = 0.25
-
-#: a row-stochastic transition operator, shape (n, n)
-Operator = np.ndarray | sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,7 @@ class Dtmc:
     index: dict[str, int]  # state id -> row of the operator
     matrix: Operator
     labels: dict[str, set[int]]  # failure label -> state indices
+    nnz: int  # nonzero entries of the operator
 
 
 @dataclass
@@ -132,6 +136,19 @@ class CriticalityReport:
         )
 
 
+def _row_nnz(row: dict[str, float]) -> int:
+    return len(row) - countOf(row.values(), 0.0)
+
+
+def _is_dense(nnz: int, n: int) -> bool:
+    return nnz / (n * n) > SPARSE_DENSITY_CUTOFF
+
+
+def _fill_dense_row(mat: np.ndarray, i: int, row: dict[str, float], index) -> None:
+    cols = np.fromiter(map(index.__getitem__, row), np.intp, len(row))
+    mat[i, cols] = np.fromiter(row.values(), np.float64, len(row))
+
+
 def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     """The operator over situations-then-failures ordering, filled from delta.
 
@@ -143,14 +160,14 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     n = len(states)
     rows = [scg.delta[sid] for sid in scg.situation_ids]
     failures = range(len(rows), n)  # absorbing failure states
-    nnz = len(failures) + sum(len(row) - countOf(row.values(), 0.0) for row in rows)
-    if nnz / (n * n) > SPARSE_DENSITY_CUTOFF:
+    if _is_dense(len(failures) + sum(map(_row_nnz, rows)), n):
         mat = np.zeros((n, n))
         for i, row in enumerate(rows):
-            cols = np.fromiter(map(index.__getitem__, row), np.intp, len(row))
-            mat[i, cols] = np.fromiter(row.values(), np.float64, len(row))
+            _fill_dense_row(mat, i, row, index)
         mat[failures, failures] = 1.0
         return states, mat
+    import scipy.sparse as sp  # deferred: dense-only runs never pay for it
+
     lengths = [len(row) for row in rows] + [1] * len(failures)
     cols = [index[t] for row in rows for t in row] + list(failures)
     vals = [p for row in rows for p in row.values()] + [1.0] * len(failures)
@@ -161,13 +178,38 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     return states, mat
 
 
+def _count_nonzero(mat: Operator) -> int:
+    return int(np.count_nonzero(mat)) if isinstance(mat, np.ndarray) else mat.nnz
+
+
 def build_model(scg: AugmentedScg) -> Dtmc:
     """Validate the SCG and compile it into the model every check runs on."""
     require_valid(scg)
     states, mat = transition_matrix(scg)
     index = {sid: i for i, sid in enumerate(states)}
     labels = {f.label: {index[f.id]} for f in scg.failures}
-    return Dtmc(states=states, index=index, matrix=mat, labels=labels)
+    return Dtmc(states=states, index=index, matrix=mat, labels=labels, nnz=_count_nonzero(mat))
+
+
+def write_rows(model: Dtmc, scg: AugmentedScg, rows: dict[str, dict[str, float]]) -> None:
+    """Make `model` the model of `scg`, whose delta differs from it in `rows` only.
+
+    A dense operator takes the rows in place.  A CSR one, or a dense one whose
+    density falls to SPARSE_DENSITY_CUTOFF, is compiled again from delta, so
+    the operator is always the one transition_matrix would build.  Nothing is
+    validated: the caller checked the rows.
+    """
+    mat = model.matrix
+    if isinstance(mat, np.ndarray):
+        for sid, row in rows.items():
+            i = model.index[sid]
+            model.nnz += _row_nnz(row) - int(np.count_nonzero(mat[i]))
+            mat[i] = 0.0
+            _fill_dense_row(mat, i, row, model.index)
+        if _is_dense(model.nnz, mat.shape[0]):
+            return
+    _, model.matrix = transition_matrix(scg)
+    model.nnz = _count_nonzero(model.matrix)
 
 
 def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndarray:

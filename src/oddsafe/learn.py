@@ -112,28 +112,31 @@ def _row_support(
     return support
 
 
+def estimate_row(
+    prior: AugmentedScg, counts: TransitionCounts, config: EstimatorConfig, sid: str
+) -> dict[str, float]:
+    """The belief row of situation `sid`: its prior row updated by its counts.
+
+    A row sunk in the prior stays a self-loop; zero entries are dropped.
+    """
+    if sid in prior.sunk:
+        return {sid: 1.0}
+    prior_row = prior.delta[sid]
+    row_counts = counts.row(sid)
+    support = _row_support(prior_row, row_counts, config.support_policy)
+    if config.mode == "frequentist":
+        row = estimate_frequentist(prior_row, row_counts, config.smoothing_alpha, support)
+    else:
+        row = estimate_bayesian(prior_row, row_counts, config.prior_strength_kappa, support)
+    return {t: p for t, p in row.items() if p > 0.0}
+
+
 def rebuild_scg(
     prior: AugmentedScg, counts: TransitionCounts, config: EstimatorConfig
 ) -> AugmentedScg:
     """Re-estimate every non-sunk row of the prior SCG from the counts."""
     require_valid(prior)
-    delta: dict[str, dict[str, float]] = {}
-    for sid in prior.situation_ids:
-        if sid in prior.sunk:
-            delta[sid] = {sid: 1.0}
-            continue
-        prior_row = prior.delta[sid]
-        row_counts = counts.row(sid)
-        support = _row_support(prior_row, row_counts, config.support_policy)
-        if config.mode == "frequentist":
-            row = estimate_frequentist(
-                prior_row, row_counts, config.smoothing_alpha, support
-            )
-        else:
-            row = estimate_bayesian(
-                prior_row, row_counts, config.prior_strength_kappa, support
-            )
-        delta[sid] = {t: p for t, p in row.items() if p > 0.0}
+    delta = {sid: estimate_row(prior, counts, config, sid) for sid in prior.situation_ids}
     rebuilt = replace(prior, delta=delta)
     require_valid(rebuilt)
     return rebuilt

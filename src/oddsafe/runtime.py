@@ -1,16 +1,17 @@
 """The monitor-analyze-plan-execute loop over a shared knowledge base.
 
 The loop owns a KnowledgeBase and folds trace events into it: every observed
-situation change is ingested into the counts, the SCG belief is rebuilt from
-the pre-deployment prior plus counts, and the current situation's model is
-checked.  On violation a safe controller is synthesised by sinking critical
-situations; entering an avoided situation triggers a crash stop.
+situation change is ingested into the counts, the rows of the SCG belief whose
+counts changed are re-estimated from the pre-deployment prior plus counts and
+written into the compiled model, and the current situation is checked on it.
+On violation a safe controller is synthesised by sinking critical situations;
+entering an avoided situation triggers a crash stop.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .adapt import (
     AdaptationOutcome,
@@ -20,11 +21,11 @@ from .adapt import (
     controller_from_outcome,
     synthesize_safe_controller,
 )
-from .dtmc import BoundedReachProperty
+from .dtmc import BoundedReachProperty, Dtmc, build_model, write_rows
 from .errors import SchemaError, TraceError
-from .learn import EstimatorConfig, TransitionCounts, ingest, rebuild_scg
+from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
 from .proplang import format_property, parse_property
-from .scg import AugmentedScg, scg_from_dict, scg_to_dict, sink_situation
+from .scg import AugmentedScg, require_valid_row, scg_from_dict, scg_to_dict, sink_situation
 
 EVENT_KINDS = ("situation_entered", "failure_observed", "episode_reset")
 
@@ -123,6 +124,9 @@ class KnowledgeBase:
     baseline: bool = False  # True: planning disabled (fixed controller)
     prev: str | None = None  # previous-situation cursor within the episode
     last_t: int = -1
+    # not persisted: a KB without a model re-estimates its whole belief
+    model: Dtmc | None = None  # compiled model of scg
+    pending: set[str] = field(default_factory=set)  # rows ingested since then
 
     @property
     def active_controller(self) -> Controller:
@@ -170,11 +174,38 @@ class RunLogEntry:
         }
 
 
-def _rebuild_belief(kb: KnowledgeBase) -> None:
-    belief = rebuild_scg(kb.prior_scg, kb.counts, kb.estimator)
-    for sid in sorted(kb.active_controller.scg.sunk):
-        belief = sink_situation(belief, sid)
-    kb.scg = belief
+def _update_belief(kb: KnowledgeBase) -> None:
+    """Bring the belief and its compiled model up to date with the counts.
+
+    Without a model (a fresh or loaded KB, or a switched controller) every row
+    is estimated and the belief compiled; a fresh KB's belief is its prior,
+    not the estimate of it.  Otherwise only the pending rows are re-estimated,
+    checked and written into the model; the other rows' counts are unchanged.
+    No pending row is sunk: `prev` never names a sunk situation, since
+    entering one stops the episode.
+    """
+    if kb.model is None:
+        belief = rebuild_scg(kb.prior_scg, kb.counts, kb.estimator)
+        for sid in sorted(kb.active_controller.scg.sunk):
+            belief = sink_situation(belief, sid)
+        kb.scg = belief
+        kb.model = build_model(belief)
+    else:
+        rows = {}
+        for sid in sorted(kb.pending):
+            row = estimate_row(kb.prior_scg, kb.counts, kb.estimator, sid)
+            require_valid_row(kb.scg, sid, row)
+            rows[sid] = row
+        if rows:
+            kb.scg = replace(kb.scg, delta={**kb.scg.delta, **rows})
+            write_rows(kb.model, kb.scg, rows)
+    kb.pending.clear()
+
+
+def _ingest(kb: KnowledgeBase, to: str) -> None:
+    if kb.prev is not None:
+        ingest(kb.counts, kb.prev, to)
+        kb.pending.add(kb.prev)
 
 
 def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEntry]:
@@ -190,8 +221,7 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     if event.kind == "failure_observed":
         if not kb.scg.is_failure(event.id):
             raise TraceError(f"unknown failure id {event.id!r}")
-        if kb.prev is not None:
-            ingest(kb.counts, kb.prev, event.id)
+        _ingest(kb, event.id)
         kb.prev = None
         return kb, RunLogEntry(event.t, event.kind, event.id, CONTINUE)
 
@@ -199,16 +229,15 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     sid = event.id
     if not kb.scg.is_situation(sid):
         raise TraceError(f"unknown situation id {sid!r}")
-    if kb.prev is not None:
-        ingest(kb.counts, kb.prev, sid)
-    _rebuild_belief(kb)
+    _ingest(kb, sid)
+    _update_belief(kb)
 
     if sid in kb.scg.sunk:
         kb.prev = None
         directive = safe_stop(f"entered avoided situation {sid}")
         return kb, RunLogEntry(event.t, event.kind, sid, directive)
 
-    analysis = analyze(kb.scg, sid, kb.properties)
+    analysis = analyze(kb.scg, kb.model, sid, kb.properties)
     if analysis.compliant or kb.baseline:
         kb.prev = sid
         return kb, RunLogEntry(
@@ -238,6 +267,7 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         HistoryEntry(t=event.t, controller_id=controller_id, outcome=outcome)
     )
     kb.scg = controller.scg
+    kb.model = None
     if sid in controller.scg.sunk:
         kb.prev = None
         directive = safe_stop(f"current situation {sid} is now avoided")

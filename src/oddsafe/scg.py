@@ -161,20 +161,7 @@ def validate_scg(scg: AugmentedScg) -> list[Violation]:
         if row is None:
             out.append(Violation("missing-row", sid, f"situation {sid!r} has no distribution"))
             continue
-        for target, p in row.items():
-            if target not in state_ids:
-                out.append(
-                    Violation("unknown-target", sid, f"{sid!r} -> unknown state {target!r}")
-                )
-            if not (0.0 <= p <= 1.0):
-                out.append(
-                    Violation("probability-range", sid, f"{sid!r} -> {target!r} = {p}")
-                )
-        total = sum(row.values())
-        if abs(total - 1.0) > ROW_SUM_ATOL:
-            out.append(
-                Violation("row-sum", sid, f"row {sid!r} sums to {total!r}")
-            )
+        out += row_violations(sid, row, state_ids)
     for sid in sorted(scg.sunk):
         if sid not in situation_ids:
             out.append(Violation("unknown-sunk", sid, f"sunk id {sid!r} is not a situation"))
@@ -188,12 +175,36 @@ def validate_scg(scg: AugmentedScg) -> list[Violation]:
     return out
 
 
-def require_valid(scg: AugmentedScg) -> None:
-    """Raise ModelError when validate_scg reports anything."""
-    violations = validate_scg(scg)
+def row_violations(sid: str, row: dict[str, float], state_ids: set[str]) -> list[Violation]:
+    """The row rule: known targets, each probability in [0, 1], sum 1 within ROW_SUM_ATOL."""
+    out = []
+    for target, p in row.items():
+        if target not in state_ids:
+            out.append(
+                Violation("unknown-target", sid, f"{sid!r} -> unknown state {target!r}")
+            )
+        if not (0.0 <= p <= 1.0):
+            out.append(Violation("probability-range", sid, f"{sid!r} -> {target!r} = {p}"))
+    total = sum(row.values())
+    if abs(total - 1.0) > ROW_SUM_ATOL:
+        out.append(Violation("row-sum", sid, f"row {sid!r} sums to {total!r}"))
+    return out
+
+
+def _raise_violations(what: str, violations: list[Violation]) -> None:
     if violations:
         summary = "; ".join(f"{v.code}({v.subject})" for v in violations[:5])
-        raise ModelError(f"invalid augmented SCG: {summary}")
+        raise ModelError(f"invalid {what}: {summary}")
+
+
+def require_valid(scg: AugmentedScg) -> None:
+    """Raise ModelError when validate_scg reports anything."""
+    _raise_violations("augmented SCG", validate_scg(scg))
+
+
+def require_valid_row(scg: AugmentedScg, sid: str, row: dict[str, float]) -> None:
+    """Raise ModelError when `row`, a new delta row of `sid`, breaks the row rule."""
+    _raise_violations("delta row", row_violations(sid, row, set(scg.state_ids)))
 
 
 def sink_situation(scg: AugmentedScg, target: str) -> AugmentedScg:
@@ -207,8 +218,8 @@ def sink_situation(scg: AugmentedScg, target: str) -> AugmentedScg:
         raise NotFoundError(f"unknown situation {target!r}")
     if target in scg.sunk and scg.delta.get(target) == {target: 1.0}:
         return scg
-    delta = {sid: dict(row) for sid, row in scg.delta.items()}
-    delta[target] = {target: 1.0}
+    # rows are never mutated in place, so the new SCG shares the others
+    delta = {**scg.delta, target: {target: 1.0}}
     return replace(scg, delta=delta, sunk=scg.sunk | {target})
 
 
@@ -234,8 +245,11 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     """Build an AugmentedScg from its JSON form, renormalising noisy rows.
 
     Rows off 1 by at most ROW_SUM_RENORM are renormalised with a warning;
-    anything worse raises ModelError.
+    anything worse raises ModelError.  A document of the wrong shape raises
+    SchemaError naming the offending path.
     """
+    if not isinstance(doc, dict):
+        raise SchemaError("SCG document must be a JSON object", ["$"])
     missing = [k for k in ("attributes", "failures", "delta") if k not in doc]
     if missing:
         raise SchemaError("SCG document missing keys", [f"$.{k}" for k in missing])
@@ -250,9 +264,18 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed attribute/failure entry: {exc}") from exc
     situations = tuple(enumerate_situations(list(attributes)))
+    if not isinstance(doc["delta"], dict):
+        raise SchemaError("delta must map situation ids to rows", ["$.delta"])
+    if not isinstance(doc.get("sunk", []), list):
+        raise SchemaError("sunk must be a list of situation ids", ["$.sunk"])
     delta: dict[str, dict[str, float]] = {}
     for sid, row in doc["delta"].items():
-        row = {t: float(p) for t, p in row.items()}
+        try:
+            row = {t: float(p) for t, p in row.items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"a delta row must map ids to numbers: {exc}", [f"$.delta.{sid}"]
+            ) from exc
         total = sum(row.values())
         off = abs(total - 1.0)
         if ROW_SUM_ATOL < off <= ROW_SUM_RENORM:

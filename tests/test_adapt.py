@@ -10,13 +10,17 @@ from oddsafe.adapt import (
     select_controller,
     synthesize_safe_controller,
 )
-from oddsafe.dtmc import BoundedReachProperty, rank_situations
+from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
 from oddsafe.errors import ModelError, NotFoundError
 from oddsafe.scg import sink_situation
 
 from helpers import make_scg
 
 PROP = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
+
+
+def _analyze(scg, current, properties):
+    return analyze(scg, build_model(scg), current, properties)
 
 
 def _violating_scg():
@@ -38,14 +42,14 @@ def _benign_scg():
 
 
 def test_analyze_early_exit_on_compliance():
-    result = analyze(_benign_scg(), "s1", [PROP])
+    result = _analyze(_benign_scg(), "s1", [PROP])
     assert result.compliant
     assert result.full_report is None
     assert result.current["phi"].compliant
 
 
 def test_analyze_ranks_on_violation():
-    result = analyze(_violating_scg(), "s1", [PROP])
+    result = _analyze(_violating_scg(), "s1", [PROP])
     assert not result.compliant
     assert result.full_report is not None
     assert result.full_report.worst_situation == "s0"
@@ -54,7 +58,7 @@ def test_analyze_ranks_on_violation():
 def test_analyze_report_equals_full_ranking():
     scg = _violating_scg()
     props = [PROP, BoundedReachProperty("psi", "f1", 3, "<=", 0.2)]
-    result = analyze(scg, "s1", props)
+    result = _analyze(scg, "s1", props)
     assert not result.compliant
     assert result.full_report.to_dict() == rank_situations(scg, props).to_dict()
 
@@ -62,15 +66,15 @@ def test_analyze_report_equals_full_ranking():
 def test_analyze_errors():
     scg = _benign_scg()
     with pytest.raises(NotFoundError):
-        analyze(scg, "s9", [PROP])
+        _analyze(scg, "s9", [PROP])
     with pytest.raises(NotFoundError):
-        analyze(scg, "f1", [PROP])
+        _analyze(scg, "f1", [PROP])
     with pytest.raises(NotFoundError):
-        analyze(scg, "s1", [BoundedReachProperty("p", "nope", 5, "<", 0.5)])
+        _analyze(scg, "s1", [BoundedReachProperty("p", "nope", 5, "<", 0.5)])
     with pytest.raises(ModelError):
-        analyze(make_scg({"s0": {"s0": 0.5}}, 1), "s0", [PROP])
+        _analyze(make_scg({"s0": {"s0": 0.5}}, 1), "s0", [PROP])
     with pytest.raises(ModelError):
-        analyze(sink_situation(scg, "s1"), "s1", [PROP])
+        _analyze(sink_situation(scg, "s1"), "s1", [PROP])
 
 
 def test_synthesis_sinks_the_trap():

@@ -89,6 +89,46 @@ def test_malformed_property_file_is_error(fixtures, tmp_path, capsys):
     assert rc == 2
 
 
+def _edit_delta(doc, edit):
+    edit(doc["delta"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [
+        lambda doc: _edit_delta(doc, lambda d: d["s0"].update(f1="abc")),
+        lambda doc: _edit_delta(doc, lambda d: d.update(s0=[0.99, 0.01])),
+        lambda doc: json.dumps({**doc, "delta": [doc["delta"]["s0"]]}),
+        lambda doc: json.dumps({**doc, "sunk": 3}),
+        lambda doc: "null",
+        lambda doc: json.dumps(doc)[:-5],
+    ],
+    ids=[
+        "non-numeric-probability",
+        "list-row",
+        "list-delta",
+        "number-sunk",
+        "null-document",
+        "invalid-json",
+    ],
+)
+def test_malformed_scg_file_is_error(make_text, fixtures, capsys):
+    path = fixtures["compliant"]
+    path.write_text(make_text(json.loads(path.read_text())))
+    rc = main(["check", str(path), str(fixtures["properties"])])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_invalid_json_property_file_is_error(fixtures, tmp_path, capsys):
+    bad = tmp_path / "badprops.json"
+    bad.write_text(json.dumps(PROPERTIES)[:-1])
+    rc = main(["check", str(fixtures["compliant"]), str(bad)])
+    assert rc == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["--out", str(out), "bench", "--n", "4,6", "--horizon", "5"])

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from oddsafe.dtmc import (
     reach_vectors,
     score_value,
     transition_matrix,
+    write_rows,
 )
 from oddsafe.errors import ModelError, NotFoundError
-from oddsafe.scg import sink_situation
+from oddsafe.scg import AugmentedScg, sink_situation
 
 from helpers import make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
 
@@ -72,6 +76,7 @@ def test_reach_vectors_reject_values_outside_unit_interval():
         index={"a": 0, "f": 1},
         matrix=np.array([[1.0, 1.0], [0.0, 1.0]]),
         labels={"f": {1}},
+        nnz=3,
     )
     prop = BoundedReachProperty("p", "f", 2, "<", 0.5)
     with pytest.raises(ModelError):
@@ -193,3 +198,60 @@ def test_report_round_trip_and_queries():
     assert not report.all_compliant()
     again = CriticalityReport.from_dict(report.to_dict())
     assert again.to_dict() == report.to_dict()
+
+
+def _spread_rows(sids, width: int) -> dict:
+    """Uniform rows over the first `width` situations, one per id in `sids`."""
+    return {sid: {f"s{j}": 1.0 / width for j in range(width)} for sid in sids}
+
+
+@pytest.mark.parametrize(
+    "n_rows, width, before, after",
+    [
+        (2, 20, np.ndarray, np.ndarray),  # dense rows into a dense model
+        (20, 20, sp.csr_matrix, np.ndarray),  # the density crosses the cutoff upwards
+        (20, 1, np.ndarray, sp.csr_matrix),  # ... and downwards
+        (2, 3, sp.csr_matrix, sp.csr_matrix),  # sparse rows into a CSR model
+    ],
+)
+def test_write_rows_gives_the_operator_a_fresh_compile_gives(n_rows, width, before, after):
+    rng = random.Random(5)
+    if before is np.ndarray:
+        scg = make_scg(_spread_rows([f"s{i}" for i in range(20)], 10), 20)
+    else:
+        scg = random_scg(rng, n_situations=20)
+    model = build_model(scg)
+    assert isinstance(model.matrix, before)
+    rows = _spread_rows([f"s{i}" for i in range(n_rows)], width)
+    rows["s0"] = {"s0": 0.5, "f1": 0.5, "f2": 0.0}  # a zero entry is no transition
+    updated = AugmentedScg(
+        scg.attributes, scg.situations, scg.failures, {**scg.delta, **rows}
+    )
+    write_rows(model, updated, rows)
+    fresh = build_model(updated)
+    assert type(model.matrix) is type(fresh.matrix) is after
+    assert model.nnz == fresh.nnz
+    if after is np.ndarray:
+        assert np.array_equal(model.matrix, fresh.matrix)
+    else:
+        assert model.matrix.has_sorted_indices
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(model.matrix, attr), getattr(fresh.matrix, attr))
+
+
+def test_dense_runs_never_import_scipy_sparse():
+    code = """
+import sys
+import numpy as np
+import oddsafe
+from oddsafe.experiments import default_properties, random_dense_scg
+oddsafe.rank_situations(random_dense_scg(10), default_properties())
+assert "scipy.sparse" not in sys.modules, "a dense check imported scipy.sparse"
+sparse = random_dense_scg(60, density=0.05)
+model = oddsafe.build_model(sparse)
+assert not isinstance(model.matrix, np.ndarray)
+report = oddsafe.rank_situations(sparse, default_properties())
+assert len(report.records) == 60 and report.worst_situation is not None
+"""
+    src = Path(__import__("oddsafe").__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
-from oddsafe.dtmc import BoundedReachProperty
-from oddsafe.errors import SchemaError, TraceError
-from oddsafe.learn import EstimatorConfig
+from oddsafe import experiments
+from oddsafe.dtmc import BoundedReachProperty, transition_matrix
+from oddsafe.errors import ModelError, SchemaError, TraceError
+from oddsafe.learn import EstimatorConfig, ingest, rebuild_scg
+from oddsafe.marsim import ScenarioConfig, generate_scenario
 from oddsafe.adapt import SynthesisConfig
 from oddsafe.runtime import (
     KnowledgeBase,
@@ -208,3 +211,98 @@ def test_run_log_is_reproducible():
     log_a = run(_kb(violating=True), list(events))
     log_b = run(_kb(violating=True), list(events))
     assert [e.to_dict() for e in log_a] == [e.to_dict() for e in log_b]
+
+
+def _full_belief(kb: KnowledgeBase):
+    """The belief a from-scratch estimate of every row gives, with the sinks."""
+    belief = rebuild_scg(kb.prior_scg, kb.counts, kb.estimator)
+    for sid in sorted(kb.active_controller.scg.sunk):
+        belief = sink_situation(belief, sid)
+    return belief
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        None,  # the timeline's own Bayesian estimator
+        EstimatorConfig(),
+        EstimatorConfig(mode="frequentist", smoothing_alpha=1.0),
+        EstimatorConfig(support_policy="prior-support", prior_strength_kappa=20.0),
+    ],
+)
+def test_incremental_belief_equals_full_rebuild(estimator, monkeypatch):
+    checked = []
+
+    def new_kb(*args, **kwargs):
+        if estimator is not None:
+            kwargs["estimator"] = estimator
+        return new_knowledge_base(*args, **kwargs)
+
+    def checked_step(kb, event):
+        out = step(kb, event)
+        if event.kind == "situation_entered":
+            expected = _full_belief(kb)
+            assert kb.scg.delta == expected.delta and kb.scg.sunk == expected.sunk
+            if kb.model is not None:  # None right after a controller switch
+                _, fresh = transition_matrix(kb.scg)
+                assert type(kb.model.matrix) is type(fresh)
+                assert np.array_equal(kb.model.matrix, fresh)
+                checked.append(event.t)
+        return out
+
+    monkeypatch.setattr(experiments, "new_knowledge_base", new_kb)
+    monkeypatch.setattr(experiments, "step", checked_step)
+    result = experiments.run_timeline(experiments.TimelineConfig(seed=7))
+    assert len(checked) > 1000
+    if estimator is None:  # the controller switch and its full rebuild are covered
+        assert result.adaptation_entries()
+
+
+def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):
+    events = []
+
+    def recording_step(kb, event):
+        if not kb.baseline:
+            events.append(event)
+        return step(kb, event)
+
+    monkeypatch.setattr(experiments, "step", recording_step)
+    timeline = experiments.run_timeline(experiments.TimelineConfig(seed=7))
+    monkeypatch.undo()
+    # the adaptive knowledge base of that timeline, replayed on its own events
+    _, belief = generate_scenario(ScenarioConfig(seed=7, drift_magnitude=1.0, drift_time=60))
+    config = dict(
+        estimator=EstimatorConfig(mode="bayesian", prior_strength_kappa=1.0),
+        synthesis=SynthesisConfig(max_removals=4, rng_seed=7),
+    )
+    props = experiments.default_properties()
+    full_log = run(new_knowledge_base(belief, props, **config), events)
+    assert [e.to_dict() for e in full_log] == [e.to_dict() for e in timeline.adaptive_log]
+
+    failures = [i for i, e in enumerate(events) if e.kind == "failure_observed"]
+    for cut in (failures[0], failures[-1]):
+        kb = new_knowledge_base(belief, props, **config)
+        resumed = run(kb, events[: cut + 1])
+        assert kb.pending  # the row that led to the failure is not estimated yet
+        restored = load(snapshot(kb))
+        resumed += run(restored, events[cut + 1 :])
+        assert [e.to_dict() for e in resumed] == [e.to_dict() for e in full_log]
+
+
+def test_unknown_count_target_is_a_model_error_through_a_loaded_snapshot():
+    kb = _kb(violating=False)
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    doc = snapshot(kb)
+    doc["counts"]["counts"]["s1"] = {"zz": 1}
+    restored = load(doc)
+    with pytest.raises(ModelError):
+        step(restored, TraceEvent(t=1, kind="situation_entered", id="s2"))
+
+
+def test_unknown_count_target_is_a_model_error_through_an_incremental_step():
+    kb = _kb(violating=False)
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    assert kb.model is not None
+    ingest(kb.counts, kb.prev, "zz")
+    with pytest.raises(ModelError):
+        step(kb, TraceEvent(t=1, kind="situation_entered", id="s2"))
