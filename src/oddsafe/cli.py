@@ -13,30 +13,22 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .errors import OddsafeError, SchemaError
+from .errors import OddsafeError
 from .marsim import ScenarioConfig
 from .dtmc import rank_situations
 from .prism import export_model, export_properties
 from .proplang import parse_properties_file
-from .scg import scg_from_dict
-
-
-def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+from .scg import load_scg, read_json
 
 
 def _load_properties(path: str):
-    return parse_properties_file(_read_json(path))
+    return parse_properties_file(read_json(path))
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    doc = _read_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise OddsafeError("config file must be a JSON object")
     return doc
@@ -63,7 +55,7 @@ def _print_report(report, fmt: str, out=None) -> None:
 
 
 def cmd_check(args) -> int:
-    scg = scg_from_dict(_read_json(args.scg))
+    scg = load_scg(args.scg)
     properties = _load_properties(args.properties)
     report = rank_situations(scg, properties)
     _print_report(report, args.format)
@@ -198,7 +190,7 @@ def _bench_density(text: str) -> float:
 
 
 def cmd_export_prism(args) -> int:
-    scg = scg_from_dict(_read_json(args.scg))
+    scg = load_scg(args.scg)
     properties = _load_properties(args.properties)
     out_dir = Path(args.out or "prism-out")
     out_dir.mkdir(parents=True, exist_ok=True)

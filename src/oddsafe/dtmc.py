@@ -67,7 +67,6 @@ class Dtmc:
     index: dict[str, int]  # state id -> row of the operator
     matrix: Operator
     labels: dict[str, set[int]]  # failure label -> state indices
-    nnz: int  # nonzero entries of the operator
 
 
 @dataclass
@@ -178,17 +177,13 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     return states, mat
 
 
-def _count_nonzero(mat: Operator) -> int:
-    return int(np.count_nonzero(mat)) if isinstance(mat, np.ndarray) else mat.nnz
-
-
 def build_model(scg: AugmentedScg) -> Dtmc:
     """Validate the SCG and compile it into the model every check runs on."""
     require_valid(scg)
     states, mat = transition_matrix(scg)
     index = {sid: i for i, sid in enumerate(states)}
     labels = {f.label: {index[f.id]} for f in scg.failures}
-    return Dtmc(states=states, index=index, matrix=mat, labels=labels, nnz=_count_nonzero(mat))
+    return Dtmc(states=states, index=index, matrix=mat, labels=labels)
 
 
 def write_rows(model: Dtmc, scg: AugmentedScg, rows: dict[str, dict[str, float]]) -> None:
@@ -203,13 +198,11 @@ def write_rows(model: Dtmc, scg: AugmentedScg, rows: dict[str, dict[str, float]]
     if isinstance(mat, np.ndarray):
         for sid, row in rows.items():
             i = model.index[sid]
-            model.nnz += _row_nnz(row) - int(np.count_nonzero(mat[i]))
             mat[i] = 0.0
             _fill_dense_row(mat, i, row, model.index)
-        if _is_dense(model.nnz, mat.shape[0]):
+        if _is_dense(int(np.count_nonzero(mat)), mat.shape[0]):
             return
     _, model.matrix = transition_matrix(scg)
-    model.nnz = _count_nonzero(model.matrix)
 
 
 def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndarray:

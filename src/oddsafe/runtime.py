@@ -25,7 +25,14 @@ from .dtmc import BoundedReachProperty, Dtmc, build_model, write_rows
 from .errors import SchemaError, TraceError
 from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
 from .proplang import format_property, parse_property
-from .scg import AugmentedScg, require_valid_row, scg_from_dict, scg_to_dict, sink_situation
+from .scg import (
+    AugmentedScg,
+    read_json,
+    require_valid_row,
+    scg_from_dict,
+    scg_to_dict,
+    sink_situation,
+)
 
 EVENT_KINDS = ("situation_entered", "failure_observed", "episode_reset")
 
@@ -389,8 +396,7 @@ def save_snapshot(kb: KnowledgeBase, path) -> None:
 
 
 def load_snapshot(path) -> KnowledgeBase:
-    with open(path) as fh:
-        return load(json.load(fh))
+    return load(read_json(path))
 
 
 def read_trace(path) -> list[TraceEvent]:

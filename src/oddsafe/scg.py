@@ -301,6 +301,14 @@ def save_scg(scg: AugmentedScg, path) -> None:
         fh.write("\n")
 
 
-def load_scg(path) -> AugmentedScg:
+def read_json(path):
+    """The JSON document in the file at `path`; invalid JSON is a SchemaError."""
     with open(path) as fh:
-        return scg_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_scg(path) -> AugmentedScg:
+    return scg_from_dict(read_json(path))

@@ -76,7 +76,6 @@ def test_reach_vectors_reject_values_outside_unit_interval():
         index={"a": 0, "f": 1},
         matrix=np.array([[1.0, 1.0], [0.0, 1.0]]),
         labels={"f": {1}},
-        nnz=3,
     )
     prop = BoundedReachProperty("p", "f", 2, "<", 0.5)
     with pytest.raises(ModelError):
@@ -230,7 +229,6 @@ def test_write_rows_gives_the_operator_a_fresh_compile_gives(n_rows, width, befo
     write_rows(model, updated, rows)
     fresh = build_model(updated)
     assert type(model.matrix) is type(fresh.matrix) is after
-    assert model.nnz == fresh.nnz
     if after is np.ndarray:
         assert np.array_equal(model.matrix, fresh.matrix)
     else:

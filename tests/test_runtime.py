@@ -181,6 +181,9 @@ def test_snapshot_file_round_trip(tmp_path):
     save_snapshot(kb, path)
     again = load_snapshot(path)
     assert snapshot(again) == snapshot(kb)
+    path.write_text('{"scg": ')
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        load_snapshot(path)
 
 
 def test_load_reports_missing_sections():

@@ -172,6 +172,13 @@ def test_load_scg_missing_file(tmp_path):
         load_scg(tmp_path / "absent.json")
 
 
+def test_load_scg_invalid_json_is_schema_error(tmp_path):
+    path = tmp_path / "scg.json"
+    path.write_text('{"delta": ')
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        load_scg(path)
+
+
 def test_save_is_stable_json(tmp_path):
     scg = make_scg({"s0": {"s1": 0.5, "f1": 0.5}, "s1": {"s1": 1.0}}, 2)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
