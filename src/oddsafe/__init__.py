@@ -5,7 +5,6 @@ from .adapt import (
     Controller,
     SynthesisConfig,
     analyze,
-    select_controller,
     synthesize_safe_controller,
 )
 from .dtmc import (

@@ -1,9 +1,8 @@
-"""Analysis and planning: violation detection, situation sinking, controller
-synthesis and controller selection."""
+"""Analysis and planning: violation detection, situation sinking and
+controller synthesis."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .dtmc import (
@@ -11,12 +10,11 @@ from .dtmc import (
     CriticalityReport,
     Dtmc,
     PropertyResult,
-    bounded_reach_vector,
     build_model,
     criticality_report,
-    rank_situations,
     reach_vectors,
     score_value,
+    write_rows,
 )
 from .errors import ModelError, NotFoundError
 from .scg import AugmentedScg, sink_situation
@@ -42,8 +40,6 @@ class Controller:
 @dataclass(frozen=True)
 class SynthesisConfig:
     max_removals: int = DEFAULT_MAX_REMOVALS
-    rng_seed: int = 0
-    out_of_odd_horizon: int | None = None  # None: max horizon among properties
 
     def __post_init__(self):
         if self.max_removals < 0:
@@ -120,41 +116,28 @@ def synthesize_safe_controller(
     """Iteratively sink the worst-criticality situation until no violations.
 
     Gives up (success=False) once sinking would exceed config.max_removals.
+    `scg` is validated and compiled once; each sink rewrites one row of that
+    model.
     """
+    model = build_model(scg)
+    report = criticality_report(scg, model, reach_vectors(model, properties), properties)
+    initial_violations = report.violated_properties()
+    worst_initial_score = max(report.worst_scores.values(), default=0.0)
     avoided: list[str] = []
-    iterations = 0
-    initial_violations: list[str] = []
-    worst_initial_score = 0.0
-    report = None
-    current = scg
-    while True:
-        iterations += 1
-        report = rank_situations(current, properties)
-        if iterations == 1:
-            initial_violations = report.violated_properties()
-            if report.worst_scores:
-                worst_initial_score = max(report.worst_scores.values())
-        if report.all_compliant():
-            return AdaptationOutcome(
-                success=True,
-                avoided=avoided,
-                iterations=iterations,
-                initial_violations=initial_violations,
-                worst_initial_score=worst_initial_score,
-                final_report=report,
-            )
-        if len(avoided) >= config.max_removals:
-            return AdaptationOutcome(
-                success=False,
-                avoided=avoided,
-                iterations=iterations,
-                initial_violations=initial_violations,
-                worst_initial_score=worst_initial_score,
-                final_report=report,
-            )
+    while not report.all_compliant() and len(avoided) < config.max_removals:
         target = report.worst_situation
-        current = sink_situation(current, target)
+        scg = sink_situation(scg, target)
+        write_rows(model, scg, {target: scg.delta[target]})
         avoided.append(target)
+        report = criticality_report(scg, model, reach_vectors(model, properties), properties)
+    return AdaptationOutcome(
+        success=report.all_compliant(),
+        avoided=avoided,
+        iterations=len(avoided) + 1,
+        initial_violations=initial_violations,
+        worst_initial_score=worst_initial_score,
+        final_report=report,
+    )
 
 
 def controller_from_outcome(
@@ -176,59 +159,3 @@ def controller_from_outcome(
         avoided=avoided,
         origin="synthesised",
     )
-
-
-def out_of_odd_reach(
-    scg: AugmentedScg, out_of_odd: set[str], horizon: int
-) -> float:
-    """Worst-case (over non-sunk initial situations) reach of the given set."""
-    return _out_of_odd_reach(scg, build_model(scg), out_of_odd, horizon)
-
-
-def _out_of_odd_reach(
-    scg: AugmentedScg, model: Dtmc, out_of_odd: set[str], horizon: int
-) -> float:
-    targets = {model.index[sid] for sid in out_of_odd if sid in model.index}
-    if not targets:
-        return 0.0
-    x = bounded_reach_vector(model.matrix, targets, horizon)
-    # the out-of-ODD situations themselves are not legitimate start states
-    starts = [
-        model.index[s]
-        for s in scg.situation_ids
-        if s not in scg.sunk and s not in out_of_odd
-    ]
-    if not starts:
-        return 0.0
-    return float(max(x[i] for i in starts))
-
-
-def select_controller(
-    candidates: list[Controller],
-    properties: list[BoundedReachProperty],
-    out_of_odd: set[str],
-    config: SynthesisConfig,
-) -> Controller | None:
-    """Pick a violation-free candidate minimising out-of-ODD reachability.
-
-    Exact ties are resolved by a seeded uniform draw; returns None when no
-    candidate is violation-free.
-    """
-    if not candidates:
-        raise ValueError("empty candidate list")
-    horizon = config.out_of_odd_horizon
-    if horizon is None:
-        horizon = max((p.horizon for p in properties), default=1)
-    scored = []
-    for c in candidates:
-        model = build_model(c.scg)
-        vectors = reach_vectors(model, properties)
-        if criticality_report(c.scg, model, vectors, properties).all_compliant():
-            scored.append((_out_of_odd_reach(c.scg, model, out_of_odd, horizon), c))
-    if not scored:
-        return None
-    best = min(score for score, _ in scored)
-    tied = [c for score, c in scored if score == best]
-    if len(tied) == 1:
-        return tied[0]
-    return random.Random(config.rng_seed).choice(tied)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import experiments
 from .errors import OddsafeError
-from .marsim import ScenarioConfig
 from .dtmc import rank_situations
 from .prism import export_model, export_properties
 from .proplang import parse_properties_file
@@ -25,13 +25,49 @@ def _load_properties(path: str):
     return parse_properties_file(read_json(path))
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    doc = read_json(path)
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of the field's default."""
+    if type(default) is float:
+        return type(value) in (int, float)
+    if type(default) is int:
+        return type(value) is int  # not bool: JSON true is not a count
+    return isinstance(value, type(default))
+
+
+def _config_from(cls, doc, where: str):
+    """`cls` built from the keys of `doc` over its defaults, nested configs too.
+
+    An unknown key, a value of the wrong type or one `cls` rejects is an
+    OddsafeError.
+    """
     if not isinstance(doc, dict):
-        raise OddsafeError("config file must be a JSON object")
-    return doc
+        raise OddsafeError(f"{where} must be a JSON object")
+    defaults = cls()
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise OddsafeError(f"unknown {where} keys: {', '.join(unknown)}")
+    values = {}
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if dataclasses.is_dataclass(default):
+            value = _config_from(type(default), value, f"{where}.{key}")
+        elif not _fits(value, default):
+            raise OddsafeError(
+                f"{where}.{key} must be of type {type(default).__name__}: {value!r}"
+            )
+        values[key] = value
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise OddsafeError(f"invalid {where}: {exc}") from exc
+
+
+def _load_config(cls, args):
+    """The experiment config: the file's keys over `cls`'s defaults, then the
+    --seed and --max-removals options when given."""
+    config = _config_from(cls, read_json(args.config) if args.config else {}, "config")
+    options = {"seed": args.seed, "max_removals": args.max_removals}
+    return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
 
 def _print_report(report, fmt: str, out=None) -> None:
@@ -91,17 +127,7 @@ def _write_records(records, out_dir: Path, fmt: str) -> None:
 
 
 def cmd_experiment_rq1(args) -> int:
-    doc = _load_config(args.config)
-    scenario = ScenarioConfig(**doc.get("scenario", {}))
-    config = experiments.VariantConfig(
-        seed=args.seed if args.seed is not None else doc.get("seed", 0),
-        variants=doc.get("variants", 20),
-        drift_magnitude=doc.get("drift_magnitude", 0.95),
-        max_removals=args.max_removals
-        if args.max_removals is not None
-        else doc.get("max_removals", 4),
-        scenario=scenario,
-    )
+    config = _load_config(experiments.VariantConfig, args)
     records = experiments.run_variants(config)
     out_dir = Path(args.out or "rq1-out")
     _write_records(records, out_dir, args.format)
@@ -122,17 +148,7 @@ def _log_to_jsonl(log, path: Path) -> None:
 
 
 def cmd_experiment_rq2(args) -> int:
-    doc = _load_config(args.config)
-    config = experiments.TimelineConfig(
-        seed=args.seed if args.seed is not None else doc.get("seed", 7),
-        steps=doc.get("steps", 1000),
-        drift_time=doc.get("drift_time", 60),
-        drift_magnitude=doc.get("drift_magnitude", 1.0),
-        max_removals=args.max_removals
-        if args.max_removals is not None
-        else doc.get("max_removals", 4),
-        prior_strength_kappa=doc.get("prior_strength_kappa", 1.0),
-    )
+    config = _load_config(experiments.TimelineConfig, args)
     result = experiments.run_timeline(config)
     out_dir = Path(args.out or "rq2-out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -39,16 +39,10 @@ def default_properties() -> list[BoundedReachProperty]:
 
 def drift_scg(scg: AugmentedScg, magnitude: float, seed: int) -> AugmentedScg:
     """Apply the truth-matrix drift perturbation directly to an SCG belief."""
-    truth = GroundTruth(
-        situations=tuple(scg.situation_ids),
-        failures=tuple(scg.failure_ids),
-        rows={s: dict(r) for s, r in scg.delta.items()},
-    )
-    drifted = inject_drift(truth, magnitude, seed)
-    delta = {s: dict(r) for s, r in drifted.rows.items()}
-    for sid in sorted(scg.sunk):
-        delta[sid] = {sid: 1.0}
-    return replace(scg, delta=delta)
+    truth = GroundTruth(tuple(scg.situation_ids), tuple(scg.failure_ids), scg.delta)
+    drifted = inject_drift(truth, magnitude, seed)  # a copy; scg is untouched
+    sunk = {sid: {sid: 1.0} for sid in scg.sunk}
+    return replace(scg, delta={**drifted.rows, **sunk})
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +113,7 @@ def run_variants(
         outcome = synthesize_safe_controller(
             drifted,
             properties,
-            SynthesisConfig(max_removals=config.max_removals, rng_seed=variant_seed),
+            SynthesisConfig(max_removals=config.max_removals),
         )
         records.append(
             ExperimentRecord(
@@ -244,7 +238,7 @@ def run_timeline(
     estimator = EstimatorConfig(
         mode="bayesian", prior_strength_kappa=config.prior_strength_kappa
     )
-    synthesis = SynthesisConfig(max_removals=config.max_removals, rng_seed=config.seed)
+    synthesis = SynthesisConfig(max_removals=config.max_removals)
     logs = {}
     for baseline in (True, False):
         kb = new_knowledge_base(

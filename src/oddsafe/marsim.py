@@ -194,12 +194,12 @@ class TruthSampler:
     def __init__(self, truth: GroundTruth, seed: int):
         self.truth = truth.copy()
         self.rng = np.random.default_rng(seed)
-        self._pending_drift = sorted(truth.drift_schedule)
+        self._scheduled_drift = sorted(truth.drift_schedule)
 
     def apply_drift(self, t: int) -> bool:
         fired = False
-        while self._pending_drift and self._pending_drift[0][0] <= t:
-            _, magnitude, seed = self._pending_drift.pop(0)
+        while self._scheduled_drift and self._scheduled_drift[0][0] <= t:
+            _, magnitude, seed = self._scheduled_drift.pop(0)
             self.truth = inject_drift(self.truth, magnitude, seed)
             fired = True
         return fired

@@ -1,8 +1,8 @@
 """The monitor-analyze-plan-execute loop over a shared knowledge base.
 
 The loop owns a KnowledgeBase and folds trace events into it: every observed
-situation change is ingested into the counts, the rows of the SCG belief whose
-counts changed are re-estimated from the pre-deployment prior plus counts and
+situation change is ingested into the counts, the belief row of the situation
+it leaves is re-estimated from the pre-deployment prior plus counts and
 written into the compiled model, and the current situation is checked on it.
 On violation a safe controller is synthesised by sinking critical situations;
 entering an avoided situation triggers a crash stop.
@@ -11,7 +11,7 @@ entering an avoided situation triggers a crash stop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .adapt import (
     AdaptationOutcome,
@@ -57,10 +57,15 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TraceEvent":
+        if not isinstance(doc, dict):
+            raise SchemaError("trace event must be a JSON object", ["$"])
         try:
-            return cls(t=int(doc["t"]), kind=doc["kind"], id=doc.get("id"))
+            t, kind = doc["t"], doc["kind"]
         except KeyError as exc:
             raise SchemaError(f"trace event missing {exc}") from exc
+        if type(t) is not int:
+            raise SchemaError(f"trace event time {t!r} is not an integer", ["$.t"])
+        return cls(t=t, kind=kind, id=doc.get("id"))
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,7 @@ class KnowledgeBase:
 
     prior_scg: AugmentedScg  # pre-deployment belief; estimation prior
     scg: AugmentedScg  # current belief, including sinks
+    model: Dtmc  # compiled model of scg; not persisted
     counts: TransitionCounts
     properties: list[BoundedReachProperty]
     controllers: list[Controller]
@@ -131,9 +137,6 @@ class KnowledgeBase:
     baseline: bool = False  # True: planning disabled (fixed controller)
     prev: str | None = None  # previous-situation cursor within the episode
     last_t: int = -1
-    # not persisted: a KB without a model re-estimates its whole belief
-    model: Dtmc | None = None  # compiled model of scg
-    pending: set[str] = field(default_factory=set)  # rows ingested since then
 
     @property
     def active_controller(self) -> Controller:
@@ -148,17 +151,35 @@ def new_knowledge_base(
     baseline: bool = False,
 ) -> KnowledgeBase:
     initial = Controller(id="c0", scg=scg, avoided=tuple(sorted(scg.sunk)))
+    counts = TransitionCounts(failure_ids=frozenset(scg.failure_ids))
+    estimator = estimator or EstimatorConfig()
+    belief, model = _derive_belief(scg, counts, estimator, initial)
     return KnowledgeBase(
         prior_scg=scg,
-        scg=scg,
-        counts=TransitionCounts(failure_ids=frozenset(scg.failure_ids)),
+        scg=belief,
+        model=model,
+        counts=counts,
         properties=list(properties),
         controllers=[initial],
         history=[HistoryEntry(t=0, controller_id="c0")],
-        estimator=estimator or EstimatorConfig(),
+        estimator=estimator,
         synthesis=synthesis or SynthesisConfig(),
         baseline=baseline,
     )
+
+
+def _derive_belief(
+    prior: AugmentedScg,
+    counts: TransitionCounts,
+    estimator: EstimatorConfig,
+    controller: Controller,
+) -> tuple[AugmentedScg, Dtmc]:
+    """The belief every row of which is estimated from `counts`, with the
+    controller's sinks, and its compiled model."""
+    belief = rebuild_scg(prior, counts, estimator)
+    for sid in sorted(controller.scg.sunk):
+        belief = sink_situation(belief, sid)
+    return belief, build_model(belief)
 
 
 @dataclass
@@ -181,38 +202,21 @@ class RunLogEntry:
         }
 
 
-def _update_belief(kb: KnowledgeBase) -> None:
-    """Bring the belief and its compiled model up to date with the counts.
-
-    Without a model (a fresh or loaded KB, or a switched controller) every row
-    is estimated and the belief compiled; a fresh KB's belief is its prior,
-    not the estimate of it.  Otherwise only the pending rows are re-estimated,
-    checked and written into the model; the other rows' counts are unchanged.
-    No pending row is sunk: `prev` never names a sunk situation, since
-    entering one stops the episode.
-    """
-    if kb.model is None:
-        belief = rebuild_scg(kb.prior_scg, kb.counts, kb.estimator)
-        for sid in sorted(kb.active_controller.scg.sunk):
-            belief = sink_situation(belief, sid)
-        kb.scg = belief
-        kb.model = build_model(belief)
-    else:
-        rows = {}
-        for sid in sorted(kb.pending):
-            row = estimate_row(kb.prior_scg, kb.counts, kb.estimator, sid)
-            require_valid_row(kb.scg, sid, row)
-            rows[sid] = row
-        if rows:
-            kb.scg = replace(kb.scg, delta={**kb.scg.delta, **rows})
-            write_rows(kb.model, kb.scg, rows)
-    kb.pending.clear()
-
-
 def _ingest(kb: KnowledgeBase, to: str) -> None:
-    if kb.prev is not None:
-        ingest(kb.counts, kb.prev, to)
-        kb.pending.add(kb.prev)
+    """Count the transition from `prev` and write its re-estimated row into
+    the belief and its model; the other rows' counts are unchanged.
+
+    No such row is sunk: `prev` never names a sunk situation, since entering
+    one stops the episode.
+    """
+    sid = kb.prev
+    if sid is None:
+        return
+    ingest(kb.counts, sid, to)
+    row = estimate_row(kb.prior_scg, kb.counts, kb.estimator, sid)
+    require_valid_row(kb.scg, sid, row)
+    kb.scg = replace(kb.scg, delta={**kb.scg.delta, sid: row})
+    write_rows(kb.model, kb.scg, {sid: row})
 
 
 def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEntry]:
@@ -237,7 +241,6 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     if not kb.scg.is_situation(sid):
         raise TraceError(f"unknown situation id {sid!r}")
     _ingest(kb, sid)
-    _update_belief(kb)
 
     if sid in kb.scg.sunk:
         kb.prev = None
@@ -274,7 +277,7 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         HistoryEntry(t=event.t, controller_id=controller_id, outcome=outcome)
     )
     kb.scg = controller.scg
-    kb.model = None
+    write_rows(kb.model, kb.scg, {s: kb.scg.delta[s] for s in outcome.avoided})
     if sid in controller.scg.sunk:
         kb.prev = None
         directive = safe_stop(f"current situation {sid} is now avoided")
@@ -323,11 +326,7 @@ def snapshot(kb: KnowledgeBase) -> dict:
             "prior_strength_kappa": kb.estimator.prior_strength_kappa,
             "support_policy": kb.estimator.support_policy,
         },
-        "synthesis": {
-            "max_removals": kb.synthesis.max_removals,
-            "rng_seed": kb.synthesis.rng_seed,
-            "out_of_odd_horizon": kb.synthesis.out_of_odd_horizon,
-        },
+        "synthesis": {"max_removals": kb.synthesis.max_removals},
         "baseline": kb.baseline,
         "prev": kb.prev,
         "last_t": kb.last_t,
@@ -335,9 +334,13 @@ def snapshot(kb: KnowledgeBase) -> dict:
 
 
 def load(doc: dict) -> KnowledgeBase:
+    """The knowledge base of a snapshot.
+
+    The belief is derived again from the prior, the counts and the active
+    controller, so the stored `scg` is not read.
+    """
     required = (
         "prior_scg",
-        "scg",
         "counts",
         "properties",
         "controllers",
@@ -361,26 +364,28 @@ def load(doc: dict) -> KnowledgeBase:
             )
             for c in doc["controllers"]
         ]
+        if not controllers:
+            raise SchemaError("knowledge-base snapshot has no controller", ["$.controllers"])
+        prior = scg_from_dict(doc["prior_scg"])
+        counts = TransitionCounts.from_dict(doc["counts"])
         est = doc["estimator"]
-        syn = doc["synthesis"]
+        estimator = EstimatorConfig(
+            mode=est["mode"],
+            smoothing_alpha=float(est["smoothing_alpha"]),
+            prior_strength_kappa=float(est["prior_strength_kappa"]),
+            support_policy=est["support_policy"],
+        )
+        belief, model = _derive_belief(prior, counts, estimator, controllers[-1])
         return KnowledgeBase(
-            prior_scg=scg_from_dict(doc["prior_scg"]),
-            scg=scg_from_dict(doc["scg"]),
-            counts=TransitionCounts.from_dict(doc["counts"]),
+            prior_scg=prior,
+            scg=belief,
+            model=model,
+            counts=counts,
             properties=properties,
             controllers=controllers,
             history=[HistoryEntry.from_dict(h) for h in doc["history"]],
-            estimator=EstimatorConfig(
-                mode=est["mode"],
-                smoothing_alpha=float(est["smoothing_alpha"]),
-                prior_strength_kappa=float(est["prior_strength_kappa"]),
-                support_policy=est["support_policy"],
-            ),
-            synthesis=SynthesisConfig(
-                max_removals=int(syn["max_removals"]),
-                rng_seed=int(syn["rng_seed"]),
-                out_of_odd_horizon=syn.get("out_of_odd_horizon"),
-            ),
+            estimator=estimator,
+            synthesis=SynthesisConfig(max_removals=int(doc["synthesis"]["max_removals"])),
             baseline=bool(doc.get("baseline", False)),
             prev=doc.get("prev"),
             last_t=int(doc.get("last_t", -1)),
@@ -403,10 +408,15 @@ def read_trace(path) -> list[TraceEvent]:
     """Read a JSON-lines trace file."""
     events = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                events.append(TraceEvent.from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}:{number}: invalid JSON: {exc}") from exc
+            events.append(TraceEvent.from_dict(doc))
     return events
 
 

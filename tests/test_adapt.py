@@ -6,8 +6,6 @@ from oddsafe.adapt import (
     SynthesisConfig,
     analyze,
     controller_from_outcome,
-    out_of_odd_reach,
-    select_controller,
     synthesize_safe_controller,
 )
 from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
@@ -129,57 +127,3 @@ def test_controller_from_outcome_merges_avoided():
     assert controller.avoided == ("s2", "s0")
     assert controller.scg.sunk == {"s0", "s2"}
     assert controller.origin == "synthesised"
-
-
-def test_out_of_odd_reach_excludes_flagged_starts():
-    scg = make_scg(
-        {"s0": {"s0": 1.0}, "s1": {"s1": 1.0}, "s2": {"s2": 1.0}}, 3
-    )
-    # s2 is out of ODD but unreachable from s0/s1, so worst reach is 0
-    assert out_of_odd_reach(scg, {"s2"}, 10) == 0.0
-    assert out_of_odd_reach(scg, set(), 10) == 0.0
-
-
-def _candidate(cid, mass_to_s2):
-    scg = make_scg(
-        {
-            "s0": {"s2": mass_to_s2, "s0": 1.0 - mass_to_s2},
-            "s1": {"s1": 1.0},
-            "s2": {"s2": 1.0},
-        },
-        3,
-        sunk=frozenset({"s2"}),
-    )
-    return Controller(id=cid, scg=scg, avoided=("s2",))
-
-
-def test_select_controller_minimises_out_of_odd_reach():
-    lenient = BoundedReachProperty("phi", "f1", 1, "<", 0.999)
-    config = SynthesisConfig(out_of_odd_horizon=1)
-    a = _candidate("a", 0.3)
-    b = _candidate("b", 0.1)
-    assert select_controller([a, b], [lenient], {"s2"}, config) is b
-
-
-def test_select_controller_tie_break_is_seeded():
-    lenient = BoundedReachProperty("phi", "f1", 1, "<", 0.999)
-    a = _candidate("a", 0.2)
-    b = _candidate("b", 0.2)
-    picks = {
-        select_controller(
-            [a, b], [lenient], {"s2"}, SynthesisConfig(rng_seed=seed)
-        ).id
-        for seed in range(20)
-    }
-    assert picks == {"a", "b"}  # both reachable, per-seed deterministic
-    first = select_controller([a, b], [lenient], {"s2"}, SynthesisConfig(rng_seed=0))
-    second = select_controller([a, b], [lenient], {"s2"}, SynthesisConfig(rng_seed=0))
-    assert first is second
-
-
-def test_select_controller_none_when_no_safe_candidate():
-    strict = BoundedReachProperty("phi", "f1", 50, "<", 0.05)
-    hot = Controller(id="hot", scg=_violating_scg())
-    assert select_controller([hot], [strict], set(), SynthesisConfig()) is None
-    with pytest.raises(ValueError):
-        select_controller([], [strict], set(), SynthesisConfig())

@@ -181,3 +181,35 @@ def test_experiment_rq1_small_run(tmp_path, capsys):
     records = json.loads((out / "variants.json").read_text())
     assert len(records) == 3
     assert "rescue rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("experiment-rq1", {"variants": "abc"}),
+        ("experiment-rq2", {"steps": "x"}),
+        ("experiment-rq1", {"bogus": 1}),
+        ("experiment-rq2", {"seed": True}),
+        ("experiment-rq1", {"scenario": {"episodes": 3, "bogus": 1}}),
+        ("experiment-rq1", {"scenario": {"failure_bias": {"f1": "x"}}}),
+        ("experiment-rq2", [1]),
+    ],
+)
+def test_bad_experiment_config_is_usage_error(command, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = main(["--out", str(tmp_path / "out"), command, str(path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_option_overrides_the_config_file(tmp_path):
+    outputs = []
+    for seed_in_file, argv in ((0, ["--seed", "3"]), (3, [])):
+        config = tmp_path / f"config{seed_in_file}.json"
+        config.write_text(json.dumps({"variants": 2, "seed": seed_in_file}))
+        out = tmp_path / f"rq1-{seed_in_file}"
+        assert main(["--out", str(out), *argv, "experiment-rq1", str(config)]) == 0
+        outputs.append((out / "variants.json").read_text())
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,23 @@ def test_trace_event_validation():
     with pytest.raises(TraceError):
         TraceEvent(t=0, kind="situation_entered")
     TraceEvent(t=0, kind="episode_reset")
+
+
+def test_malformed_trace_input_is_schema_error(tmp_path):
+    for doc in (
+        ["t", 0, "kind", "episode_reset"],
+        None,
+        {"t": "x", "kind": "episode_reset"},
+        {"t": 1.5, "kind": "episode_reset"},
+        {"t": True, "kind": "episode_reset"},
+        {"kind": "episode_reset"},
+    ):
+        with pytest.raises(SchemaError):
+            TraceEvent.from_dict(doc)
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"t": 0, "kind": "episode_reset"}\n{"t": 1,\n')
+    with pytest.raises(SchemaError, match=":2: invalid JSON"):
+        read_trace(path)
 
 
 def test_step_rejects_out_of_order_events():
@@ -191,6 +210,9 @@ def test_load_reports_missing_sections():
         load({"scg": {}})
     assert "$.prior_scg" in exc.value.paths
     assert "$.counts" in exc.value.paths
+    with pytest.raises(SchemaError) as exc:
+        load({**snapshot(_kb(violating=False)), "controllers": []})
+    assert exc.value.paths == ["$.controllers"]
 
 
 def test_trace_file_round_trip(tmp_path):
@@ -246,18 +268,17 @@ def test_incremental_belief_equals_full_rebuild(estimator, monkeypatch):
         if event.kind == "situation_entered":
             expected = _full_belief(kb)
             assert kb.scg.delta == expected.delta and kb.scg.sunk == expected.sunk
-            if kb.model is not None:  # None right after a controller switch
-                _, fresh = transition_matrix(kb.scg)
-                assert type(kb.model.matrix) is type(fresh)
-                assert np.array_equal(kb.model.matrix, fresh)
-                checked.append(event.t)
+            _, fresh = transition_matrix(kb.scg)
+            assert type(kb.model.matrix) is type(fresh)
+            assert np.array_equal(kb.model.matrix, fresh)
+            checked.append(event.t)
         return out
 
     monkeypatch.setattr(experiments, "new_knowledge_base", new_kb)
     monkeypatch.setattr(experiments, "step", checked_step)
     result = experiments.run_timeline(experiments.TimelineConfig(seed=7))
     assert len(checked) > 1000
-    if estimator is None:  # the controller switch and its full rebuild are covered
+    if estimator is None:  # the controller switch and its row writes are covered
         assert result.adaptation_entries()
 
 
@@ -276,7 +297,7 @@ def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):
     _, belief = generate_scenario(ScenarioConfig(seed=7, drift_magnitude=1.0, drift_time=60))
     config = dict(
         estimator=EstimatorConfig(mode="bayesian", prior_strength_kappa=1.0),
-        synthesis=SynthesisConfig(max_removals=4, rng_seed=7),
+        synthesis=SynthesisConfig(max_removals=4),
     )
     props = experiments.default_properties()
     full_log = run(new_knowledge_base(belief, props, **config), events)
@@ -285,11 +306,22 @@ def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):
     failures = [i for i, e in enumerate(events) if e.kind == "failure_observed"]
     for cut in (failures[0], failures[-1]):
         kb = new_knowledge_base(belief, props, **config)
-        resumed = run(kb, events[: cut + 1])
-        assert kb.pending  # the row that led to the failure is not estimated yet
-        restored = load(snapshot(kb))
-        resumed += run(restored, events[cut + 1 :])
-        assert [e.to_dict() for e in resumed] == [e.to_dict() for e in full_log]
+        resumed = run(kb, events[:cut])
+        left = kb.prev
+        stale_row = kb.scg.delta[left]
+        resumed += run(kb, events[cut : cut + 1])
+        assert kb.scg.delta[left] != stale_row  # the failure's row is estimated at once
+        doc = snapshot(kb)
+        # the older format: selection settings, and the row left before a
+        # failure still at its estimate from before that failure
+        old = copy.deepcopy(doc)
+        old["scg"]["delta"][left] = dict(stale_row)
+        old["synthesis"].update(rng_seed=7, out_of_odd_horizon=None)
+        for saved in (doc, old):
+            restored = load(saved)
+            assert restored.scg.delta == kb.scg.delta
+            rest = run(restored, events[cut + 1 :])
+            assert [e.to_dict() for e in resumed + rest] == [e.to_dict() for e in full_log]
 
 
 def test_unknown_count_target_is_a_model_error_through_a_loaded_snapshot():
@@ -297,9 +329,8 @@ def test_unknown_count_target_is_a_model_error_through_a_loaded_snapshot():
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
     doc = snapshot(kb)
     doc["counts"]["counts"]["s1"] = {"zz": 1}
-    restored = load(doc)
     with pytest.raises(ModelError):
-        step(restored, TraceEvent(t=1, kind="situation_entered", id="s2"))
+        load(doc)
 
 
 def test_unknown_count_target_is_a_model_error_through_an_incremental_step():
