@@ -11,8 +11,8 @@ from .dtmc import (
     Dtmc,
     PropertyResult,
     build_model,
-    criticality_report,
     reach_vectors,
+    score_situations,
     score_value,
     write_rows,
 )
@@ -104,7 +104,7 @@ def analyze(
     i = model.index[current]
     results = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
     compliant = all(r.compliant for r in results.values())
-    full = None if compliant else criticality_report(scg, model, vectors, properties)
+    full = None if compliant else score_situations(scg, model, vectors, properties).report()
     return AnalysisResult(current=results, compliant=compliant, full_report=full)
 
 
@@ -117,26 +117,26 @@ def synthesize_safe_controller(
 
     Gives up (success=False) once sinking would exceed config.max_removals.
     `scg` is validated and compiled once; each sink rewrites one row of that
-    model.
+    model.  Rankings are scored as arrays; only the final one becomes a report.
     """
     model = build_model(scg)
-    report = criticality_report(scg, model, reach_vectors(model, properties), properties)
-    initial_violations = report.violated_properties()
-    worst_initial_score = max(report.worst_scores.values(), default=0.0)
+    scores = score_situations(scg, model, reach_vectors(model, properties), properties)
+    initial_violations = scores.violated_properties()
+    worst_initial_score = scores.worst_score()
     avoided: list[str] = []
-    while not report.all_compliant() and len(avoided) < config.max_removals:
-        target = report.worst_situation
+    while not scores.all_compliant() and len(avoided) < config.max_removals:
+        target = scores.worst_situation()
         scg = sink_situation(scg, target)
         write_rows(model, scg, {target: scg.delta[target]})
         avoided.append(target)
-        report = criticality_report(scg, model, reach_vectors(model, properties), properties)
+        scores = score_situations(scg, model, reach_vectors(model, properties), properties)
     return AdaptationOutcome(
-        success=report.all_compliant(),
+        success=scores.all_compliant(),
         avoided=avoided,
         iterations=len(avoided) + 1,
         initial_violations=initial_violations,
         worst_initial_score=worst_initial_score,
-        final_report=report,
+        final_report=scores.report(),
     )
 
 

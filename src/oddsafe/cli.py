@@ -197,6 +197,14 @@ def _bench_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _removals(text: str) -> int:
+    """Type of --max-removals: how many situations synthesis may sink, >= 0."""
+    removals = int(text)
+    if removals < 0:
+        raise argparse.ArgumentTypeError(f"max removals must be >= 0: {text!r}")
+    return removals
+
+
 def _bench_density(text: str) -> float:
     """Type of bench --density: the filled fraction of each row, in (0, 1]."""
     density = float(text)
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("csv", "json", "table"), default="table"
     )
-    parser.add_argument("--max-removals", type=int, default=None, dest="max_removals")
+    parser.add_argument("--max-removals", type=_removals, default=None, dest="max_removals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify an SCG against properties")

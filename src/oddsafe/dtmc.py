@@ -9,7 +9,7 @@ states, otherwise the expectation of x{j-1} under the transition row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import countOf
+from operator import countOf, ge, gt, le, lt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -186,23 +186,49 @@ def build_model(scg: AugmentedScg) -> Dtmc:
     return Dtmc(states=states, index=index, matrix=mat, labels=labels)
 
 
+def _splice_rows(mat: sp.csr_matrix, rows: dict[str, dict[str, float]], index) -> None:
+    """Replace whole rows of a CSR operator in place, in the layout
+    transition_matrix builds: sorted columns, zeros dropped, dtypes kept."""
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    lengths = np.diff(indptr)
+    index_parts, data_parts = [], []
+    start = 0
+    for sid in sorted(rows, key=index.__getitem__):
+        row, i = rows[sid], index[sid]
+        cols = np.fromiter(map(index.__getitem__, row), indices.dtype, len(row))
+        vals = np.fromiter(row.values(), np.float64, len(row))
+        order = np.argsort(cols)
+        order = order[vals[order] != 0.0]  # a zero probability is no transition
+        index_parts += [indices[start : indptr[i]], cols[order]]
+        data_parts += [data[start : indptr[i]], vals[order]]
+        lengths[i] = len(order)
+        start = indptr[i + 1]
+    mat.indices = np.concatenate(index_parts + [indices[start : indptr[-1]]])
+    mat.data = np.concatenate(data_parts + [data[start : indptr[-1]]])
+    indptr[1:] = np.cumsum(lengths)
+
+
 def write_rows(model: Dtmc, scg: AugmentedScg, rows: dict[str, dict[str, float]]) -> None:
     """Make `model` the model of `scg`, whose delta differs from it in `rows` only.
 
-    A dense operator takes the rows in place.  A CSR one, or a dense one whose
-    density falls to SPARSE_DENSITY_CUTOFF, is compiled again from delta, so
-    the operator is always the one transition_matrix would build.  Nothing is
-    validated: the caller checked the rows.
+    The rows are written into the operator in place, dense or CSR; only when
+    that moves its density across SPARSE_DENSITY_CUTOFF is it compiled again
+    from delta, so the operator is always the one transition_matrix would
+    build.  Nothing is validated: the caller checked the rows.
     """
     mat = model.matrix
-    if isinstance(mat, np.ndarray):
+    dense = isinstance(mat, np.ndarray)
+    if dense:
         for sid, row in rows.items():
             i = model.index[sid]
             mat[i] = 0.0
             _fill_dense_row(mat, i, row, model.index)
-        if _is_dense(int(np.count_nonzero(mat)), mat.shape[0]):
-            return
-    _, model.matrix = transition_matrix(scg)
+        nnz = int(np.count_nonzero(mat))
+    else:
+        _splice_rows(mat, rows, model.index)
+        nnz = mat.nnz
+    if _is_dense(nnz, mat.shape[0]) != dense:
+        _, model.matrix = transition_matrix(scg)
 
 
 def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndarray:
@@ -234,45 +260,91 @@ def reach_vectors(
     return out
 
 
+#: the comparator of a property as a function, for floats and arrays alike
+_COMPARE = {"<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _score(value, prop: BoundedReachProperty):
+    """Signed deviation from the bound (positive meaning violation) and the
+    verdict, of one value or elementwise over an array of them."""
+    score = value - prop.bound if prop.is_upper_bound else prop.bound - value
+    return score, _COMPARE[prop.comparator](value, prop.bound)
+
+
 def score_value(value: float, prop: BoundedReachProperty) -> PropertyResult:
     """Signed deviation from the bound, positive meaning violation."""
-    if prop.is_upper_bound:
-        score = value - prop.bound
-    else:
-        score = prop.bound - value
-    compliant = {
-        "<": value < prop.bound,
-        "<=": value <= prop.bound,
-        ">": value > prop.bound,
-        ">=": value >= prop.bound,
-    }[prop.comparator]
-    return PropertyResult(value=value, score=score, compliant=compliant)
+    return PropertyResult(value, *_score(value, prop))
 
 
-def criticality_report(
+@dataclass
+class Scores:
+    """Every non-sunk situation scored against every property, one column per
+    property, by the same arithmetic as score_value.
+
+    The per-situation records of a CriticalityReport are built only by report().
+    """
+
+    situations: list[str]  # non-sunk situation ids, in situation order
+    names: list[str]  # property names, in property order
+    values: np.ndarray  # (situation, property) reach values
+    scores: np.ndarray  # (situation, property) signed scores
+    compliant: np.ndarray  # (situation, property) verdicts
+    worst: np.ndarray  # per situation, its highest score
+
+    def all_compliant(self) -> bool:
+        return bool(self.compliant.all())
+
+    def _ties(self) -> np.ndarray:
+        return np.flatnonzero(self.worst == self.worst.max())
+
+    def worst_score(self) -> float:
+        """The highest score of any situation (0.0 when every one is sunk)."""
+        return float(self.worst[self._ties()[0]]) if self.situations else 0.0
+
+    def worst_situation(self) -> str | None:
+        """The situation with the highest score, the smallest id on ties."""
+        return min(self.situations[i] for i in self._ties()) if self.situations else None
+
+    def violated_properties(self) -> list[str]:
+        """Property names violated by at least one situation, first-seen order."""
+        _, cols = np.nonzero(~self.compliant)  # by situation, then by property
+        return [self.names[j] for j in dict.fromkeys(cols.tolist())]
+
+    def report(self) -> CriticalityReport:
+        # tolist() gives Python floats and bools, which json.dumps accepts
+        columns = (self.values.tolist(), self.scores.tolist(), self.compliant.tolist())
+        records = {
+            sid: {name: PropertyResult(*r) for name, r in zip(self.names, zip(*row))}
+            for sid, row in zip(self.situations, zip(*columns))
+        }
+        return CriticalityReport(
+            records=records,
+            worst_scores=dict(zip(self.situations, self.worst.tolist())),
+            worst_situation=self.worst_situation(),
+        )
+
+
+def score_situations(
     scg: AugmentedScg,
     model: Dtmc,
     vectors: dict[str, np.ndarray],
     properties: list[BoundedReachProperty],
-) -> CriticalityReport:
+) -> Scores:
     """Score every non-sunk situation from the model's reach vectors."""
     if not properties:
         raise ValueError("need at least one property")
-    records: dict[str, dict[str, PropertyResult]] = {}
-    worst_scores: dict[str, float] = {}
-    for sid in (s for s in scg.situation_ids if s not in scg.sunk):
-        i = model.index[sid]
-        props = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
-        records[sid] = props
-        worst_scores[sid] = max(r.score for r in props.values())
-
-    worst_situation = None
-    if worst_scores:
-        best = max(worst_scores.values())
-        worst_situation = min(s for s, v in worst_scores.items() if v == best)
-    return CriticalityReport(
-        records=records, worst_scores=worst_scores, worst_situation=worst_situation
-    )
+    by_name = {p.name: p for p in properties}  # a repeated name keeps its last property
+    situations = [s for s in scg.situation_ids if s not in scg.sunk]
+    rows = np.fromiter(map(model.index.__getitem__, situations), np.intp, len(situations))
+    values = np.stack([vectors[name][rows] for name in by_name], axis=1)
+    scores = np.empty_like(values)
+    compliant = np.empty(values.shape, bool)
+    for j, prop in enumerate(by_name.values()):
+        scores[:, j], compliant[:, j] = _score(values[:, j], prop)
+    worst = scores[:, 0].copy()
+    for column in scores.T[1:]:  # a later property wins only when strictly higher
+        worst = np.where(column > worst, column, worst)
+    return Scores(situations, list(by_name), values, scores, compliant, worst)
 
 
 def rank_situations(
@@ -284,4 +356,4 @@ def rank_situations(
     iteration per property yields the value for every situation.
     """
     model = build_model(scg)
-    return criticality_report(scg, model, reach_vectors(model, properties), properties)
+    return score_situations(scg, model, reach_vectors(model, properties), properties).report()

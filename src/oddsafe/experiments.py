@@ -49,6 +49,14 @@ def drift_scg(scg: AugmentedScg, magnitude: float, seed: int) -> AugmentedScg:
 # drift-variant synthesis experiment (effectiveness)
 
 
+def _check_drift_and_removals(config) -> None:
+    """The range checks VariantConfig and TimelineConfig share."""
+    if not 0.0 <= config.drift_magnitude <= 1.0:
+        raise ValueError("drift_magnitude must be in [0, 1]")
+    if config.max_removals < 0:
+        raise ValueError("max_removals must be >= 0")
+
+
 @dataclass(frozen=True)
 class VariantConfig:
     seed: int = 0
@@ -56,6 +64,11 @@ class VariantConfig:
     drift_magnitude: float = 0.95
     max_removals: int = 4
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
+
+    def __post_init__(self):
+        if self.variants < 1:
+            raise ValueError("variants must be >= 1")
+        _check_drift_and_removals(self)
 
 
 @dataclass
@@ -159,6 +172,15 @@ class TimelineConfig:
     drift_magnitude: float = 1.0
     max_removals: int = 4
     prior_strength_kappa: float = 1.0
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.drift_time < 0:
+            raise ValueError("drift_time must be >= 0")
+        if not self.prior_strength_kappa >= 0.0:  # NaN fails too
+            raise ValueError("prior_strength_kappa must be >= 0")
+        _check_drift_and_removals(self)
 
 
 @dataclass

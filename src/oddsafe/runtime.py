@@ -390,7 +390,7 @@ def load(doc: dict) -> KnowledgeBase:
             prev=doc.get("prev"),
             last_t=int(doc.get("last_t", -1)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed knowledge-base snapshot: {exc}") from exc
 
 

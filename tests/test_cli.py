@@ -150,6 +150,7 @@ def test_bench_writes_csv(tmp_path, capsys):
         ["bench", "--density", "0"],
         ["bench", "--density", "nan"],
         ["--estimator", "bayesian", "bench", "--n", "4"],
+        ["--max-removals", "-1", "experiment-rq1"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, tmp_path, capsys):
@@ -193,6 +194,14 @@ def test_experiment_rq1_small_run(tmp_path, capsys):
         ("experiment-rq1", {"scenario": {"episodes": 3, "bogus": 1}}),
         ("experiment-rq1", {"scenario": {"failure_bias": {"f1": "x"}}}),
         ("experiment-rq2", [1]),
+        ("experiment-rq1", {"drift_magnitude": 2.0}),
+        ("experiment-rq2", {"drift_magnitude": 2.0}),
+        ("experiment-rq1", {"variants": 0}),
+        ("experiment-rq2", {"steps": 0}),
+        ("experiment-rq2", {"drift_time": -1}),
+        ("experiment-rq1", {"max_removals": -1}),
+        ("experiment-rq2", {"max_removals": -1}),
+        ("experiment-rq2", {"prior_strength_kappa": -0.5}),
     ],
 )
 def test_bad_experiment_config_is_usage_error(command, config, tmp_path, capsys):

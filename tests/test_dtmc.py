@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oddsafe import dtmc
 from oddsafe.dtmc import (
     BoundedReachProperty,
     CriticalityReport,
@@ -15,6 +17,7 @@ from oddsafe.dtmc import (
     build_model,
     rank_situations,
     reach_vectors,
+    score_situations,
     score_value,
     transition_matrix,
     write_rows,
@@ -199,6 +202,94 @@ def test_report_round_trip_and_queries():
     assert again.to_dict() == report.to_dict()
 
 
+def _loop_report(scg, model, vectors, properties) -> CriticalityReport:
+    """The ranking as one score_value call per situation and property."""
+    records = {
+        sid: {p.name: score_value(float(vectors[p.name][model.index[sid]]), p) for p in properties}
+        for sid in scg.situation_ids
+        if sid not in scg.sunk
+    }
+    worst = {sid: max(r.score for r in props.values()) for sid, props in records.items()}
+    top = max(worst.values(), default=None)
+    ties = [sid for sid, score in worst.items() if score == top]
+    return CriticalityReport(records, worst, min(ties, default=None))
+
+
+def _assert_scores_match_the_loop(scg, model, vectors, properties):
+    scores = score_situations(scg, model, vectors, properties)
+    expected = _loop_report(scg, model, vectors, properties)
+    report = scores.report()
+    assert report.to_dict() == expected.to_dict()
+    # repr shows every bit of a float, the sign of a zero included
+    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+    assert scores.all_compliant() == expected.all_compliant()
+    assert scores.violated_properties() == expected.violated_properties()
+    assert scores.worst_situation() == expected.worst_situation
+    assert repr(scores.worst_score()) == repr(max(expected.worst_scores.values(), default=0.0))
+    for props in report.records.values():
+        for r in props.values():
+            assert (type(r.value), type(r.score), type(r.compliant)) == (float, float, bool)
+    assert {type(v) for v in report.worst_scores.values()} <= {float}
+    return scores
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_scorer_equals_a_score_value_loop(seed):
+    rng = random.Random(seed)
+    scg = random_scg(rng, n_situations=12)
+    for sid in rng.sample(scg.situation_ids, rng.randint(0, 4)):
+        scg = sink_situation(scg, sid)
+    model = build_model(scg)
+    # values on the bounds, tied scores, and both signs of zero, whose scores
+    # are equal but print differently
+    grid = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]
+    comparators = ["<", "<=", ">", ">="]
+    rng.shuffle(comparators)
+    properties = [
+        BoundedReachProperty(f"p{j}", "f1", 5, cmp_, rng.choice(grid))
+        for j, cmp_ in enumerate(comparators)
+    ]
+    vectors = {
+        p.name: np.array([rng.choice(grid + [rng.random()]) for _ in model.states])
+        for p in properties
+    }
+    _assert_scores_match_the_loop(scg, model, vectors, properties)
+    real = reach_vectors(model, properties)
+    _assert_scores_match_the_loop(scg, model, real, properties)
+
+
+def test_scorer_ties_and_first_seen_violations():
+    scg = make_scg({f"s{i}": {f"s{i}": 1.0} for i in range(12)}, 12)
+    model = build_model(scg)
+    upper = BoundedReachProperty("a", "f1", 1, "<", 0.5)
+    lower = BoundedReachProperty("b", "f2", 1, ">=", 0.5)
+    va, vb = np.zeros(14), np.ones(14)
+    va[[2, 4, 10]] = [0.9, 0.5, 0.9]  # a: s2 and s10 tie on the top score; s4 on the bound
+    vb[[1, 5]] = [0.2, 0.5]  # b: violated by s1, before a's first violator s2
+    scores = _assert_scores_match_the_loop(scg, model, {"a": va, "b": vb}, [upper, lower])
+    assert scores.worst_situation() == "s10"  # "s10" < "s2"
+    assert scores.violated_properties() == ["b", "a"]
+    assert scores.worst_score() == 0.9 - 0.5
+    records = scores.report().records
+    assert not records["s4"]["a"].compliant and records["s4"]["a"].score == 0.0
+    assert records["s5"]["b"].compliant and records["s5"]["b"].score == 0.0
+    for sid in scg.situation_ids:
+        scg = sink_situation(scg, sid)
+    empty = _assert_scores_match_the_loop(scg, model, {"a": va, "b": vb}, [upper, lower])
+    assert empty.all_compliant() and empty.worst_situation() is None
+
+
+def test_scorer_keeps_the_first_of_equal_zero_scores():
+    # max() keeps the first of equal scores: -0.0 then 0.0 gives -0.0
+    scg = make_scg({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}}, 2)
+    model = build_model(scg)
+    props = [BoundedReachProperty(name, "f1", 1, "<=", 0.0) for name in ("z1", "z2")]
+    vectors = {"z1": np.array([-0.0, 0.0, 0.0, 0.0]), "z2": np.array([0.0, -0.0, 0.0, 0.0])}
+    scores = _assert_scores_match_the_loop(scg, model, vectors, props)
+    assert [repr(v) for v in scores.report().worst_scores.values()] == ["-0.0", "0.0"]
+    assert repr(scores.worst_score()) == "-0.0"
+
+
 def _spread_rows(sids, width: int) -> dict:
     """Uniform rows over the first `width` situations, one per id in `sids`."""
     return {sid: {f"s{j}": 1.0 / width for j in range(width)} for sid in sids}
@@ -235,6 +326,53 @@ def test_write_rows_gives_the_operator_a_fresh_compile_gives(n_rows, width, befo
         assert model.matrix.has_sorted_indices
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(model.matrix, attr), getattr(fresh.matrix, attr))
+
+
+def _with_rows(scg, rows):
+    return AugmentedScg(
+        scg.attributes, scg.situations, scg.failures, {**scg.delta, **rows}, scg.sunk
+    )
+
+
+def _assert_fresh_csr(mat, scg):
+    _, fresh = transition_matrix(scg)
+    assert type(mat) is type(fresh) is sp.csr_matrix
+    assert mat.indices.dtype == np.int32 and mat.has_sorted_indices
+    for attr in ("data", "indices", "indptr"):
+        ours, theirs = getattr(mat, attr), getattr(fresh, attr)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+def test_csr_row_writes_splice_the_operator_in_place(monkeypatch):
+    scg = random_scg(random.Random(3), n_situations=40)
+    model = build_model(scg)
+    compiles = []
+    original = dtmc.transition_matrix
+    monkeypatch.setattr(dtmc, "transition_matrix", lambda s: compiles.append(s) or original(s))
+    writes = [
+        # several rows at once, the first and last situation rows included,
+        # with unsorted targets, growing and shrinking rows
+        {
+            "s39": {"s0": 0.6, "f1": 0.4},
+            "s0": {"s39": 0.5, "s1": 0.25, "f2": 0.125, "s20": 0.125},
+            "s17": {"s5": 0.3, "s4": 0.7},
+        },
+        {"s8": {"s9": 0.5, "f1": 0.5, "s2": 0.0}},  # an explicit zero is no transition
+    ]
+    for rows in writes:
+        scg = _with_rows(scg, rows)
+        write_rows(model, scg, rows)
+        _assert_fresh_csr(model.matrix, scg)
+    for sid in ("s3", "s39"):  # rows collapsing to a sink self-loop
+        scg = sink_situation(scg, sid)
+        write_rows(model, scg, {sid: scg.delta[sid]})
+        _assert_fresh_csr(model.matrix, scg)
+    assert not compiles
+    rows = _spread_rows([f"s{i}" for i in range(40)], 40)  # density crosses the cutoff
+    scg = _with_rows(scg, rows)
+    write_rows(model, scg, rows)
+    assert len(compiles) == 1 and isinstance(model.matrix, np.ndarray)
+    assert np.array_equal(model.matrix, original(scg)[1])
 
 
 def test_dense_runs_never_import_scipy_sparse():

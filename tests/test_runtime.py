@@ -215,6 +215,16 @@ def test_load_reports_missing_sections():
     assert exc.value.paths == ["$.controllers"]
 
 
+def test_load_rejects_a_non_numeric_count():
+    kb = _kb(violating=False)
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    step(kb, TraceEvent(t=1, kind="situation_entered", id="s2"))
+    doc = snapshot(kb)
+    doc["counts"]["counts"]["s1"]["s2"] = "abc"
+    with pytest.raises(SchemaError):
+        load(doc)
+
+
 def test_trace_file_round_trip(tmp_path):
     events = [
         TraceEvent(t=0, kind="situation_entered", id="s0"),
