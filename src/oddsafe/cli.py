@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import experiments
 from .errors import OddsafeError
-from .dtmc import rank_situations
+from .dtmc import rank_situations, require_labels
 from .prism import export_model, export_properties
 from .proplang import parse_properties_file
 from .scg import load_scg, read_json
@@ -216,9 +216,11 @@ def _bench_density(text: str) -> float:
 def cmd_export_prism(args) -> int:
     scg = load_scg(args.scg)
     properties = _load_properties(args.properties)
+    model = export_model(scg, args.situation)  # names are checked before anything is written
+    require_labels({f.label for f in scg.failures}, properties)  # as check rejects it
     out_dir = Path(args.out or "prism-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "model.pm").write_text(export_model(scg, args.situation))
+    (out_dir / "model.pm").write_text(model)
     (out_dir / "props.pctl").write_text(export_properties(properties))
     print(f"wrote {out_dir / 'model.pm'} and {out_dir / 'props.pctl'}")
     return 0

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelError, NotFoundError
-from .scg import AugmentedScg, require_valid
+from .scg import ROW_SUM_ATOL, AugmentedScg, require_valid, structural_violations
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -77,26 +77,8 @@ class CriticalityReport:
     worst_scores: dict[str, float]
     worst_situation: str | None
 
-    def violations(self) -> dict[str, list[str]]:
-        """Situation id -> names of properties it violates."""
-        out = {}
-        for sid, props in self.records.items():
-            bad = [name for name, res in props.items() if not res.compliant]
-            if bad:
-                out[sid] = bad
-        return out
-
     def all_compliant(self) -> bool:
-        return not self.violations()
-
-    def violated_properties(self) -> list[str]:
-        """Property names violated by at least one situation, first-seen order."""
-        seen: list[str] = []
-        for props in self.records.values():
-            for name, res in props.items():
-                if not res.compliant and name not in seen:
-                    seen.append(name)
-        return seen
+        return all(r.compliant for props in self.records.values() for r in props.values())
 
     def to_dict(self) -> dict:
         return {
@@ -153,33 +135,47 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
 
     Dense when more than SPARSE_DENSITY_CUTOFF of its entries are nonzero,
     otherwise CSR with int32 indices and sorted columns, never O(n^2) memory.
+    A row that breaks the row rule raises the ModelError of require_valid.
     """
     states = scg.state_ids
     index = {sid: i for i, sid in enumerate(states)}
     n = len(states)
-    rows = [scg.delta[sid] for sid in scg.situation_ids]
-    failures = range(len(rows), n)  # absorbing failure states
-    if _is_dense(len(failures) + sum(map(_row_nnz, rows)), n):
-        mat = np.zeros((n, n))
-        for i, row in enumerate(rows):
-            _fill_dense_row(mat, i, row, index)
-        mat[failures, failures] = 1.0
-        return states, mat
-    import scipy.sparse as sp  # deferred: dense-only runs never pay for it
+    try:
+        rows = [scg.delta[sid] for sid in scg.situation_ids]
+        failures = range(len(rows), n)  # absorbing failure states
+        if _is_dense(len(failures) + sum(map(_row_nnz, rows)), n):
+            mat = np.zeros((n, n))
+            for i, row in enumerate(rows):
+                _fill_dense_row(mat, i, row, index)
+            mat[failures, failures] = 1.0
+            values = mat
+        else:
+            import scipy.sparse as sp  # deferred: dense-only runs never pay for it
 
-    lengths = [len(row) for row in rows] + [1] * len(failures)
-    cols = [index[t] for row in rows for t in row] + list(failures)
-    vals = [p for row in rows for p in row.values()] + [1.0] * len(failures)
-    csr = (np.array(vals, np.float64), np.array(cols, np.int32), np.cumsum([0] + lengths))
-    mat = sp.csr_matrix(csr, shape=(n, n))
-    mat.sort_indices()  # delta rows are unordered
-    mat.eliminate_zeros()  # a zero probability in delta is no transition
+            lengths = [len(row) for row in rows] + [1] * len(failures)
+            cols = [index[t] for row in rows for t in row] + list(failures)
+            vals = [p for row in rows for p in row.values()] + [1.0] * len(failures)
+            csr = (np.array(vals, np.float64), np.array(cols, np.int32), np.cumsum([0] + lengths))
+            mat = sp.csr_matrix(csr, shape=(n, n))
+            mat.sort_indices()  # delta rows are unordered
+            mat.eliminate_zeros()  # a zero probability in delta is no transition
+            values = mat.data
+        # row_violations' sum, which a NaN fails before min and max see it
+        sums = all(abs(sum(row.values()) - 1.0) <= ROW_SUM_ATOL for row in rows)
+        valid = sums and 0.0 <= values.min() and values.max() <= 1.0
+    except (KeyError, TypeError, ValueError):  # a missing row, unknown target or non-number
+        valid = False
+    if not valid:
+        require_valid(scg)
+        raise ModelError("invalid augmented SCG: its operator breaks the row rule")
     return states, mat
 
 
 def build_model(scg: AugmentedScg) -> Dtmc:
-    """Validate the SCG and compile it into the model every check runs on."""
-    require_valid(scg)
+    """Validate the SCG and compile it into the model every check runs on; the
+    row rule is checked by transition_matrix as it fills the rows."""
+    if structural_violations(scg):
+        require_valid(scg)
     states, mat = transition_matrix(scg)
     index = {sid: i for i, sid in enumerate(states)}
     labels = {f.label: {index[f.id]} for f in scg.failures}
@@ -242,6 +238,13 @@ def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndar
     return x
 
 
+def require_labels(labels, properties: list[BoundedReachProperty]) -> None:
+    """Raise NotFoundError at the first property whose target is not in labels."""
+    for prop in properties:
+        if prop.target_label not in labels:
+            raise NotFoundError(f"unknown label {prop.target_label!r}")
+
+
 def reach_vectors(
     model: Dtmc, properties: list[BoundedReachProperty]
 ) -> dict[str, np.ndarray]:
@@ -249,10 +252,9 @@ def reach_vectors(
 
     Values outside [0, 1] (beyond rounding) raise ModelError, never a verdict.
     """
+    require_labels(model.labels, properties)
     out: dict[str, np.ndarray] = {}
     for prop in properties:
-        if prop.target_label not in model.labels:
-            raise NotFoundError(f"unknown label {prop.target_label!r}")
         x = bounded_reach_vector(model.matrix, model.labels[prop.target_label], prop.horizon)
         if not (-1e-9 <= x.min() and x.max() <= 1.0 + 1e-9):
             raise ModelError(f"{prop.name}: reach values {x.min()}..{x.max()} escape [0, 1]")

@@ -129,11 +129,13 @@ def format_property(prop: BoundedReachProperty) -> str:
 
 
 def parse_properties_file(doc: list) -> list[BoundedReachProperty]:
-    """Parse a JSON array of {name, expression} records."""
+    """Parse a non-empty JSON array of {name, expression} records."""
     from .errors import SchemaError
 
     if not isinstance(doc, list):
         raise SchemaError("properties file must be a JSON array", ["$"])
+    if not doc:
+        raise SchemaError("properties file lists no property", ["$"])
     props = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "name" not in entry or "expression" not in entry:

@@ -348,6 +348,8 @@ def load(doc: dict) -> KnowledgeBase:
         "estimator",
         "synthesis",
     )
+    if not isinstance(doc, dict):
+        raise SchemaError("knowledge-base snapshot must be a JSON object", ["$"])
     missing = [k for k in required if k not in doc]
     if missing:
         raise SchemaError("knowledge-base snapshot incomplete", [f"$.{k}" for k in missing])
@@ -390,7 +392,7 @@ def load(doc: dict) -> KnowledgeBase:
             prev=doc.get("prev"),
             last_t=int(doc.get("last_t", -1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed knowledge-base snapshot: {exc}") from exc
 
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import countOf
 
 from .errors import InvalidOddError, ModelError, NotFoundError, SchemaError
 
@@ -135,6 +136,15 @@ def describe_situation(scg: AugmentedScg, sid: str) -> str:
 
 def validate_scg(scg: AugmentedScg) -> list[Violation]:
     """Report every well-formedness defect; an empty list means valid."""
+    return _violations(scg, rows=True)
+
+
+def structural_violations(scg: AugmentedScg) -> list[Violation]:
+    """Every defect validate_scg reports except those of the row rule."""
+    return _violations(scg, rows=False)
+
+
+def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
     out: list[Violation] = []
     situation_ids = set(scg.situation_ids)
     failure_ids = set(scg.failure_ids)
@@ -161,7 +171,8 @@ def validate_scg(scg: AugmentedScg) -> list[Violation]:
         if row is None:
             out.append(Violation("missing-row", sid, f"situation {sid!r} has no distribution"))
             continue
-        out += row_violations(sid, row, state_ids)
+        if rows:
+            out += row_violations(sid, row, state_ids)
     for sid in sorted(scg.sunk):
         if sid not in situation_ids:
             out.append(Violation("unknown-sunk", sid, f"sunk id {sid!r} is not a situation"))
@@ -263,16 +274,25 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed attribute/failure entry: {exc}") from exc
-    situations = tuple(enumerate_situations(list(attributes)))
     if not isinstance(doc["delta"], dict):
         raise SchemaError("delta must map situation ids to rows", ["$.delta"])
-    if not isinstance(doc.get("sunk", []), list):
+    sunk = doc.get("sunk", [])
+    if not isinstance(sunk, list):
         raise SchemaError("sunk must be a list of situation ids", ["$.sunk"])
+    names = [a.name for a in attributes] + [v for a in attributes for v in a.values]
+    names += [text for f in failures for text in (f.id, f.label)] + sunk
+    if countOf(map(type, names), str) != len(names):
+        raise SchemaError("names, values, ids, labels and sunk ids must be strings")
+    situations = tuple(enumerate_situations(list(attributes)))
     delta: dict[str, dict[str, float]] = {}
     for sid, row in doc["delta"].items():
         try:
-            row = {t: float(p) for t, p in row.items()}
-        except (AttributeError, TypeError, ValueError) as exc:
+            items = row.items()  # a row that is no JSON object fails here
+            if countOf(map(type, row.values()), float) == len(row):
+                row = dict(row)  # JSON numbers with a point decode as floats already
+            else:
+                row = {t: float(p) for t, p in items}
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(
                 f"a delta row must map ids to numbers: {exc}", [f"$.delta.{sid}"]
             ) from exc
@@ -289,7 +309,7 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
         situations=situations,
         failures=failures,
         delta=delta,
-        sunk=frozenset(doc.get("sunk", [])),
+        sunk=frozenset(sunk),
     )
     require_valid(scg)
     return scg

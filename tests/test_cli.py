@@ -121,6 +121,14 @@ def test_malformed_scg_file_is_error(make_text, fixtures, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_property_file_is_usage_error(fixtures, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    rc = main(["check", str(fixtures["compliant"]), str(empty)])
+    assert rc == 2
+    assert "lists no property" in capsys.readouterr().err
+
+
 def test_invalid_json_property_file_is_error(fixtures, tmp_path, capsys):
     bad = tmp_path / "badprops.json"
     bad.write_text(json.dumps(PROPERTIES)[:-1])
@@ -170,6 +178,26 @@ def test_export_prism_writes_files(fixtures, tmp_path):
     assert rc == 0
     assert (out / "model.pm").read_text().startswith("dtmc")
     assert (out / "props.pctl").read_text() == 'P=? [ F<=50 "f1" ]\n'
+
+
+@pytest.mark.parametrize(
+    "situation, expression",
+    [("s0", "P < 0.5 [ F<=50 nope ]"), ("s9", "P < 0.5 [ F<=50 f1 ]")],
+    ids=["unknown-label", "unknown-situation"],
+)
+def test_export_prism_rejects_unknown_names_and_writes_nothing(
+    situation, expression, fixtures, tmp_path, capsys
+):
+    props = tmp_path / "props.json"
+    props.write_text(json.dumps([{"name": "p", "expression": expression}]))
+    out = tmp_path / "prism"
+    rc = main(["--out", str(out), "export-prism", str(fixtures["compliant"]), situation, str(props)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["check", str(fixtures["compliant"]), str(props)]) == (
+        2 if situation == "s0" else 0
+    )
 
 
 def test_experiment_rq1_small_run(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from oddsafe import dtmc
+from oddsafe import scg as scg_module
 from oddsafe.dtmc import (
     BoundedReachProperty,
     CriticalityReport,
@@ -23,7 +25,8 @@ from oddsafe.dtmc import (
     write_rows,
 )
 from oddsafe.errors import ModelError, NotFoundError
-from oddsafe.scg import AugmentedScg, sink_situation
+from oddsafe.experiments import random_dense_scg
+from oddsafe.scg import AugmentedScg, require_valid, scg_from_dict, scg_to_dict, sink_situation
 
 from helpers import make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
 
@@ -38,12 +41,89 @@ def test_transition_matrix_layout():
 
 
 def test_build_model_errors():
-    # a row that does not sum to 1 is rejected before any matrix is built
+    # a row that does not sum to 1 is rejected, never compiled into a model
     scg = make_scg({"s0": {"s0": 0.5}, "s1": {"s1": 1.0}}, 2)
     with pytest.raises(ModelError):
         build_model(scg)
     with pytest.raises(ModelError):
         rank_situations(scg, [BoundedReachProperty("p", "f1", 5, "<", 0.5)])
+
+
+#: each breaks the row rule in the row of s0
+BAD_ROWS = {
+    "unknown-target": {"s0": 0.5, "zz": 0.5},
+    "nan": {"s0": float("nan"), "f1": 1.0},
+    "inf": {"s0": float("inf")},
+    "infinities": {"s0": float("inf"), "f1": float("-inf")},
+    "negative": {"s0": 1.5, "f1": -0.5},
+    "above-one": {"s0": 1.0 + 1e-10, "f1": -1e-10},
+    "row-sum": {"s0": 0.5},
+    "empty": {},
+    "not-a-number": {"s0": "1.0"},
+}
+
+
+def _scg_with_row(row, dense, drop=(), extra=None, **kw):
+    """s0 takes `row`; the other rows spread over all 4 states of a 2-situation
+    SCG, so its operator is dense, or self-loop in an 8-situation one (CSR)."""
+    n = 2 if dense else 8
+    delta = {
+        f"s{i}": {t: 0.25 for t in ("s0", "s1", "f1", "f2")} if dense else {f"s{i}": 1.0}
+        for i in range(n)
+    }
+    delta.update({"s0": row, **(extra or {})})
+    for sid in drop:
+        del delta[sid]
+    return make_scg(delta, n, **kw)
+
+
+def _invalid_scgs(dense):
+    cases = {name: _scg_with_row(row, dense) for name, row in BAD_ROWS.items()}
+    cases.update(
+        {
+            "missing-row": _scg_with_row({"s0": 1.0}, dense, drop=["s1"]),
+            "failure-row": _scg_with_row({"s0": 1.0}, dense, extra={"f1": {"f1": 1.0}}),
+            "unknown-row": _scg_with_row({"s0": 1.0}, dense, extra={"zz": {"s0": 1.0}}),
+            "sunk": _scg_with_row({"s0": 0.5, "f1": 0.5}, dense, sunk=frozenset({"s0", "sX"})),
+            "labels": _scg_with_row({"s0": 1.0}, dense, failures=("f1", "f1")),
+            "missing-and-bad": _scg_with_row({"zz": 2.0}, dense, drop=["s1"], sunk={"s1"}),
+        }
+    )
+    return cases
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+def test_build_model_rejects_as_require_valid_does(dense):
+    _, mat = transition_matrix(_scg_with_row({"s0": 1.0}, dense))
+    assert isinstance(mat, np.ndarray) == dense
+    for name, scg in _invalid_scgs(dense).items():
+        with pytest.raises(Exception) as expected:
+            require_valid(scg)
+        with pytest.raises(Exception) as got:
+            build_model(scg)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value)), name
+
+
+def _counted(calls, name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+def test_a_valid_scg_is_walked_once_per_boundary(monkeypatch):
+    # loading checks each row once; compiling runs no row pass of validate_scg
+    calls = Counter()
+    for name in ("validate_scg", "row_violations"):
+        monkeypatch.setattr(scg_module, name, _counted(calls, name, getattr(scg_module, name)))
+    for scg in (random_dense_scg(30, seed=3), random_dense_scg(60, density=0.05, seed=4)):
+        loaded = scg_from_dict(scg_to_dict(scg))
+        assert calls == {"validate_scg": 1, "row_violations": len(scg.situations)}
+        calls.clear()
+        model = build_model(loaded)
+        assert calls == {}
+        assert isinstance(model.matrix, np.ndarray) == (len(scg.situations) == 30)
 
 
 def test_check_bounded_reach_hand_example():
@@ -195,9 +275,8 @@ def test_report_round_trip_and_queries():
     scg = make_scg({"s0": {"f1": 0.9, "s0": 0.1}, "s1": {"s1": 1.0}}, 2)
     prop = BoundedReachProperty("p", "f1", 10, "<", 0.5)
     report = rank_situations(scg, [prop])
-    assert report.violations() == {"s0": ["p"]}
-    assert report.violated_properties() == ["p"]
     assert not report.all_compliant()
+    assert rank_situations(sink_situation(scg, "s0"), [prop]).all_compliant()
     again = CriticalityReport.from_dict(report.to_dict())
     assert again.to_dict() == report.to_dict()
 
@@ -223,7 +302,8 @@ def _assert_scores_match_the_loop(scg, model, vectors, properties):
     # repr shows every bit of a float, the sign of a zero included
     assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
     assert scores.all_compliant() == expected.all_compliant()
-    assert scores.violated_properties() == expected.violated_properties()
+    first_seen = [n for props in expected.records.values() for n, r in props.items() if not r.compliant]
+    assert scores.violated_properties() == list(dict.fromkeys(first_seen))
     assert scores.worst_situation() == expected.worst_situation
     assert repr(scores.worst_score()) == repr(max(expected.worst_scores.values(), default=0.0))
     for props in report.records.values():
