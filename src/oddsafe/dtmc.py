@@ -9,7 +9,7 @@ states, otherwise the expectation of x{j-1} under the transition row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import countOf, ge, gt, le, lt
+from operator import ge, gt, le, lt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,10 +117,6 @@ class CriticalityReport:
         )
 
 
-def _row_nnz(row: dict[str, float]) -> int:
-    return len(row) - countOf(row.values(), 0.0)
-
-
 def _is_dense(nnz: int, n: int) -> bool:
     return nnz / (n * n) > SPARSE_DENSITY_CUTOFF
 
@@ -143,13 +139,17 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     try:
         rows = [scg.delta[sid] for sid in scg.situation_ids]
         failures = range(len(rows), n)  # absorbing failure states
-        if _is_dense(len(failures) + sum(map(_row_nnz, rows)), n):
+        mat = None
+        # the row lengths bound the nonzeros from above, so only a dense fill
+        # can find, counting its explicit zeros out, that it belongs in CSR
+        if _is_dense(len(failures) + sum(map(len, rows)), n):
             mat = np.zeros((n, n))
             for i, row in enumerate(rows):
                 _fill_dense_row(mat, i, row, index)
             mat[failures, failures] = 1.0
-            values = mat
-        else:
+            if not _is_dense(int(np.count_nonzero(mat)), n):
+                mat = None
+        if mat is None:
             import scipy.sparse as sp  # deferred: dense-only runs never pay for it
 
             lengths = [len(row) for row in rows] + [1] * len(failures)
@@ -159,7 +159,7 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
             mat = sp.csr_matrix(csr, shape=(n, n))
             mat.sort_indices()  # delta rows are unordered
             mat.eliminate_zeros()  # a zero probability in delta is no transition
-            values = mat.data
+        values = mat if isinstance(mat, np.ndarray) else mat.data
         # row_violations' sum, which a NaN fails before min and max see it
         sums = all(abs(sum(row.values()) - 1.0) <= ROW_SUM_ATOL for row in rows)
         valid = sums and 0.0 <= values.min() and values.max() <= 1.0
@@ -173,7 +173,15 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
 
 def build_model(scg: AugmentedScg) -> Dtmc:
     """Validate the SCG and compile it into the model every check runs on; the
-    row rule is checked by transition_matrix as it fills the rows."""
+    row rule is checked by transition_matrix as it fills the rows.
+
+    A loaded SCG hands over the model scg_from_dict compiled, once: the
+    caller owns it, and write_rows may change it in place.
+    """
+    model = scg.compiled
+    if model is not None:
+        object.__setattr__(scg, "compiled", None)
+        return model
     if structural_violations(scg):
         require_valid(scg)
     states, mat = transition_matrix(scg)

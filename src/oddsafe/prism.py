@@ -8,19 +8,17 @@ against the external tool.
 
 from __future__ import annotations
 
-from .dtmc import BoundedReachProperty
+from .dtmc import BoundedReachProperty, build_model
 from .errors import NotFoundError
-from .scg import AugmentedScg, require_valid
+from .scg import AugmentedScg
 
 
 def export_model(scg: AugmentedScg, initial: str) -> str:
     """Render the DTMC with `initial` as start state as PRISM source text."""
-    require_valid(scg)
+    index = build_model(scg).index  # validates the SCG as every check does
     if not scg.is_situation(initial):
         raise NotFoundError(f"unknown initial situation {initial!r}")
-    states = scg.state_ids
-    index = {sid: i for i, sid in enumerate(states)}
-    n = len(states)
+    n = len(index)
     lines = [
         "dtmc",
         "",

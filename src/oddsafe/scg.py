@@ -3,18 +3,24 @@
 An augmented SCG is the situation grid extended with failure states and a
 row-stochastic transition function delta over situation rows.  Failure states
 are sinks by construction and never own a delta row.  All operations here are
-pure: they return new values and never mutate their inputs.
+pure: they return new values and never mutate their inputs, except that a
+loaded SCG hands the operator it was validated with to its first build_model.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from operator import countOf
+from typing import TYPE_CHECKING
 
 from .errors import InvalidOddError, ModelError, NotFoundError, SchemaError
+
+if TYPE_CHECKING:
+    from .dtmc import Dtmc
 
 #: rows must sum to 1 within this tolerance to be considered well-formed
 ROW_SUM_ATOL = 1e-9
@@ -68,7 +74,10 @@ class AugmentedScg:
 
     `delta` maps each situation id to a sparse distribution over situation and
     failure ids (absent entries mean probability zero).  `sunk` holds the
-    situation ids currently modelled as absorbing self-loops.
+    situation ids currently modelled as absorbing self-loops.  `compiled` is
+    the model scg_from_dict validated the SCG by compiling; the first
+    build_model takes it, and every other constructor (`replace` included)
+    leaves it None.
     """
 
     attributes: tuple[OddAttribute, ...]
@@ -76,6 +85,7 @@ class AugmentedScg:
     failures: tuple[FailureMode, ...]
     delta: dict[str, dict[str, float]]
     sunk: frozenset[str] = field(default_factory=frozenset)
+    compiled: Dtmc | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -108,6 +118,16 @@ def enumerate_situations(attributes: list[OddAttribute]) -> list[Situation]:
 
     Ids are assigned "s0", "s1", ... following that order.
     """
+    _check_attributes(attributes)
+    ranges = [range(len(a.values)) for a in attributes]
+    return [
+        Situation(id=f"s{i}", assignment=combo)
+        for i, combo in enumerate(itertools.product(*ranges))
+    ]
+
+
+def _check_attributes(attributes: list[OddAttribute]) -> None:
+    """Raise InvalidOddError unless the attributes span a non-empty grid."""
     if not attributes:
         raise InvalidOddError("ODD needs at least one attribute")
     names = [a.name for a in attributes]
@@ -118,11 +138,6 @@ def enumerate_situations(attributes: list[OddAttribute]) -> list[Situation]:
             raise InvalidOddError(f"attribute {attr.name!r} has no values")
         if len(set(attr.values)) != len(attr.values):
             raise InvalidOddError(f"attribute {attr.name!r} has duplicate values")
-    ranges = [range(len(a.values)) for a in attributes]
-    return [
-        Situation(id=f"s{i}", assignment=combo)
-        for i, combo in enumerate(itertools.product(*ranges))
-    ]
 
 
 def describe_situation(scg: AugmentedScg, sid: str) -> str:
@@ -257,7 +272,8 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
 
     Rows off 1 by at most ROW_SUM_RENORM are renormalised with a warning;
     anything worse raises ModelError.  A document of the wrong shape raises
-    SchemaError naming the offending path.
+    SchemaError naming the offending path.  The SCG is validated by compiling
+    it, and keeps the model for its first build_model.
     """
     if not isinstance(doc, dict):
         raise SchemaError("SCG document must be a JSON object", ["$"])
@@ -283,7 +299,7 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     names += [text for f in failures for text in (f.id, f.label)] + sunk
     if countOf(map(type, names), str) != len(names):
         raise SchemaError("names, values, ids, labels and sunk ids must be strings")
-    situations = tuple(enumerate_situations(list(attributes)))
+    _check_attributes(list(attributes))
     delta: dict[str, dict[str, float]] = {}
     for sid, row in doc["delta"].items():
         try:
@@ -304,14 +320,19 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
         elif off > ROW_SUM_RENORM:
             raise ModelError(f"row {sid!r} sums to {total!r}; beyond renormalisation")
         delta[sid] = row
+    size = math.prod(len(a.values) for a in attributes)
+    if size > len(delta):  # some situation has no row; do not enumerate the grid
+        raise ModelError(f"invalid augmented SCG: {size} situations, {len(delta)} delta rows")
     scg = AugmentedScg(
         attributes=attributes,
-        situations=situations,
+        situations=enumerate_situations(list(attributes)),
         failures=failures,
         delta=delta,
         sunk=frozenset(sunk),
     )
-    require_valid(scg)
+    from .dtmc import build_model  # deferred: dtmc imports this module
+
+    object.__setattr__(scg, "compiled", build_model(scg))
     return scg
 
 

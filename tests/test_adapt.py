@@ -10,7 +10,7 @@ from oddsafe.adapt import (
 )
 from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
 from oddsafe.errors import ModelError, NotFoundError
-from oddsafe.scg import sink_situation
+from oddsafe.scg import scg_from_dict, scg_to_dict, sink_situation
 
 from helpers import make_scg
 
@@ -84,6 +84,18 @@ def test_synthesis_sinks_the_trap():
     assert outcome.initial_violations == ["phi"]
     assert outcome.worst_initial_score > 0
     assert outcome.final_report.all_compliant()
+
+
+def test_synthesis_leaves_a_loaded_scg_as_loaded():
+    # synthesis sinks s0 in the model it takes from the loaded SCG; a later
+    # ranking of that SCG must not see the sink
+    doc = scg_to_dict(_violating_scg())
+    loaded = scg_from_dict(doc)
+    outcome = synthesize_safe_controller(loaded, [PROP], SynthesisConfig(max_removals=4))
+    assert outcome.avoided == ["s0"]
+    ranked = rank_situations(loaded, [PROP])
+    assert ranked.to_dict() == rank_situations(scg_from_dict(doc), [PROP]).to_dict()
+    assert ranked.worst_situation == "s0" and not ranked.all_compliant()
 
 
 def test_synthesis_gives_up_at_max_removals():

@@ -92,6 +92,15 @@ def _invalid_scgs(dense):
     return cases
 
 
+#: cases scg_from_dict settles before it compiles: "1.0" decodes as a number,
+#: sums beyond renormalisation and grids larger than delta are rejected first
+DECODED_FIRST = {"not-a-number", "row-sum", "empty", "inf", "missing-row", "missing-and-bad"}
+
+
+def _load(scg):
+    return scg_from_dict(scg_to_dict(scg))
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
 def test_build_model_rejects_as_require_valid_does(dense):
     _, mat = transition_matrix(_scg_with_row({"s0": 1.0}, dense))
@@ -99,9 +108,13 @@ def test_build_model_rejects_as_require_valid_does(dense):
     for name, scg in _invalid_scgs(dense).items():
         with pytest.raises(Exception) as expected:
             require_valid(scg)
-        with pytest.raises(Exception) as got:
-            build_model(scg)
-        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value)), name
+        for compile_ in (build_model, _load):
+            if compile_ is _load and name in DECODED_FIRST:
+                continue
+            with pytest.raises(Exception) as got:
+                compile_(scg)
+            expect = (type(expected.value), str(expected.value))
+            assert (type(got.value), str(got.value)) == expect, (name, compile_.__name__)
 
 
 def _counted(calls, name, fn):
@@ -113,17 +126,32 @@ def _counted(calls, name, fn):
 
 
 def test_a_valid_scg_is_walked_once_per_boundary(monkeypatch):
-    # loading checks each row once; compiling runs no row pass of validate_scg
+    # loading validates by compiling; the first build_model takes that model
     calls = Counter()
-    for name in ("validate_scg", "row_violations"):
-        monkeypatch.setattr(scg_module, name, _counted(calls, name, getattr(scg_module, name)))
+    monkeypatch.setattr(
+        scg_module, "row_violations", _counted(calls, "row_violations", scg_module.row_violations)
+    )
+    monkeypatch.setattr(
+        dtmc, "transition_matrix", _counted(calls, "transition_matrix", dtmc.transition_matrix)
+    )
     for scg in (random_dense_scg(30, seed=3), random_dense_scg(60, density=0.05, seed=4)):
         loaded = scg_from_dict(scg_to_dict(scg))
-        assert calls == {"validate_scg": 1, "row_violations": len(scg.situations)}
+        assert calls == {"transition_matrix": 1}
         calls.clear()
         model = build_model(loaded)
         assert calls == {}
         assert isinstance(model.matrix, np.ndarray) == (len(scg.situations) == 30)
+        again = build_model(loaded)  # the model was handed off: compile anew
+        assert calls == {"transition_matrix": 1}
+        calls.clear()
+        assert again.matrix is not model.matrix
+        assert (again.states, again.index, again.labels) == (model.states, model.index, model.labels)
+        assert type(again.matrix) is type(model.matrix)
+        assert np.array_equal(_as_array(again.matrix), _as_array(model.matrix))
+
+
+def _as_array(mat):
+    return mat if isinstance(mat, np.ndarray) else mat.toarray()
 
 
 def test_check_bounded_reach_hand_example():
@@ -269,6 +297,22 @@ def test_sparse_path_matches_oracle():
     for sid in scg.situation_ids:
         expected = reach_by_paths(rows, sid, {"f1"}, 4)
         assert x[index[sid]] == pytest.approx(expected, abs=1e-10)
+    # 8 states: dense above 16 nonzeros; explicit zeros lift every row length
+    # above the cutoff, and only the nonzeros, straddling it, decide the layout
+    ring = {f"s{i}": {f"s{i}": 0.5, f"s{(i + 1) % 6}": 0.5} for i in range(6)}
+    for extra, layout in ((2, sp.csr_matrix), (3, np.ndarray)):
+        rows = {sid: {**row, "f2": 0.0, "f1": -0.0} for sid, row in ring.items()}
+        for i in range(extra):  # 12 ring and 2 failure nonzeros, plus these
+            rows[f"s{i}"] = {f"s{i}": 0.5, f"s{(i + 1) % 6}": 0.25, f"s{(i + 2) % 6}": 0.25, "f2": 0.0}
+        zeros = make_scg(rows, 6)
+        _, mat = transition_matrix(zeros)
+        assert type(mat) is layout
+        assert np.array_equal(_as_array(mat), _dict_filled(zeros))
+        if layout is np.ndarray:
+            assert mat.dtype == np.float64
+            continue
+        no_zeros = {sid: {t: p for t, p in row.items() if p} for sid, row in rows.items()}
+        _assert_fresh_csr(mat, make_scg(no_zeros, 6))  # as the nonzeros alone build it
 
 
 def test_report_round_trip_and_queries():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oddsafe import scg as scg_module
 from oddsafe.errors import InvalidOddError, ModelError, NotFoundError, SchemaError
 from oddsafe.scg import (
     AugmentedScg,
@@ -157,6 +158,22 @@ def test_from_dict_rejects_badly_off_rows():
     doc = scg_to_dict(make_scg({"s0": {"s0": 1.0}}, 1))
     doc["delta"]["s0"] = {"s0": 1.01}
     with pytest.raises(ModelError):
+        scg_from_dict(doc)
+
+
+def test_from_dict_rejects_a_grid_larger_than_delta_before_enumerating(monkeypatch):
+    # 10^9 situations from under 1 KB: the grid must never be built
+    def enumerate_nothing(attributes):
+        raise AssertionError("enumerated a grid that delta cannot cover")
+
+    monkeypatch.setattr(scg_module, "enumerate_situations", enumerate_nothing)
+    doc = {
+        "attributes": [{"name": a, "values": list("0123456789")} for a in "abcdefghi"],
+        "failures": [{"id": "f1", "label": "f1"}],
+        "delta": {"s0": {"s0": 1.0}},
+    }
+    assert len(json.dumps(doc)) < 1024
+    with pytest.raises(ModelError, match="1000000000 situations, 1 delta rows"):
         scg_from_dict(doc)
 
 
