@@ -3,13 +3,14 @@ controller synthesis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dtmc import (
     BoundedReachProperty,
     CriticalityReport,
     Dtmc,
     PropertyResult,
+    Scores,
     build_model,
     reach_vectors,
     score_situations,
@@ -48,14 +49,30 @@ class SynthesisConfig:
 
 @dataclass
 class AdaptationOutcome:
-    """Result record of one synthesis run (one table row per variant)."""
+    """Result record of one synthesis run (one table row per variant).
+
+    `ranking` is the last ranking: the Scores synthesis ended on, or a decoded
+    report.  Its per-situation report is built only when final_report is read.
+    """
 
     success: bool
     avoided: list[str]
     iterations: int
     initial_violations: list[str]
     worst_initial_score: float
-    final_report: CriticalityReport
+    ranking: Scores | CriticalityReport = field(repr=False)
+
+    @property
+    def final_report(self) -> CriticalityReport:
+        if isinstance(self.ranking, Scores):
+            self.ranking = self.ranking.report()
+        return self.ranking
+
+    def __eq__(self, other) -> bool:
+        # by value, as the records it serialises to: Scores hold numpy arrays
+        if not isinstance(other, AdaptationOutcome):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +92,7 @@ class AdaptationOutcome:
             iterations=int(doc["iterations"]),
             initial_violations=list(doc["initial_violations"]),
             worst_initial_score=float(doc["worst_initial_score"]),
-            final_report=CriticalityReport.from_dict(doc["final_report"]),
+            ranking=CriticalityReport.from_dict(doc["final_report"]),
         )
 
 
@@ -117,7 +134,8 @@ def synthesize_safe_controller(
 
     Gives up (success=False) once sinking would exceed config.max_removals.
     `scg` is validated and compiled once; each sink rewrites one row of that
-    model.  Rankings are scored as arrays; only the final one becomes a report.
+    model.  Rankings are scored as arrays; the outcome keeps the last one and
+    builds its report only when final_report is read.
     """
     model = build_model(scg)
     scores = score_situations(scg, model, reach_vectors(model, properties), properties)
@@ -136,7 +154,7 @@ def synthesize_safe_controller(
         iterations=len(avoided) + 1,
         initial_violations=initial_violations,
         worst_initial_score=worst_initial_score,
-        final_report=scores.report(),
+        ranking=scores,
     )
 
 

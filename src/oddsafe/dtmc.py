@@ -9,6 +9,7 @@ states, otherwise the expectation of x{j-1} under the transition row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import ge, gt, le, lt
 from typing import TYPE_CHECKING
 
@@ -153,9 +154,16 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
             import scipy.sparse as sp  # deferred: dense-only runs never pay for it
 
             lengths = [len(row) for row in rows] + [1] * len(failures)
-            cols = [index[t] for row in rows for t in row] + list(failures)
-            vals = [p for row in rows for p in row.values()] + [1.0] * len(failures)
-            csr = (np.array(vals, np.float64), np.array(cols, np.int32), np.cumsum([0] + lengths))
+            nnz = sum(lengths)  # filled straight from the rows, no per-entry list
+            cols = chain(map(index.__getitem__, chain.from_iterable(rows)), failures)
+            vals = chain(
+                chain.from_iterable(row.values() for row in rows), repeat(1.0, len(failures))
+            )
+            csr = (
+                np.fromiter(vals, np.float64, nnz),
+                np.fromiter(cols, np.int32, nnz),
+                np.cumsum([0] + lengths),
+            )
             mat = sp.csr_matrix(csr, shape=(n, n))
             mat.sort_indices()  # delta rows are unordered
             mat.eliminate_zeros()  # a zero probability in delta is no transition
@@ -343,7 +351,7 @@ def score_situations(
     """Score every non-sunk situation from the model's reach vectors."""
     if not properties:
         raise ValueError("need at least one property")
-    by_name = {p.name: p for p in properties}  # a repeated name keeps its last property
+    by_name = {p.name: p for p in properties}
     situations = [s for s in scg.situation_ids if s not in scg.sunk]
     rows = np.fromiter(map(model.index.__getitem__, situations), np.intp, len(situations))
     values = np.stack([vectors[name][rows] for name in by_name], axis=1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .dtmc import BoundedReachProperty
-from .errors import PropertyRangeError, PropertySyntaxError
+from .errors import PropertyRangeError, PropertySyntaxError, SchemaError
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"\d+(?:\.\d*)?|\.\d+")
@@ -128,10 +128,21 @@ def format_property(prop: BoundedReachProperty) -> str:
     )
 
 
-def parse_properties_file(doc: list) -> list[BoundedReachProperty]:
-    """Parse a non-empty JSON array of {name, expression} records."""
-    from .errors import SchemaError
+def require_distinct_names(properties: list[BoundedReachProperty], path: str) -> None:
+    """Raise SchemaError at the first property whose name is not text or
+    repeats an earlier one: results are keyed by name, so a repeated name
+    would drop the earlier requirement."""
+    names = [p.name for p in properties]
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise SchemaError("property name must be text", [f"{path}[{i}].name"])
+        if name in names[:i]:
+            raise SchemaError(f"property name {name!r} is repeated", [f"{path}[{i}].name"])
 
+
+def parse_properties_file(doc: list) -> list[BoundedReachProperty]:
+    """Parse a non-empty JSON array of {name, expression} records with
+    distinct text names."""
     if not isinstance(doc, list):
         raise SchemaError("properties file must be a JSON array", ["$"])
     if not doc:
@@ -141,4 +152,5 @@ def parse_properties_file(doc: list) -> list[BoundedReachProperty]:
         if not isinstance(entry, dict) or "name" not in entry or "expression" not in entry:
             raise SchemaError("property entry needs name and expression", [f"$[{i}]"])
         props.append(parse_property(entry["name"], entry["expression"]))
+    require_distinct_names(props, "$")
     return props

@@ -24,7 +24,7 @@ from .adapt import (
 from .dtmc import BoundedReachProperty, Dtmc, build_model, write_rows
 from .errors import SchemaError, TraceError
 from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
-from .proplang import format_property, parse_property
+from .proplang import format_property, parse_property, require_distinct_names
 from .scg import (
     AugmentedScg,
     read_json,
@@ -357,6 +357,7 @@ def load(doc: dict) -> KnowledgeBase:
         properties = [
             parse_property(p["name"], p["expression"]) for p in doc["properties"]
         ]
+        require_distinct_names(properties, "$.properties")
         controllers = [
             Controller(
                 id=c["id"],

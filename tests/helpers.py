@@ -1,4 +1,5 @@
-"""Shared test fixtures: the path-enumeration oracle and random model builders.
+"""Shared test fixtures: the path-enumeration oracle, random model builders and
+a structured sparse grid document.
 
 The oracle deliberately enumerates every path of length <= k instead of doing
 value iteration, so it stays independent of the checker it validates.
@@ -6,6 +7,7 @@ value iteration, so it stays independent of the checker it validates.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from oddsafe.scg import AugmentedScg, FailureMode, OddAttribute, enumerate_situations
@@ -90,3 +92,26 @@ def random_scg(
         total = sum(weights.values())
         delta[s] = {t: w / total for t, w in weights.items()}
     return make_scg(delta, n_situations, failures)
+
+
+def grid_doc(side: int = 8, dims: int = 4) -> dict:
+    """A sparse side**dims grid: each cell keeps part of its mass, spreads the
+    rest over its +-1 neighbours and leaks a little into f2; three cells are
+    traps that feed f1 or f2."""
+    index = {cell: k for k, cell in enumerate(itertools.product(range(side), repeat=dims))}
+    delta = {}
+    for cell, k in index.items():
+        moves = (cell[:a] + (cell[a] + d,) + cell[a + 1 :] for a in range(dims) for d in (-1, 1))
+        near = [index[m] for m in moves if m in index]
+        stay, leak = 0.2 + 0.1 * (k % 5), 1e-4 * (1 + k % 4)
+        row = {f"s{m}": (1.0 - stay - leak) / len(near) for m in near}
+        delta[f"s{k}"] = {f"s{k}": stay, **row, "f2": leak}
+    for k, failure in ((100, "f1"), (2000, "f2"), (4000, "f1")):
+        delta[f"s{k}"] = {f"s{k}": 0.3, failure: 0.7}
+    return {
+        "attributes": [
+            {"name": f"a{i}", "values": [f"v{j}" for j in range(side)]} for i in range(dims)
+        ],
+        "failures": [{"id": f, "label": f} for f in ("f1", "f2")],
+        "delta": delta,
+    }

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from oddsafe.adapt import (
@@ -8,7 +11,7 @@ from oddsafe.adapt import (
     controller_from_outcome,
     synthesize_safe_controller,
 )
-from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
+from oddsafe.dtmc import BoundedReachProperty, Scores, build_model, rank_situations
 from oddsafe.errors import ModelError, NotFoundError
 from oddsafe.scg import scg_from_dict, scg_to_dict, sink_situation
 
@@ -31,6 +34,12 @@ def _violating_scg():
         },
         3,
     )
+
+
+def _trapped_chain():
+    # every situation drifts down into s0, which feeds f1; sparse enough for CSR
+    delta = {f"s{i}": {f"s{i}": 0.7, f"s{i - 1}": 0.3} for i in range(1, 12)}
+    return make_scg({"s0": {"s0": 0.1, "f1": 0.9}, **delta}, 12)
 
 
 def _benign_scg():
@@ -115,12 +124,56 @@ def test_synthesis_noop_on_compliant_grid():
     assert outcome.iterations == 1
 
 
+@pytest.mark.parametrize(
+    "make, dense", [(_violating_scg, True), (_trapped_chain, False)], ids=["dense", "csr"]
+)
+def test_synthesis_builds_its_report_only_when_read(monkeypatch, make, dense):
+    calls = []
+    original = Scores.report
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Scores, "report", counted)
+    scg = make()
+    assert isinstance(build_model(scg).matrix, np.ndarray) == dense
+    outcome = synthesize_safe_controller(scg, [PROP], SynthesisConfig(max_removals=4))
+    assert outcome.success and outcome.avoided == ["s0"]
+    assert calls == []
+    report = outcome.final_report
+    assert len(calls) == 1
+    assert outcome.final_report is report and len(calls) == 1
+    sunk = scg
+    for sid in outcome.avoided:
+        sunk = sink_situation(sunk, sid)
+    assert outcome.to_dict()["final_report"] == rank_situations(sunk, [PROP]).to_dict()
+
+
 def test_outcome_round_trip():
     outcome = synthesize_safe_controller(
         _violating_scg(), [PROP], SynthesisConfig(max_removals=4)
     )
     again = AdaptationOutcome.from_dict(outcome.to_dict())
-    assert again.to_dict() == outcome.to_dict()
+    assert json.dumps(again.to_dict()) == json.dumps(outcome.to_dict())
+    assert again.final_report is again.final_report  # the decoded report, kept
+
+
+def test_outcomes_compare_by_value():
+    # == compares what to_dict writes, final report included; the numpy
+    # arrays of an unread ranking never reach a truth test
+    def synthesize(max_removals):
+        config = SynthesisConfig(max_removals=max_removals)
+        return synthesize_safe_controller(_violating_scg(), [PROP], config)
+
+    outcome = synthesize(4)
+    assert outcome == synthesize(4)
+    assert outcome == AdaptationOutcome.from_dict(outcome.to_dict())
+    assert outcome != synthesize(0)
+    doc = outcome.to_dict()
+    doc["final_report"]["worst_scores"]["s1"] += 1.0
+    assert outcome != AdaptationOutcome.from_dict(doc)
+    assert outcome != doc
 
 
 def test_controller_requires_avoided_to_be_sunk():

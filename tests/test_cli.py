@@ -129,6 +129,29 @@ def test_empty_property_file_is_usage_error(fixtures, tmp_path, capsys):
     assert "lists no property" in capsys.readouterr().err
 
 
+def test_repeated_property_name_is_usage_error_and_writes_nothing(fixtures, tmp_path, capsys):
+    # the first property alone is violated; a second one of the same name
+    # used to replace it, so check exited 0
+    props = tmp_path / "props.json"
+    props.write_text(
+        json.dumps(
+            [
+                {"name": "phi", "expression": "P < 0.001 [ F<=50 f1 ]"},
+                {"name": "phi", "expression": "P < 0.99 [ F<=50 f1 ]"},
+            ]
+        )
+    )
+    report, prism = tmp_path / "report.json", tmp_path / "prism"
+    assert main(["--out", str(report), "check", str(fixtures["compliant"]), str(props)]) == 2
+    assert "'phi' is repeated [$[1].name]" in capsys.readouterr().err
+    argv = ["--out", str(prism), "export-prism", str(fixtures["compliant"]), "s0", str(props)]
+    assert main(argv) == 2
+    assert "'phi' is repeated" in capsys.readouterr().err
+    assert not report.exists() and not prism.exists()
+    props.write_text(json.dumps(json.loads(props.read_text())[:1]))
+    assert main(["check", str(fixtures["compliant"]), str(props)]) == 1
+
+
 def test_invalid_json_property_file_is_error(fixtures, tmp_path, capsys):
     bad = tmp_path / "badprops.json"
     bad.write_text(json.dumps(PROPERTIES)[:-1])

@@ -28,7 +28,7 @@ from oddsafe.errors import ModelError, NotFoundError
 from oddsafe.experiments import random_dense_scg
 from oddsafe.scg import AugmentedScg, require_valid, scg_from_dict, scg_to_dict, sink_situation
 
-from helpers import make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
+from helpers import grid_doc, make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
 
 
 def test_transition_matrix_layout():
@@ -60,6 +60,7 @@ BAD_ROWS = {
     "row-sum": {"s0": 0.5},
     "empty": {},
     "not-a-number": {"s0": "1.0"},
+    "text": {"s0": 0.5, "f1": "half"},
 }
 
 
@@ -92,9 +93,12 @@ def _invalid_scgs(dense):
     return cases
 
 
-#: cases scg_from_dict settles before it compiles: "1.0" decodes as a number,
-#: sums beyond renormalisation and grids larger than delta are rejected first
-DECODED_FIRST = {"not-a-number", "row-sum", "empty", "inf", "missing-row", "missing-and-bad"}
+#: cases scg_from_dict settles before it compiles: "1.0" decodes as a number
+#: and "half" as none; sums beyond renormalisation and grids larger than delta
+#: are rejected first
+DECODED_FIRST = {
+    "not-a-number", "text", "row-sum", "empty", "inf", "missing-row", "missing-and-bad"
+}
 
 
 def _load(scg):
@@ -115,6 +119,44 @@ def test_build_model_rejects_as_require_valid_does(dense):
                 compile_(scg)
             expect = (type(expected.value), str(expected.value))
             assert (type(got.value), str(got.value)) == expect, (name, compile_.__name__)
+
+
+def _coo_reference(scg):
+    """The CSR operator of `scg` built independently of transition_matrix:
+    COO triplets to CSR, then sorted columns and no explicit zeros."""
+    index = {sid: i for i, sid in enumerate(scg.state_ids)}
+    triplets = [
+        (index[s], index[t], p) for s in scg.situation_ids for t, p in scg.delta[s].items()
+    ]
+    triplets += [(index[f], index[f], 1.0) for f in scg.failure_ids]
+    rows, cols, vals = zip(*triplets)
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=(len(index),) * 2).tocsr()
+    ref.sort_indices()
+    ref.eliminate_zeros()
+    return ref
+
+
+def _grid_with_zeros():
+    # every third row gains an explicit 0.0 or -0.0 for a target it lacks
+    doc = grid_doc()
+    for k, row in enumerate(doc["delta"].values()):
+        if k % 3 == 0 and "f1" not in row:
+            row["f1"] = -0.0 if k % 2 else 0.0
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [grid_doc, _grid_with_zeros], ids=["grid", "zeros"])
+def test_csr_arrays_equal_an_independent_build(make_doc):
+    scg = scg_from_dict(make_doc())
+    _, mat = transition_matrix(scg)
+    ref = _coo_reference(scg)
+    assert len(scg.situations) == 4096 and isinstance(mat, sp.csr_matrix)
+    assert mat.data.dtype == np.float64 and mat.indices.dtype == np.int32
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(mat, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    lengths = sum(map(len, scg.delta.values())) + len(scg.failures)
+    assert (mat.nnz < lengths) == (make_doc is _grid_with_zeros)
 
 
 def _counted(calls, name, fn):
@@ -513,5 +555,13 @@ assert not isinstance(model.matrix, np.ndarray)
 report = oddsafe.rank_situations(sparse, default_properties())
 assert len(report.records) == 60 and report.worst_situation is not None
 """
+    monitor = """
+import sys
+from oddsafe import experiments
+result = experiments.run_timeline(experiments.TimelineConfig(seed=7, steps=300))
+assert sum(entry.outcome is not None for entry in result.adaptive_log) == 1
+assert "scipy.sparse" not in sys.modules, "the closed loop imported scipy.sparse"
+"""
     src = Path(__import__("oddsafe").__file__).resolve().parents[1]
-    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)
+    for script in (code, monitor):
+        subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)}, check=True)

@@ -6,7 +6,6 @@ these bytes unchanged (or log and justify the drift).
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
@@ -14,6 +13,8 @@ import pytest
 from oddsafe.cli import main
 from oddsafe.experiments import random_dense_scg
 from oddsafe.scg import scg_to_dict
+
+from helpers import grid_doc
 
 GOLDEN = {
     "rq2/adaptive.jsonl": "25d7a87702ad42d7b2b8eadabade2cc5",
@@ -35,29 +36,6 @@ CHECK_PROPERTIES = [
     {"name": "phi1", "expression": "P < 0.99 [ F<=50 f1 ]"},
     {"name": "phi2", "expression": "P < 0.95 [ F<=50 f2 ]"},
 ]
-
-
-def grid_doc(side: int = 8, dims: int = 4) -> dict:
-    """A sparse side**dims grid: each cell keeps part of its mass, spreads the
-    rest over its +-1 neighbours and leaks a little into f2; three cells are
-    traps that feed f1 or f2."""
-    index = {cell: k for k, cell in enumerate(itertools.product(range(side), repeat=dims))}
-    delta = {}
-    for cell, k in index.items():
-        moves = (cell[:a] + (cell[a] + d,) + cell[a + 1 :] for a in range(dims) for d in (-1, 1))
-        near = [index[m] for m in moves if m in index]
-        stay, leak = 0.2 + 0.1 * (k % 5), 1e-4 * (1 + k % 4)
-        row = {f"s{m}": (1.0 - stay - leak) / len(near) for m in near}
-        delta[f"s{k}"] = {f"s{k}": stay, **row, "f2": leak}
-    for k, failure in ((100, "f1"), (2000, "f2"), (4000, "f1")):
-        delta[f"s{k}"] = {f"s{k}": 0.3, failure: 0.7}
-    return {
-        "attributes": [
-            {"name": f"a{i}", "values": [f"v{j}" for j in range(side)]} for i in range(dims)
-        ],
-        "failures": [{"id": f, "label": f} for f in ("f1", "f2")],
-        "delta": delta,
-    }
 
 
 #: name -> (document, exit code, MD5 of the `check --format json --out` file)

@@ -104,3 +104,16 @@ def test_properties_file_parsing():
 def test_properties_file_schema_errors(doc):
     with pytest.raises(SchemaError):
         parse_properties_file(doc)
+
+
+@pytest.mark.parametrize(
+    "names, path",
+    [(["phi", "psi", "phi"], "$[2].name"), (["phi", ["phi"]], "$[1].name")],
+    ids=["repeated", "not-text"],
+)
+def test_properties_file_rejects_names_results_cannot_key(names, path):
+    # results are keyed by name: a repeated name would drop a requirement
+    doc = [{"name": name, "expression": "P < 0.5 [ F<=50 f1 ]"} for name in names]
+    with pytest.raises(SchemaError) as exc:
+        parse_properties_file(doc)
+    assert exc.value.paths == [path]

@@ -215,6 +215,15 @@ def test_load_reports_missing_sections():
     assert exc.value.paths == ["$.controllers"]
 
 
+@pytest.mark.parametrize("name", ["phi", ["phi"]], ids=["repeated", "not-text"])
+def test_load_rejects_property_names_results_cannot_key(name):
+    doc = snapshot(_kb(violating=False))
+    doc["properties"] = [*doc["properties"], {**doc["properties"][0], "name": name}]
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == ["$.properties[1].name"]
+
+
 def test_load_rejects_a_non_numeric_count():
     kb = _kb(violating=False)
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
