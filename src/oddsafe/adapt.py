@@ -3,14 +3,13 @@ controller synthesis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dtmc import (
     BoundedReachProperty,
     CriticalityReport,
     Dtmc,
     PropertyResult,
-    Scores,
     build_model,
     reach_vectors,
     score_situations,
@@ -49,30 +48,14 @@ class SynthesisConfig:
 
 @dataclass
 class AdaptationOutcome:
-    """Result record of one synthesis run (one table row per variant).
-
-    `ranking` is the last ranking: the Scores synthesis ended on, or a decoded
-    report.  Its per-situation report is built only when final_report is read.
-    """
+    """Result record of one synthesis run (one table row per variant)."""
 
     success: bool
     avoided: list[str]
     iterations: int
     initial_violations: list[str]
     worst_initial_score: float
-    ranking: Scores | CriticalityReport = field(repr=False)
-
-    @property
-    def final_report(self) -> CriticalityReport:
-        if isinstance(self.ranking, Scores):
-            self.ranking = self.ranking.report()
-        return self.ranking
-
-    def __eq__(self, other) -> bool:
-        # by value, as the records it serialises to: Scores hold numpy arrays
-        if not isinstance(other, AdaptationOutcome):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
+    final_report: CriticalityReport
 
     def to_dict(self) -> dict:
         return {
@@ -92,7 +75,7 @@ class AdaptationOutcome:
             iterations=int(doc["iterations"]),
             initial_violations=list(doc["initial_violations"]),
             worst_initial_score=float(doc["worst_initial_score"]),
-            ranking=CriticalityReport.from_dict(doc["final_report"]),
+            final_report=CriticalityReport.from_dict(doc["final_report"]),
         )
 
 
@@ -121,7 +104,7 @@ def analyze(
     i = model.index[current]
     results = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
     compliant = all(r.compliant for r in results.values())
-    full = None if compliant else score_situations(scg, model, vectors, properties).report()
+    full = None if compliant else score_situations(scg, model, vectors, properties)
     return AnalysisResult(current=results, compliant=compliant, full_report=full)
 
 
@@ -134,27 +117,26 @@ def synthesize_safe_controller(
 
     Gives up (success=False) once sinking would exceed config.max_removals.
     `scg` is validated and compiled once; each sink rewrites one row of that
-    model.  Rankings are scored as arrays; the outcome keeps the last one and
-    builds its report only when final_report is read.
+    model.  The outcome keeps the last ranking as its final report.
     """
     model = build_model(scg)
-    scores = score_situations(scg, model, reach_vectors(model, properties), properties)
-    initial_violations = scores.violated_properties()
-    worst_initial_score = scores.worst_score()
+    report = score_situations(scg, model, reach_vectors(model, properties), properties)
+    initial_violations = report.violated_properties()
+    worst_initial_score = report.worst_score()
     avoided: list[str] = []
-    while not scores.all_compliant() and len(avoided) < config.max_removals:
-        target = scores.worst_situation()
+    while not report.all_compliant() and len(avoided) < config.max_removals:
+        target = report.worst_situation
         scg = sink_situation(scg, target)
         write_rows(model, scg, {target: scg.delta[target]})
         avoided.append(target)
-        scores = score_situations(scg, model, reach_vectors(model, properties), properties)
+        report = score_situations(scg, model, reach_vectors(model, properties), properties)
     return AdaptationOutcome(
-        success=scores.all_compliant(),
+        success=report.all_compliant(),
         avoided=avoided,
         iterations=len(avoided) + 1,
         initial_violations=initial_violations,
         worst_initial_score=worst_initial_score,
-        ranking=scores,
+        final_report=report,
     )
 
 

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import experiments
@@ -70,15 +71,18 @@ def _load_config(cls, args):
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
 
-def _print_report(report, fmt: str, out=None) -> None:
-    out = out or sys.stdout
-    if fmt == "json":
-        json.dump(report.to_dict(), out, indent=2, sort_keys=True)
-        out.write("\n")
-        return
+def _write_json(doc, streams) -> None:
+    """Encode `doc` once, writing each piece to every stream as it is made, so
+    the whole text is never held in memory."""
+    for chunk in chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), "\n"):
+        for stream in streams:
+            stream.write(chunk)
+
+
+def _print_table(report) -> None:
     prop_names = sorted({n for props in report.records.values() for n in props})
     header = ["situation"] + [f"{n} value/score" for n in prop_names] + ["worst"]
-    print("  ".join(f"{h:>18}" for h in header), file=out)
+    print("  ".join(f"{h:>18}" for h in header))
     for sid in sorted(report.records, key=lambda s: (len(s), s)):
         cells = [sid]
         for name in prop_names:
@@ -86,19 +90,22 @@ def _print_report(report, fmt: str, out=None) -> None:
             mark = "" if r.compliant else " !"
             cells.append(f"{r.value:.5f}/{r.score:+.5f}{mark}")
         cells.append(f"{report.worst_scores[sid]:+.5f}")
-        print("  ".join(f"{c:>18}" for c in cells), file=out)
-    print(f"worst situation: {report.worst_situation}", file=out)
+        print("  ".join(f"{c:>18}" for c in cells))
+    print(f"worst situation: {report.worst_situation}")
 
 
 def cmd_check(args) -> int:
     scg = load_scg(args.scg)
     properties = _load_properties(args.properties)
     report = rank_situations(scg, properties)
-    _print_report(report, args.format)
+    stdout = [sys.stdout] if args.format == "json" else []
+    if not stdout:
+        _print_table(report)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(report.to_dict(), stdout + [fh])
+    elif stdout:
+        _write_json(report.to_dict(), stdout)
     if args.situation:
         if args.situation not in report.records:
             raise OddsafeError(f"no record for situation {args.situation!r}")

@@ -9,6 +9,7 @@ states, otherwise the expectation of x{j-1} under the transition row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from operator import ge, gt, le, lt
 from typing import TYPE_CHECKING
@@ -68,54 +69,6 @@ class Dtmc:
     index: dict[str, int]  # state id -> row of the operator
     matrix: Operator
     labels: dict[str, set[int]]  # failure label -> state indices
-
-
-@dataclass
-class CriticalityReport:
-    """Per-situation, per-property results plus the global worst situation."""
-
-    records: dict[str, dict[str, PropertyResult]]
-    worst_scores: dict[str, float]
-    worst_situation: str | None
-
-    def all_compliant(self) -> bool:
-        return all(r.compliant for props in self.records.values() for r in props.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "records": {
-                sid: {
-                    name: {
-                        "value": r.value,
-                        "score": r.score,
-                        "compliant": r.compliant,
-                    }
-                    for name, r in props.items()
-                }
-                for sid, props in self.records.items()
-            },
-            "worst_scores": dict(self.worst_scores),
-            "worst_situation": self.worst_situation,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CriticalityReport":
-        records = {
-            sid: {
-                name: PropertyResult(
-                    value=float(r["value"]),
-                    score=float(r["score"]),
-                    compliant=bool(r["compliant"]),
-                )
-                for name, r in props.items()
-            }
-            for sid, props in doc["records"].items()
-        }
-        return cls(
-            records=records,
-            worst_scores={s: float(v) for s, v in doc["worst_scores"].items()},
-            worst_situation=doc["worst_situation"],
-        )
 
 
 def _is_dense(nnz: int, n: int) -> bool:
@@ -294,12 +247,13 @@ def score_value(value: float, prop: BoundedReachProperty) -> PropertyResult:
     return PropertyResult(value, *_score(value, prop))
 
 
-@dataclass
-class Scores:
+@dataclass(eq=False)
+class CriticalityReport:
     """Every non-sunk situation scored against every property, one column per
     property, by the same arithmetic as score_value.
 
-    The per-situation records of a CriticalityReport are built only by report().
+    The per-situation dicts `records` and `worst_scores` are built at their
+    first read and kept; to_dict reads the arrays.
     """
 
     situations: list[str]  # non-sunk situation ids, in situation order
@@ -319,6 +273,7 @@ class Scores:
         """The highest score of any situation (0.0 when every one is sunk)."""
         return float(self.worst[self._ties()[0]]) if self.situations else 0.0
 
+    @property
     def worst_situation(self) -> str | None:
         """The situation with the highest score, the smallest id on ties."""
         return min(self.situations[i] for i in self._ties()) if self.situations else None
@@ -328,17 +283,61 @@ class Scores:
         _, cols = np.nonzero(~self.compliant)  # by situation, then by property
         return [self.names[j] for j in dict.fromkeys(cols.tolist())]
 
-    def report(self) -> CriticalityReport:
-        # tolist() gives Python floats and bools, which json.dumps accepts
+    def _rows(self):
+        """Per situation, its (value, score, verdict) per property as Python
+        floats and bools, which json.dumps accepts."""
         columns = (self.values.tolist(), self.scores.tolist(), self.compliant.tolist())
-        records = {
-            sid: {name: PropertyResult(*r) for name, r in zip(self.names, zip(*row))}
-            for sid, row in zip(self.situations, zip(*columns))
+        return zip(self.situations, (zip(*row) for row in zip(*columns)))
+
+    @cached_property
+    def records(self) -> dict[str, dict[str, PropertyResult]]:
+        return {
+            sid: {name: PropertyResult(*r) for name, r in zip(self.names, row)}
+            for sid, row in self._rows()
         }
-        return CriticalityReport(
-            records=records,
-            worst_scores=dict(zip(self.situations, self.worst.tolist())),
-            worst_situation=self.worst_situation(),
+
+    @cached_property
+    def worst_scores(self) -> dict[str, float]:
+        return dict(zip(self.situations, self.worst.tolist()))
+
+    def __eq__(self, other) -> bool:
+        # by value, as the documents they serialise to
+        if not isinstance(other, CriticalityReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def to_dict(self) -> dict:
+        return {
+            "records": {
+                sid: {
+                    name: {"value": v, "score": s, "compliant": c}
+                    for name, (v, s, c) in zip(self.names, row)
+                }
+                for sid, row in self._rows()
+            },
+            "worst_scores": dict(zip(self.situations, self.worst.tolist())),
+            "worst_situation": self.worst_situation,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CriticalityReport":
+        records, worst = doc["records"], doc["worst_scores"]
+        situations = list(records)
+        names = list(next(iter(records.values()), ()))
+        if list(worst) != situations or any(list(r) != names for r in records.values()):
+            raise ValueError("report records and worst scores name different keys")
+
+        def column(key: str, kind: type) -> np.ndarray:
+            cells = [kind(r[name][key]) for r in records.values() for name in names]
+            return np.array(cells, kind).reshape(len(situations), len(names))
+
+        return cls(
+            situations,
+            names,
+            column("value", float),
+            column("score", float),
+            column("compliant", bool),
+            np.array([float(worst[sid]) for sid in situations]),
         )
 
 
@@ -347,7 +346,7 @@ def score_situations(
     model: Dtmc,
     vectors: dict[str, np.ndarray],
     properties: list[BoundedReachProperty],
-) -> Scores:
+) -> CriticalityReport:
     """Score every non-sunk situation from the model's reach vectors."""
     if not properties:
         raise ValueError("need at least one property")
@@ -362,7 +361,7 @@ def score_situations(
     worst = scores[:, 0].copy()
     for column in scores.T[1:]:  # a later property wins only when strictly higher
         worst = np.where(column > worst, column, worst)
-    return Scores(situations, list(by_name), values, scores, compliant, worst)
+    return CriticalityReport(situations, list(by_name), values, scores, compliant, worst)
 
 
 def rank_situations(
@@ -374,4 +373,4 @@ def rank_situations(
     iteration per property yields the value for every situation.
     """
     model = build_model(scg)
-    return score_situations(scg, model, reach_vectors(model, properties), properties).report()
+    return score_situations(scg, model, reach_vectors(model, properties), properties)

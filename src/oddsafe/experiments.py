@@ -9,9 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adapt import SynthesisConfig, synthesize_safe_controller
-from .dtmc import (
-    BoundedReachProperty, build_model, rank_situations, reach_vectors, score_situations
-)
+from .dtmc import BoundedReachProperty, rank_situations
 from .learn import EstimatorConfig
 from .marsim import (
     MARITIME_FAILURES,
@@ -151,9 +149,7 @@ def recheck_record(
     scg = record.drifted_scg
     for sid in record.critical_situations_avoided:
         scg = sink_situation(scg, sid)
-    model = build_model(scg)
-    vectors = reach_vectors(model, properties)
-    return score_situations(scg, model, vectors, properties).all_compliant()
+    return rank_situations(scg, properties).all_compliant()
 
 
 def rescue_rate(records: list[ExperimentRecord]) -> float | None:

@@ -358,6 +358,8 @@ def load(doc: dict) -> KnowledgeBase:
             parse_property(p["name"], p["expression"]) for p in doc["properties"]
         ]
         require_distinct_names(properties, "$.properties")
+        if not properties:  # nothing to check would log every step compliant
+            raise SchemaError("knowledge-base snapshot lists no property", ["$.properties"])
         controllers = [
             Controller(
                 id=c["id"],

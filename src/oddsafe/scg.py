@@ -202,16 +202,24 @@ def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
 
 
 def row_violations(sid: str, row: dict[str, float], state_ids: set[str]) -> list[Violation]:
-    """The row rule: known targets, each probability in [0, 1], sum 1 within ROW_SUM_ATOL."""
+    """The row rule: known targets, each probability a number in [0, 1], sum 1
+    within ROW_SUM_ATOL."""
     out = []
     for target, p in row.items():
         if target not in state_ids:
             out.append(
                 Violation("unknown-target", sid, f"{sid!r} -> unknown state {target!r}")
             )
-        if not (0.0 <= p <= 1.0):
+        try:
+            in_range = 0.0 <= p <= 1.0
+        except TypeError:  # a non-number
+            in_range = False
+        if not in_range:
             out.append(Violation("probability-range", sid, f"{sid!r} -> {target!r} = {p}"))
-    total = sum(row.values())
+    try:
+        total = sum(row.values())
+    except TypeError:  # the non-number reported above has no sum
+        return out
     if abs(total - 1.0) > ROW_SUM_ATOL:
         out.append(Violation("row-sum", sid, f"row {sid!r} sums to {total!r}"))
     return out

@@ -1,4 +1,5 @@
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from oddsafe.adapt import (
     controller_from_outcome,
     synthesize_safe_controller,
 )
-from oddsafe.dtmc import BoundedReachProperty, Scores, build_model, rank_situations
+from oddsafe.dtmc import BoundedReachProperty, CriticalityReport, build_model, rank_situations
 from oddsafe.errors import ModelError, NotFoundError
 from oddsafe.scg import scg_from_dict, scg_to_dict, sink_situation
 
@@ -124,26 +125,40 @@ def test_synthesis_noop_on_compliant_grid():
     assert outcome.iterations == 1
 
 
-@pytest.mark.parametrize(
-    "make, dense", [(_violating_scg, True), (_trapped_chain, False)], ids=["dense", "csr"]
-)
-def test_synthesis_builds_its_report_only_when_read(monkeypatch, make, dense):
+def _count_record_builds(monkeypatch) -> list:
+    """The reports whose per-situation records get built, in build order."""
     calls = []
-    original = Scores.report
+    build = CriticalityReport.records.func
 
     def counted(self):
         calls.append(self)
-        return original(self)
+        return build(self)
 
-    monkeypatch.setattr(Scores, "report", counted)
+    records = cached_property(counted)
+    records.__set_name__(CriticalityReport, "records")
+    monkeypatch.setattr(CriticalityReport, "records", records)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, dense", [(_violating_scg, True), (_trapped_chain, False)], ids=["dense", "csr"]
+)
+def test_rankings_build_their_records_only_when_read(monkeypatch, make, dense):
+    calls = _count_record_builds(monkeypatch)
     scg = make()
     assert isinstance(build_model(scg).matrix, np.ndarray) == dense
+    ranked = rank_situations(scg, [PROP])
+    analysis = _analyze(scg, "s1", [PROP])
+    assert not analysis.compliant
     outcome = synthesize_safe_controller(scg, [PROP], SynthesisConfig(max_removals=4))
     assert outcome.success and outcome.avoided == ["s0"]
+    for report in (ranked, analysis.full_report, outcome.final_report):
+        report.to_dict()
+    outcome.to_dict()
     assert calls == []
-    report = outcome.final_report
-    assert len(calls) == 1
-    assert outcome.final_report is report and len(calls) == 1
+    records = outcome.final_report.records
+    assert calls == [outcome.final_report]
+    assert outcome.final_report.records is records and len(calls) == 1
     sunk = scg
     for sid in outcome.avoided:
         sunk = sink_situation(sunk, sid)
@@ -156,12 +171,11 @@ def test_outcome_round_trip():
     )
     again = AdaptationOutcome.from_dict(outcome.to_dict())
     assert json.dumps(again.to_dict()) == json.dumps(outcome.to_dict())
-    assert again.final_report is again.final_report  # the decoded report, kept
 
 
 def test_outcomes_compare_by_value():
-    # == compares what to_dict writes, final report included; the numpy
-    # arrays of an unread ranking never reach a truth test
+    # == compares field by field, the final report by what to_dict writes;
+    # its numpy arrays never reach a truth test
     def synthesize(max_removals):
         config = SynthesisConfig(max_removals=max_removals)
         return synthesize_safe_controller(_violating_scg(), [PROP], config)

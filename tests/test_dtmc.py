@@ -26,7 +26,14 @@ from oddsafe.dtmc import (
 )
 from oddsafe.errors import ModelError, NotFoundError
 from oddsafe.experiments import random_dense_scg
-from oddsafe.scg import AugmentedScg, require_valid, scg_from_dict, scg_to_dict, sink_situation
+from oddsafe.scg import (
+    AugmentedScg,
+    require_valid,
+    require_valid_row,
+    scg_from_dict,
+    scg_to_dict,
+    sink_situation,
+)
 
 from helpers import grid_doc, make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
 
@@ -60,7 +67,7 @@ BAD_ROWS = {
     "row-sum": {"s0": 0.5},
     "empty": {},
     "not-a-number": {"s0": "1.0"},
-    "text": {"s0": 0.5, "f1": "half"},
+    "text": {"s0": 0.5, "f1": "half"},  # out of range, and no row sum to check
 }
 
 
@@ -110,8 +117,11 @@ def test_build_model_rejects_as_require_valid_does(dense):
     _, mat = transition_matrix(_scg_with_row({"s0": 1.0}, dense))
     assert isinstance(mat, np.ndarray) == dense
     for name, scg in _invalid_scgs(dense).items():
-        with pytest.raises(Exception) as expected:
+        with pytest.raises(ModelError) as expected:
             require_valid(scg)
+        if name in BAD_ROWS:
+            with pytest.raises(ModelError):
+                require_valid_row(scg, "s0", BAD_ROWS[name])
         for compile_ in (build_model, _load):
             if compile_ is _load and name in DECODED_FIRST:
                 continue
@@ -367,8 +377,8 @@ def test_report_round_trip_and_queries():
     assert again.to_dict() == report.to_dict()
 
 
-def _loop_report(scg, model, vectors, properties) -> CriticalityReport:
-    """The ranking as one score_value call per situation and property."""
+def _loop_report(scg, model, vectors, properties) -> dict:
+    """The ranking's dict form, by one score_value call per situation and property."""
     records = {
         sid: {p.name: score_value(float(vectors[p.name][model.index[sid]]), p) for p in properties}
         for sid in scg.situation_ids
@@ -377,26 +387,42 @@ def _loop_report(scg, model, vectors, properties) -> CriticalityReport:
     worst = {sid: max(r.score for r in props.values()) for sid, props in records.items()}
     top = max(worst.values(), default=None)
     ties = [sid for sid, score in worst.items() if score == top]
-    return CriticalityReport(records, worst, min(ties, default=None))
+    return {
+        "records": {
+            sid: {name: dict(vars(r)) for name, r in props.items()}
+            for sid, props in records.items()
+        },
+        "worst_scores": worst,
+        "worst_situation": min(ties, default=None),
+    }
 
 
 def _assert_scores_match_the_loop(scg, model, vectors, properties):
-    scores = score_situations(scg, model, vectors, properties)
+    report = score_situations(scg, model, vectors, properties)
     expected = _loop_report(scg, model, vectors, properties)
-    report = scores.report()
-    assert report.to_dict() == expected.to_dict()
+    assert report.to_dict() == expected
     # repr shows every bit of a float, the sign of a zero included
-    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
-    assert scores.all_compliant() == expected.all_compliant()
-    first_seen = [n for props in expected.records.values() for n, r in props.items() if not r.compliant]
-    assert scores.violated_properties() == list(dict.fromkeys(first_seen))
-    assert scores.worst_situation() == expected.worst_situation
-    assert repr(scores.worst_score()) == repr(max(expected.worst_scores.values(), default=0.0))
+    assert json.dumps(report.to_dict()) == json.dumps(expected)
+    records = expected["records"]
+    assert report.all_compliant() == all(r["compliant"] for p in records.values() for r in p.values())
+    first_seen = [n for props in records.values() for n, r in props.items() if not r["compliant"]]
+    assert report.violated_properties() == list(dict.fromkeys(first_seen))
+    assert report.worst_situation == expected["worst_situation"]
+    worst = expected["worst_scores"]
+    assert repr(report.worst_score()) == repr(max(worst.values(), default=0.0))
+    # the dict views hold what to_dict writes, as Python floats and bools
+    assert {sid: {n: dict(vars(r)) for n, r in p.items()} for sid, p in report.records.items()} == records
     for props in report.records.values():
         for r in props.values():
             assert (type(r.value), type(r.score), type(r.compliant)) == (float, float, bool)
+    assert json.dumps(report.worst_scores) == json.dumps(worst)
     assert {type(v) for v in report.worst_scores.values()} <= {float}
-    return scores
+    # decoding gives the same text back, through JSON text and with sorted keys
+    for kw in ({}, {"sort_keys": True}):
+        again = CriticalityReport.from_dict(json.loads(json.dumps(report.to_dict(), **kw)))
+        assert json.dumps(again.to_dict(), **kw) == json.dumps(expected, **kw)
+        assert again == report and again.worst_situation == report.worst_situation
+    return report
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -432,17 +458,17 @@ def test_scorer_ties_and_first_seen_violations():
     va, vb = np.zeros(14), np.ones(14)
     va[[2, 4, 10]] = [0.9, 0.5, 0.9]  # a: s2 and s10 tie on the top score; s4 on the bound
     vb[[1, 5]] = [0.2, 0.5]  # b: violated by s1, before a's first violator s2
-    scores = _assert_scores_match_the_loop(scg, model, {"a": va, "b": vb}, [upper, lower])
-    assert scores.worst_situation() == "s10"  # "s10" < "s2"
-    assert scores.violated_properties() == ["b", "a"]
-    assert scores.worst_score() == 0.9 - 0.5
-    records = scores.report().records
+    report = _assert_scores_match_the_loop(scg, model, {"a": va, "b": vb}, [upper, lower])
+    assert report.worst_situation == "s10"  # "s10" < "s2"
+    assert report.violated_properties() == ["b", "a"]
+    assert report.worst_score() == 0.9 - 0.5
+    records = report.records
     assert not records["s4"]["a"].compliant and records["s4"]["a"].score == 0.0
     assert records["s5"]["b"].compliant and records["s5"]["b"].score == 0.0
     for sid in scg.situation_ids:
         scg = sink_situation(scg, sid)
     empty = _assert_scores_match_the_loop(scg, model, {"a": va, "b": vb}, [upper, lower])
-    assert empty.all_compliant() and empty.worst_situation() is None
+    assert empty.all_compliant() and empty.worst_situation is None
 
 
 def test_scorer_keeps_the_first_of_equal_zero_scores():
@@ -451,9 +477,9 @@ def test_scorer_keeps_the_first_of_equal_zero_scores():
     model = build_model(scg)
     props = [BoundedReachProperty(name, "f1", 1, "<=", 0.0) for name in ("z1", "z2")]
     vectors = {"z1": np.array([-0.0, 0.0, 0.0, 0.0]), "z2": np.array([0.0, -0.0, 0.0, 0.0])}
-    scores = _assert_scores_match_the_loop(scg, model, vectors, props)
-    assert [repr(v) for v in scores.report().worst_scores.values()] == ["-0.0", "0.0"]
-    assert repr(scores.worst_score()) == "-0.0"
+    report = _assert_scores_match_the_loop(scg, model, vectors, props)
+    assert [repr(v) for v in report.worst_scores.values()] == ["-0.0", "0.0"]
+    assert repr(report.worst_score()) == "-0.0"
 
 
 def _spread_rows(sids, width: int) -> dict:

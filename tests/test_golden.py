@@ -38,22 +38,38 @@ CHECK_PROPERTIES = [
 ]
 
 
-#: name -> (document, exit code, MD5 of the `check --format json --out` file)
+#: name -> (document, exit code, MD5 of the `check --format json --out` file,
+#: MD5 of its stdout in --format table, MD5 of its stdout in --format json)
 CHECK_GOLDEN = {
     "dense-640": (
         lambda: scg_to_dict(random_dense_scg(640, density=1.0, seed=2083679832)),
         0,
         "ec1adabe17f1451aedf003552dd6b5b0",
+        "d8f28cf0dd28d089bfb866667a47f9b4",
+        "ec1adabe17f1451aedf003552dd6b5b0",
     ),
-    "grid-4096": (grid_doc, 1, "7710fdf22c4cfae9107cb5b595c33bf5"),
+    "grid-4096": (
+        grid_doc,
+        1,
+        "7710fdf22c4cfae9107cb5b595c33bf5",
+        "039bbcb9c30660b38eb938e69d431d72",
+        "7710fdf22c4cfae9107cb5b595c33bf5",
+    ),
 }
+
+
+def _md5(text: str) -> str:
+    return hashlib.md5(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", CHECK_GOLDEN)
 def test_check_reports_match_golden_digests(name, tmp_path, capsys):
-    make_doc, code, digest = CHECK_GOLDEN[name]
+    make_doc, code, digest, table_digest, json_digest = CHECK_GOLDEN[name]
     scg, props, out = tmp_path / "scg.json", tmp_path / "props.json", tmp_path / "report.json"
     scg.write_text(json.dumps(make_doc()))
     props.write_text(json.dumps(CHECK_PROPERTIES))
     assert main(["--format", "json", "--out", str(out), "check", str(scg), str(props)]) == code
     assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+    assert _md5(capsys.readouterr().out) == json_digest
+    assert main(["--format", "table", "check", str(scg), str(props)]) == code
+    assert _md5(capsys.readouterr().out) == table_digest

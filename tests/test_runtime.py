@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -172,6 +173,11 @@ def test_synthesis_failure_safe_stops():
     assert kb.history[-1].outcome is entry.outcome
 
 
+def _text(doc) -> str:
+    # text, not dicts: == takes -0.0 and 0.0 for equal
+    return json.dumps(doc, sort_keys=True)
+
+
 def test_snapshot_round_trip_preserves_everything():
     kb = _kb(violating=True)
     run(
@@ -184,13 +190,28 @@ def test_snapshot_round_trip_preserves_everything():
     )
     doc = snapshot(kb)
     again = load(doc)
-    assert snapshot(again) == doc
+    assert _text(snapshot(again)) == _text(doc)
     assert again.active_controller.id == kb.active_controller.id
     assert again.prev == kb.prev
     assert again.last_t == kb.last_t
     # snapshots written before the belief-version counter was dropped carry it
     assert "scg_version" not in doc
-    assert snapshot(load({**doc, "scg_version": 3})) == doc
+    assert _text(snapshot(load({**doc, "scg_version": 3}))) == _text(doc)
+
+
+def test_snapshot_round_trip_keeps_a_successful_outcome():
+    # two traps feed f1 and s2 leaks into both: the switch sinks both
+    delta = {
+        "s0": {"f1": 0.9, "s0": 0.1},
+        "s1": {"f1": 0.9, "s1": 0.1},
+        "s2": {"s0": 0.25, "s1": 0.25, "s2": 0.5},
+    }
+    kb = new_knowledge_base(make_scg(delta, 3), [PROP], estimator=EXACT)
+    _, entry = step(kb, TraceEvent(t=0, kind="situation_entered", id="s2"))
+    assert entry.outcome.success and len(entry.outcome.avoided) == 2
+    doc = snapshot(kb)
+    assert _text(snapshot(load(doc))) == _text(doc)
+    assert _text(snapshot(load(json.loads(_text(doc))))) == _text(doc)
 
 
 def test_snapshot_file_round_trip(tmp_path):
@@ -222,6 +243,14 @@ def test_load_rejects_property_names_results_cannot_key(name):
     with pytest.raises(SchemaError) as exc:
         load(doc)
     assert exc.value.paths == ["$.properties[1].name"]
+
+
+def test_load_rejects_a_snapshot_without_properties():
+    doc = snapshot(_kb(violating=True))
+    doc["properties"] = []
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == ["$.properties"]
 
 
 def test_load_rejects_a_non_numeric_count():

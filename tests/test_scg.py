@@ -76,6 +76,12 @@ def test_validate_unknown_target_and_range():
     assert "probability-range" in codes
 
 
+def test_validate_reports_a_non_number_as_out_of_range():
+    # in-memory rows are not decoded: a string is out of range and has no sum
+    scg = make_scg({"s0": {"s0": 0.5, "f1": "half"}, "s1": {"s1": 1.0}}, 2)
+    assert [(v.code, v.subject) for v in validate_scg(scg)] == [("probability-range", "s0")]
+
+
 def test_validate_failure_row_and_unknown_row():
     scg = make_scg(
         {"s0": {"s0": 1.0}, "s1": {"s1": 1.0}, "f1": {"f1": 1.0}, "zz": {"zz": 1.0}},
