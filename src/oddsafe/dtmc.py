@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import ge, gt, le, lt
 from typing import TYPE_CHECKING
 
@@ -66,7 +66,7 @@ class Dtmc:
     """The compiled model of one SCG belief, shared by every start state."""
 
     states: list[str]
-    index: dict[str, int]  # state id -> row of the operator
+    index: dict[str, int]  # state id -> row of the operator (the shared StateSpace.index)
     matrix: Operator
     labels: dict[str, set[int]]  # failure label -> state indices
 
@@ -87,11 +87,11 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     otherwise CSR with int32 indices and sorted columns, never O(n^2) memory.
     A row that breaks the row rule raises the ModelError of require_valid.
     """
-    states = scg.state_ids
-    index = {sid: i for i, sid in enumerate(states)}
-    n = len(states)
+    space = scg.space
+    index = space.index
+    n = len(space.ids)
     try:
-        rows = [scg.delta[sid] for sid in scg.situation_ids]
+        rows = [scg.delta[sid] for sid in space.situation_ids]
         failures = range(len(rows), n)  # absorbing failure states
         mat = None
         # the row lengths bound the nonzeros from above, so only a dense fill
@@ -129,7 +129,7 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     if not valid:
         require_valid(scg)
         raise ModelError("invalid augmented SCG: its operator breaks the row rule")
-    return states, mat
+    return list(space.ids), mat
 
 
 def build_model(scg: AugmentedScg) -> Dtmc:
@@ -146,7 +146,7 @@ def build_model(scg: AugmentedScg) -> Dtmc:
     if structural_violations(scg):
         require_valid(scg)
     states, mat = transition_matrix(scg)
-    index = {sid: i for i, sid in enumerate(states)}
+    index = scg.space.index
     labels = {f.label: {index[f.id]} for f in scg.failures}
     return Dtmc(states=states, index=index, matrix=mat, labels=labels)
 
@@ -351,8 +351,11 @@ def score_situations(
     if not properties:
         raise ValueError("need at least one property")
     by_name = {p.name: p for p in properties}
-    situations = [s for s in scg.situation_ids if s not in scg.sunk]
-    rows = np.fromiter(map(model.index.__getitem__, situations), np.intp, len(situations))
+    ids = scg.space.situation_ids  # situation i is row i of the model
+    keep = np.ones(len(ids), bool)
+    keep[[model.index[s] for s in scg.sunk]] = False
+    situations = list(compress(ids, keep.tolist()))
+    rows = np.flatnonzero(keep)
     values = np.stack([vectors[name][rows] for name in by_name], axis=1)
     scores = np.empty_like(values)
     compliant = np.empty(values.shape, bool)

@@ -4,9 +4,10 @@ Grammar (whitespace-insensitive):
 
     P <cmp> <bound> [ F<= <k> <label> ]
 
-with <cmp> in {<, <=, >, >=}, <bound> a decimal in [0, 1], <k> a positive
-integer and <label> an identifier.  The query form `P=? [ F<=k label ] <cmp>
-<bound>` is accepted as an alias and normalised to the comparator form.
+with <cmp> in {<, <=, >, >=}, <bound> a decimal in [0, 1], <k> an integer in
+1..10000 (MAX_HORIZON) and <label> an identifier.  The query form
+`P=? [ F<=k label ] <cmp> <bound>` is accepted as an alias and normalised to
+the comparator form.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .errors import PropertyRangeError, PropertySyntaxError, SchemaError
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"\d+(?:\.\d*)?|\.\d+")
+#: the largest step bound k: a check runs k sweeps over the whole operator,
+#: so a larger k would run for minutes on a large grid
+MAX_HORIZON = 10_000
 
 
 class _Scanner:
@@ -61,13 +65,18 @@ class _Scanner:
         self.pos = m.end()
         return float(m.group())
 
-    def integer(self) -> int:
+    def step_bound(self) -> int:
+        """A step bound of at most MAX_HORIZON, whose digits are counted
+        before int() reads them."""
         self.skip_ws()
         m = re.compile(r"\d+").match(self.text, self.pos)
         if not m:
             raise PropertySyntaxError("expected step bound", self.column)
         self.pos = m.end()
-        return int(m.group())
+        digits = m.group().lstrip("0") or "0"
+        if len(digits) > len(str(MAX_HORIZON)) or int(digits) > MAX_HORIZON:
+            raise PropertyRangeError(f"step bound above the maximum {MAX_HORIZON}")
+        return int(digits)
 
     def identifier(self) -> str:
         self.skip_ws()
@@ -87,7 +96,7 @@ def _reach_block(sc: _Scanner) -> tuple[int, str]:
     sc.expect("[", "'['")
     sc.expect("F", "'F'")
     sc.expect("<=", "'<='")
-    horizon = sc.integer()
+    horizon = sc.step_bound()
     label = sc.identifier()
     sc.expect("]", "']'")
     return horizon, label

@@ -5,6 +5,11 @@ row-stochastic transition function delta over situation rows.  Failure states
 are sinks by construction and never own a delta row.  All operations here are
 pure: they return new values and never mutate their inputs, except that a
 loaded SCG hands the operator it was validated with to its first build_model.
+
+The ODD is fixed while beliefs over it are learned and repaired, so a process
+builds each grid once per attribute tuple (situation_grid) and one StateSpace
+per grid and failure ids (state_space); every SCG that holds the grid's tuple,
+through a load, `replace` or sink_situation, shares both.
 """
 
 from __future__ import annotations
@@ -12,9 +17,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 import warnings
+from collections.abc import Container
 from dataclasses import dataclass, field, replace
-from operator import countOf
+from functools import lru_cache
+from operator import attrgetter, countOf
 from typing import TYPE_CHECKING
 
 from .errors import InvalidOddError, ModelError, NotFoundError, SchemaError
@@ -26,6 +34,8 @@ if TYPE_CHECKING:
 ROW_SUM_ATOL = 1e-9
 #: rows off by up to this much are renormalised (with a warning) on load
 ROW_SUM_RENORM = 1e-6
+#: how many situation grids, and state spaces over them, a process keeps
+GRID_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,13 @@ class AugmentedScg:
         object.__setattr__(self, "sunk", frozenset(self.sunk))
 
     @property
+    def space(self) -> StateSpace:
+        """The state space shared by every SCG over these situations and failure ids."""
+        return state_space(self.situations, self.failures)
+
+    @property
     def situation_ids(self) -> list[str]:
-        return [s.id for s in self.situations]
+        return list(self.space.situation_ids)
 
     @property
     def failure_ids(self) -> list[str]:
@@ -104,26 +119,86 @@ class AugmentedScg:
     @property
     def state_ids(self) -> list[str]:
         """Situations first, then failures; the canonical state ordering."""
-        return self.situation_ids + self.failure_ids
+        return list(self.space.ids)
 
     def is_situation(self, sid: str) -> bool:
-        return any(s.id == sid for s in self.situations)
+        return _member(sid, self.space.situation_set)
 
     def is_failure(self, sid: str) -> bool:
-        return any(f.id == sid for f in self.failures)
+        return _member(sid, self.space.failure_set)
+
+
+def _member(sid, ids: frozenset) -> bool:
+    try:
+        return sid in ids
+    except TypeError:  # an unhashable id, such as a list from a trace, names no state
+        return False
+
+
+class StateSpace:
+    """The canonical states of an SCG and the lookups every layer reads.
+
+    One instance is shared by every SCG over the same situations tuple and
+    failure ids (see state_space), and by every model compiled from them, so
+    no member may be mutated.  On repeated ids the index holds the last
+    position, as a dict built from the ordering does.
+    """
+
+    def __init__(self, situations: tuple[Situation, ...], failures: tuple[FailureMode, ...]):
+        self.situation_ids = tuple(map(_ID, situations))
+        self.ids = self.situation_ids + tuple(map(_ID, failures))
+        self.index = {sid: i for i, sid in enumerate(self.ids)}  # state id -> row
+        self.situation_set = frozenset(self.situation_ids)
+        self.failure_set = frozenset(self.ids[len(situations) :])
+
+
+_ID = attrgetter("id")
+_spaces: dict[tuple, tuple[tuple[Situation, ...], StateSpace]] = {}
+_spaces_lock = threading.Lock()
+
+
+def state_space(
+    situations: tuple[Situation, ...], failures: tuple[FailureMode, ...]
+) -> StateSpace:
+    """The StateSpace of these situations and failures, found by the identity
+    of the situations tuple and the failure ids, so a hit is O(1).
+
+    Up to GRID_CACHE_SIZE spaces are kept, the oldest dropped first.  Each
+    entry holds its tuple, so the tuple's id is not reused while it is kept.
+    """
+    key = (id(situations), tuple(map(_ID, failures)))  # a description may not hash
+    entry = _spaces.get(key)  # one atomic read; only a miss takes the lock
+    if entry is None:
+        with _spaces_lock:
+            entry = _spaces.get(key)
+            if entry is None:
+                entry = _spaces[key] = (situations, StateSpace(situations, failures))
+                if len(_spaces) > GRID_CACHE_SIZE:
+                    del _spaces[next(iter(_spaces))]
+    return entry[1]
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def situation_grid(attributes: tuple[OddAttribute, ...]) -> tuple[Situation, ...]:
+    """The situation grid of an ODD, built once per attribute tuple and shared
+    by every SCG loaded over it (see enumerate_situations for its order)."""
+    _check_attributes(attributes)
+    ranges = [range(len(a.values)) for a in attributes]
+    return tuple(
+        [  # a list comprehension: faster than a generator on a 10^5 grid
+            Situation(id=f"s{i}", assignment=combo)
+            for i, combo in enumerate(itertools.product(*ranges))
+        ]
+    )
 
 
 def enumerate_situations(attributes: list[OddAttribute]) -> list[Situation]:
     """Enumerate the full situation grid in lexicographic index order.
 
-    Ids are assigned "s0", "s1", ... following that order.
+    Ids are assigned "s0", "s1", ... following that order.  The list is the
+    caller's own; the grid behind it is situation_grid's.
     """
-    _check_attributes(attributes)
-    ranges = [range(len(a.values)) for a in attributes]
-    return [
-        Situation(id=f"s{i}", assignment=combo)
-        for i, combo in enumerate(itertools.product(*ranges))
-    ]
+    return list(situation_grid(tuple(attributes)))
 
 
 def _check_attributes(attributes: list[OddAttribute]) -> None:
@@ -142,11 +217,13 @@ def _check_attributes(attributes: list[OddAttribute]) -> None:
 
 def describe_situation(scg: AugmentedScg, sid: str) -> str:
     """Render a situation as its attribute-value tuple, e.g. "(none,low,short)"."""
-    for s in scg.situations:
-        if s.id == sid:
-            labels = [a.values[v] for a, v in zip(scg.attributes, s.assignment)]
-            return "(" + ",".join(labels) + ")"
-    raise NotFoundError(f"unknown situation {sid!r}")
+    space = scg.space
+    if not _member(sid, space.situation_set):
+        raise NotFoundError(f"unknown situation {sid!r}")
+    # the first situation of that id: situations come first in the ordering
+    s = scg.situations[space.ids.index(sid)]
+    labels = [a.values[v] for a, v in zip(scg.attributes, s.assignment)]
+    return "(" + ",".join(labels) + ")"
 
 
 def validate_scg(scg: AugmentedScg) -> list[Violation]:
@@ -161,9 +238,8 @@ def structural_violations(scg: AugmentedScg) -> list[Violation]:
 
 def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
     out: list[Violation] = []
-    situation_ids = set(scg.situation_ids)
-    failure_ids = set(scg.failure_ids)
-    state_ids = situation_ids | failure_ids
+    space = scg.space
+    situation_ids, failure_ids = space.situation_set, space.failure_set
 
     if len(situation_ids) != len(scg.situations):
         out.append(Violation("duplicate-situation", "-", "duplicate situation ids"))
@@ -177,17 +253,17 @@ def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
     if len(set(labels)) != len(labels):
         out.append(Violation("duplicate-label", "-", "duplicate failure labels"))
 
-    for sid in sorted(failure_ids & set(scg.delta)):
+    for sid in sorted(f for f in failure_ids if f in scg.delta):
         out.append(
             Violation("failure-has-outgoing", sid, f"failure {sid!r} owns a delta row")
         )
-    for sid in scg.situation_ids:
+    for sid in space.situation_ids:
         row = scg.delta.get(sid)
         if row is None:
             out.append(Violation("missing-row", sid, f"situation {sid!r} has no distribution"))
             continue
         if rows:
-            out += row_violations(sid, row, state_ids)
+            out += row_violations(sid, row, space.index)
     for sid in sorted(scg.sunk):
         if sid not in situation_ids:
             out.append(Violation("unknown-sunk", sid, f"sunk id {sid!r} is not a situation"))
@@ -195,13 +271,15 @@ def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
             out.append(
                 Violation("sunk-not-self-loop", sid, f"sunk {sid!r} is not a pure self-loop")
             )
-    extra = set(scg.delta) - situation_ids - failure_ids
+    extra = scg.delta.keys() - space.index  # the index is keyed by every state id
     for sid in sorted(extra):
         out.append(Violation("unknown-row", sid, f"delta row for unknown id {sid!r}"))
     return out
 
 
-def row_violations(sid: str, row: dict[str, float], state_ids: set[str]) -> list[Violation]:
+def row_violations(
+    sid: str, row: dict[str, float], state_ids: Container[str]
+) -> list[Violation]:
     """The row rule: known targets, each probability a number in [0, 1], sum 1
     within ROW_SUM_ATOL."""
     out = []
@@ -238,7 +316,7 @@ def require_valid(scg: AugmentedScg) -> None:
 
 def require_valid_row(scg: AugmentedScg, sid: str, row: dict[str, float]) -> None:
     """Raise ModelError when `row`, a new delta row of `sid`, breaks the row rule."""
-    _raise_violations("delta row", row_violations(sid, row, set(scg.state_ids)))
+    _raise_violations("delta row", row_violations(sid, row, scg.space.index))
 
 
 def sink_situation(scg: AugmentedScg, target: str) -> AugmentedScg:
@@ -329,11 +407,11 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
             raise ModelError(f"row {sid!r} sums to {total!r}; beyond renormalisation")
         delta[sid] = row
     size = math.prod(len(a.values) for a in attributes)
-    if size > len(delta):  # some situation has no row; do not enumerate the grid
+    if size > len(delta):  # some situation has no row; do not build the grid
         raise ModelError(f"invalid augmented SCG: {size} situations, {len(delta)} delta rows")
     scg = AugmentedScg(
         attributes=attributes,
-        situations=enumerate_situations(list(attributes)),
+        situations=situation_grid(attributes),
         failures=failures,
         delta=delta,
         sunk=frozenset(sunk),

@@ -89,6 +89,23 @@ def test_malformed_property_file_is_error(fixtures, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bound", ["99999999999", "9" * 5000], ids=["11-digits", "5000-digits"])
+def test_step_bound_above_the_maximum_is_usage_error(bound, fixtures, tmp_path, capsys):
+    # 10^11 sweeps used to run for hours, and 5,000 digits exited 1 with a
+    # ValueError from int()
+    props = tmp_path / "props.json"
+    props.write_text(json.dumps([{"name": "p", "expression": f"P < 0.5 [ F<={bound} f2 ]"}]))
+    assert main(["check", str(fixtures["compliant"]), str(props)]) == 2
+    assert "step bound above the maximum" in capsys.readouterr().err
+
+
+def test_bench_horizon_above_the_maximum_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["--out", str(out), "bench", "--n", "4", "--horizon", "10001"]) == 2
+    assert "step bound above the maximum" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _edit_delta(doc, edit):
     edit(doc["delta"])
     return json.dumps(doc)

@@ -8,7 +8,12 @@ from oddsafe.errors import (
     PropertySyntaxError,
     SchemaError,
 )
-from oddsafe.proplang import format_property, parse_property, parse_properties_file
+from oddsafe.proplang import (
+    MAX_HORIZON,
+    format_property,
+    parse_property,
+    parse_properties_file,
+)
 
 
 def test_parse_comparator_form():
@@ -51,11 +56,24 @@ def test_syntax_errors_carry_columns(expr, column):
 
 @pytest.mark.parametrize(
     "expr",
-    ["P < 1.5 [ F<=10 f1 ]", "P < 0.5 [ F<=0 f1 ]"],
+    [
+        "P < 1.5 [ F<=10 f1 ]",
+        "P < 0.5 [ F<=0 f1 ]",
+        f"P < 0.5 [ F<={MAX_HORIZON + 1} f1 ]",
+        "P < 0.5 [ F<=99999999999 f2 ]",
+        # more digits than int() converts: rejected before it reads them
+        f"P < 0.5 [ F<={'9' * 5000} f1 ]",
+        f"P=? [ F<={'9' * 5000} f1 ] < 0.5",
+    ],
 )
 def test_range_errors(expr):
     with pytest.raises(PropertyRangeError):
         parse_property("p", expr)
+
+
+def test_step_bounds_up_to_the_maximum_parse():
+    assert parse_property("p", f"P < 0.5 [ F<={MAX_HORIZON} f1 ]").horizon == MAX_HORIZON
+    assert parse_property("p", f"P < 0.5 [ F<={'0' * 5000}50 f1 ]").horizon == 50
 
 
 def test_non_string_expression():

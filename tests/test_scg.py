@@ -1,13 +1,18 @@
 import json
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
 from oddsafe import scg as scg_module
+from oddsafe.dtmc import build_model
 from oddsafe.errors import InvalidOddError, ModelError, NotFoundError, SchemaError
 from oddsafe.scg import (
     AugmentedScg,
     FailureMode,
     OddAttribute,
+    Situation,
     describe_situation,
     enumerate_situations,
     load_scg,
@@ -16,6 +21,7 @@ from oddsafe.scg import (
     scg_from_dict,
     scg_to_dict,
     sink_situation,
+    structural_violations,
     validate_scg,
 )
 
@@ -172,7 +178,7 @@ def test_from_dict_rejects_a_grid_larger_than_delta_before_enumerating(monkeypat
     def enumerate_nothing(attributes):
         raise AssertionError("enumerated a grid that delta cannot cover")
 
-    monkeypatch.setattr(scg_module, "enumerate_situations", enumerate_nothing)
+    monkeypatch.setattr(scg_module, "situation_grid", enumerate_nothing)
     doc = {
         "attributes": [{"name": a, "values": list("0123456789")} for a in "abcdefghi"],
         "failures": [{"id": "f1", "label": "f1"}],
@@ -209,3 +215,100 @@ def test_save_is_stable_json(tmp_path):
     save_scg(scg, p2)
     assert p1.read_bytes() == p2.read_bytes()
     json.loads(p1.read_text())
+
+
+def _grid_doc():
+    return scg_to_dict(make_scg({"s0": {"s1": 0.5, "f1": 0.5}, "s1": {"s1": 1.0}}, 2))
+
+
+def test_loads_of_one_odd_share_its_grid_and_state_space():
+    doc = _grid_doc()
+    first, second = scg_from_dict(doc), scg_from_dict(json.loads(json.dumps(doc)))
+    assert first.situations is second.situations
+    assert first.space is second.space
+    assert build_model(first).index is build_model(second).index is first.space.index
+
+
+def test_sinking_and_replacing_keep_the_state_space():
+    loaded = scg_from_dict(_grid_doc())
+    for derived in (sink_situation(loaded, "s1"), replace(loaded, delta=dict(loaded.delta))):
+        assert derived.situations is loaded.situations
+        assert derived.space is loaded.space
+
+
+def test_a_failure_description_does_not_key_the_state_space():
+    doc = _grid_doc()
+    doc["failures"][0]["description"] = ["not", "text"]  # loads, as it always did
+    assert scg_from_dict(doc).state_ids == ["s0", "s1", "f1", "f2"]
+
+
+def test_lists_handed_out_are_the_callers_own():
+    doc = _grid_doc()
+    loaded = scg_from_dict(doc)
+    enumerate_situations(list(loaded.attributes)).clear()
+    loaded.situation_ids.append("s9")
+    loaded.state_ids.reverse()
+    again = scg_from_dict(doc)
+    assert again.situation_ids == ["s0", "s1"]
+    assert again.state_ids == ["s0", "s1", "f1", "f2"]
+    assert [s.id for s in again.situations] == ["s0", "s1"]
+
+
+def test_repeated_and_overlapping_ids_keep_their_answers():
+    # s0 is repeated, s1 is also a failure, f2 is two failures, s2 has no row
+    scg = AugmentedScg(
+        attributes=(OddAttribute("a", ("x", "y", "z", "w")),),
+        situations=(
+            Situation("s0", (0,)), Situation("s1", (1,)), Situation("s0", (2,)),
+            Situation("s2", (3,)),
+        ),
+        failures=(FailureMode("s1", "f1"), FailureMode("f2", "f2"), FailureMode("f2", "f3")),
+        delta={"s0": {"s0": 1.0}, "s1": {"f2": 1.0}, "zz": {"zz": 1.0}},
+        sunk=frozenset({"f2", "s1"}),
+    )
+    ids = ["s0", "s1", "s2", "f2", "zz", ["s0"]]
+    assert [scg.is_situation(x) for x in ids] == [True, True, True, False, False, False]
+    assert [scg.is_failure(x) for x in ids] == [False, True, False, True, False, False]
+    assert [(v.code, v.subject) for v in structural_violations(scg)] == [
+        ("duplicate-situation", "-"),
+        ("duplicate-failure", "-"),
+        ("id-overlap", "s1"),
+        ("failure-has-outgoing", "s1"),
+        ("missing-row", "s2"),
+        ("unknown-sunk", "f2"),
+        ("sunk-not-self-loop", "s1"),
+        ("unknown-row", "zz"),
+    ]
+    assert [describe_situation(scg, x) for x in ("s0", "s1", "s2")] == ["(x)", "(y)", "(w)"]
+    with pytest.raises(NotFoundError):
+        describe_situation(scg, "f2")
+
+
+def test_state_spaces_stay_right_under_concurrent_misses():
+    # more threads than entries and cores, each forcing misses and evictions
+    failures = (FailureMode("f1", "f1"),)
+    wrong = []
+
+    def look_up(offset):
+        for i in range(300):
+            situations = tuple(Situation(f"s{offset}-{i}-{j}", (j,)) for j in range(3))
+            try:
+                space = scg_module.state_space(situations, failures)
+            except Exception as exc:  # a thread's error would be lost
+                wrong.append(exc)
+                continue
+            if space.ids != tuple(s.id for s in situations) + ("f1",):
+                wrong.append((offset, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=look_up, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
