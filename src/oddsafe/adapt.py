@@ -118,18 +118,31 @@ def synthesize_safe_controller(
     Gives up (success=False) once sinking would exceed config.max_removals.
     `scg` is validated and compiled once; each sink rewrites one row of that
     model.  The outcome keeps the last ranking as its final report.
+
+    Reach vectors are kept across sinks.  After sinking `t`, only the
+    properties whose vector is non-zero at `t` are swept again, unless the
+    sink changed the operator between dense and CSR, which sum a row in
+    different orders.  The kept vectors are exact: value iteration never
+    lowers a value, so a vector that is 0.0 at `t` was 0.0 there at every
+    sweep, row `t` fed 0.0 into every other row before the sink as after it,
+    and a fresh sweep would return the same vector bit for bit.
     """
     model = build_model(scg)
-    report = score_situations(scg, model, reach_vectors(model, properties), properties)
+    vectors = reach_vectors(model, properties)
+    report = score_situations(scg, model, vectors, properties)
     initial_violations = report.violated_properties()
     worst_initial_score = report.worst_score()
     avoided: list[str] = []
     while not report.all_compliant() and len(avoided) < config.max_removals:
         target = report.worst_situation
         scg = sink_situation(scg, target)
+        kind = type(model.matrix)
         write_rows(model, scg, {target: scg.delta[target]})
         avoided.append(target)
-        report = score_situations(scg, model, reach_vectors(model, properties), properties)
+        recompiled, t = type(model.matrix) is not kind, model.index[target]
+        stale = [p for p in properties if recompiled or vectors[p.name][t] != 0.0]
+        vectors.update(reach_vectors(model, stale))
+        report = score_situations(scg, model, vectors, properties)
     return AdaptationOutcome(
         success=report.all_compliant(),
         avoided=avoided,

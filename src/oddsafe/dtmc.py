@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ModelError, NotFoundError
+from .errors import ModelError, NotFoundError, PropertyError
 from .scg import ROW_SUM_ATOL, AugmentedScg, require_valid, structural_violations
 
 if TYPE_CHECKING:
@@ -214,13 +214,24 @@ def require_labels(labels, properties: list[BoundedReachProperty]) -> None:
             raise NotFoundError(f"unknown label {prop.target_label!r}")
 
 
+def require_unique_names(properties: list[BoundedReachProperty]) -> None:
+    """Raise PropertyError at the first repeated property name: vectors and
+    results are keyed by name, so a repeat would drop a requirement."""
+    names = [p.name for p in properties]
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise PropertyError(f"property name {repeated!r} is repeated")
+
+
 def reach_vectors(
     model: Dtmc, properties: list[BoundedReachProperty]
 ) -> dict[str, np.ndarray]:
     """Property name -> reach vector of its target label at its horizon.
 
-    Values outside [0, 1] (beyond rounding) raise ModelError, never a verdict.
+    Values outside [0, 1] (beyond rounding) raise ModelError, never a verdict;
+    a repeated property name raises PropertyError.
     """
+    require_unique_names(properties)
     require_labels(model.labels, properties)
     out: dict[str, np.ndarray] = {}
     for prop in properties:

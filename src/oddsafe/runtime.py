@@ -21,7 +21,7 @@ from .adapt import (
     controller_from_outcome,
     synthesize_safe_controller,
 )
-from .dtmc import BoundedReachProperty, Dtmc, build_model, write_rows
+from .dtmc import BoundedReachProperty, Dtmc, build_model, require_unique_names, write_rows
 from .errors import SchemaError, TraceError
 from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
 from .proplang import format_property, parse_property, require_distinct_names
@@ -150,6 +150,7 @@ def new_knowledge_base(
     synthesis: SynthesisConfig | None = None,
     baseline: bool = False,
 ) -> KnowledgeBase:
+    require_unique_names(properties)
     initial = Controller(id="c0", scg=scg, avoided=tuple(sorted(scg.sunk)))
     counts = TransitionCounts(failure_ids=frozenset(scg.failure_ids))
     estimator = estimator or EstimatorConfig()

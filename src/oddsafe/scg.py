@@ -385,6 +385,11 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     names += [text for f in failures for text in (f.id, f.label)] + sunk
     if countOf(map(type, names), str) != len(names):
         raise SchemaError("names, values, ids, labels and sunk ids must be strings")
+    for i, failure in enumerate(failures):
+        if type(failure.description) is not str:  # a FailureMode must hash
+            raise SchemaError(
+                "a failure description must be a string", [f"$.failures[{i}].description"]
+            )
     _check_attributes(list(attributes))
     delta: dict[str, dict[str, float]] = {}
     for sid, row in doc["delta"].items():

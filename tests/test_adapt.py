@@ -13,7 +13,10 @@ from oddsafe.adapt import (
     synthesize_safe_controller,
 )
 from oddsafe.dtmc import BoundedReachProperty, CriticalityReport, build_model, rank_situations
-from oddsafe.errors import ModelError, NotFoundError
+from oddsafe.errors import ModelError, NotFoundError, OddsafeError, PropertyError
+from oddsafe.marsim import ScenarioConfig, generate_scenario
+from oddsafe.proplang import parse_property
+from oddsafe.runtime import new_knowledge_base
 from oddsafe.scg import scg_from_dict, scg_to_dict, sink_situation
 
 from helpers import make_scg
@@ -83,6 +86,43 @@ def test_analyze_errors():
         _analyze(make_scg({"s0": {"s0": 0.5}}, 1), "s0", [PROP])
     with pytest.raises(ModelError):
         _analyze(sink_situation(scg, "s1"), "s1", [PROP])
+
+
+def _maritime_belief():
+    _, belief = generate_scenario(ScenarioConfig(seed=7, drift_magnitude=1.0, drift_time=60))
+    return belief
+
+
+#: each entry point, as a function of the belief and properties it checks
+ENTRY_POINTS = {
+    "rank_situations": lambda scg, props: rank_situations(scg, props).all_compliant(),
+    "synthesize_safe_controller": lambda scg, props: synthesize_safe_controller(
+        scg, props, SynthesisConfig()
+    ).success,
+    "analyze": lambda scg, props: _analyze(scg, "s0", props).compliant,
+    "new_knowledge_base": lambda scg, props: _analyze(
+        scg, "s0", new_knowledge_base(scg, props).properties
+    ).compliant,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_repeated_property_name_is_rejected(entry):
+    # keyed by name, the second phi used to replace the first, and the
+    # violated requirement read compliant
+    check = ENTRY_POINTS[entry]
+    belief = _maritime_belief()
+    strict = parse_property("phi", "P < 0.0001 [F<=50 f1]")
+    assert not check(belief, [strict])
+    with pytest.raises(OddsafeError, match="'phi' is repeated"):
+        check(belief, [strict, parse_property("phi", "P < 1.0 [F<=50 f2]")])
+
+
+def test_a_knowledge_base_rejects_a_repeated_property_name_itself():
+    # not only at its first analysis
+    phi = parse_property("phi", "P < 0.5 [F<=50 f1]")
+    with pytest.raises(PropertyError):
+        new_knowledge_base(_violating_scg(), [phi, phi])
 
 
 def test_synthesis_sinks_the_trap():

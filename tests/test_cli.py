@@ -82,6 +82,15 @@ def test_missing_file_is_io_error(fixtures, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_failure_description_that_is_not_text_is_an_input_error(fixtures, tmp_path, capsys):
+    doc = json.loads(fixtures["compliant"].read_text())
+    doc["failures"][0]["description"] = ["not", "text"]
+    bad = tmp_path / "described.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), str(fixtures["properties"])]) == 2
+    assert "$.failures[0].description" in capsys.readouterr().err
+
+
 def test_malformed_property_file_is_error(fixtures, tmp_path, capsys):
     bad = tmp_path / "badprops.json"
     bad.write_text(json.dumps([{"name": "p", "expression": "P < nope"}]))

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oddsafe.dtmc import build_model
-from oddsafe.errors import ModelError, OddsafeError
+from oddsafe.errors import ModelError, OddsafeError, SchemaError
 from oddsafe.proplang import parse_properties_file
 from oddsafe.runtime import TraceEvent, load, new_knowledge_base, run, snapshot
 from oddsafe.scg import ROW_SUM_ATOL, row_violations, scg_from_dict, scg_to_dict
@@ -101,10 +101,30 @@ SCG_DOC = scg_to_dict(
 SCG_DOC["sunk"] = ["s1"]
 
 
+def _loads_hashable_failures(doc):
+    # a loaded FailureMode is a frozen dataclass: hashing it must not raise
+    hash(scg_from_dict(doc).failures)
+
+
 @FUZZ
 @given(mutants(SCG_DOC))
 def test_scg_from_dict_returns_or_raises_oddsafe_error(doc):
-    _returns_or_raises_oddsafe_error(scg_from_dict, doc)
+    _returns_or_raises_oddsafe_error(_loads_hashable_failures, doc)
+
+
+@FUZZ
+@given(st.sampled_from([0, 1]), JSON)
+def test_scg_from_dict_on_odd_descriptions(i, description):
+    doc = copy.deepcopy(SCG_DOC)
+    doc["failures"][i]["description"] = description
+    try:
+        loaded = scg_from_dict(doc)
+    except SchemaError as exc:
+        assert not isinstance(description, str)
+        assert exc.paths == [f"$.failures[{i}].description"]
+    else:
+        assert loaded.failures[i].description == description
+        hash(loaded.failures)
 
 
 @FUZZ

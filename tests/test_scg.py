@@ -237,9 +237,10 @@ def test_sinking_and_replacing_keep_the_state_space():
 
 
 def test_a_failure_description_does_not_key_the_state_space():
-    doc = _grid_doc()
-    doc["failures"][0]["description"] = ["not", "text"]  # loads, as it always did
-    assert scg_from_dict(doc).state_ids == ["s0", "s1", "f1", "f2"]
+    # an SCG built in Python checks no description; its state space still builds
+    loaded = scg_from_dict(_grid_doc())
+    failures = (FailureMode("f1", "f1", ["not", "text"]),) + loaded.failures[1:]
+    assert replace(loaded, failures=failures).state_ids == ["s0", "s1", "f1", "f2"]
 
 
 def test_lists_handed_out_are_the_callers_own():
