@@ -141,7 +141,8 @@ def synthesize_safe_controller(
         avoided.append(target)
         recompiled, t = type(model.matrix) is not kind, model.index[target]
         stale = [p for p in properties if recompiled or vectors[p.name][t] != 0.0]
-        vectors.update(reach_vectors(model, stale))
+        if stale:
+            vectors.update(reach_vectors(model, stale))
         report = score_situations(scg, model, vectors, properties)
     return AdaptationOutcome(
         success=report.all_compliant(),

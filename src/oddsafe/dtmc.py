@@ -215,8 +215,11 @@ def require_labels(labels, properties: list[BoundedReachProperty]) -> None:
 
 
 def require_unique_names(properties: list[BoundedReachProperty]) -> None:
-    """Raise PropertyError at the first repeated property name: vectors and
+    """Raise PropertyError on an empty list, which would report every
+    situation compliant, and at the first repeated property name: vectors and
     results are keyed by name, so a repeat would drop a requirement."""
+    if not properties:
+        raise PropertyError("need at least one property")
     names = [p.name for p in properties]
     if len(set(names)) < len(names):
         repeated = next(name for i, name in enumerate(names) if name in names[:i])
@@ -229,7 +232,7 @@ def reach_vectors(
     """Property name -> reach vector of its target label at its horizon.
 
     Values outside [0, 1] (beyond rounding) raise ModelError, never a verdict;
-    a repeated property name raises PropertyError.
+    an empty list or a repeated property name raises PropertyError.
     """
     require_unique_names(properties)
     require_labels(model.labels, properties)
@@ -359,8 +362,6 @@ def score_situations(
     properties: list[BoundedReachProperty],
 ) -> CriticalityReport:
     """Score every non-sunk situation from the model's reach vectors."""
-    if not properties:
-        raise ValueError("need at least one property")
     by_name = {p.name: p for p in properties}
     ids = scg.space.situation_ids  # situation i is row i of the model
     keep = np.ones(len(ids), bool)

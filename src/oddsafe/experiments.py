@@ -27,7 +27,7 @@ from .runtime import (
     new_knowledge_base,
     step,
 )
-from .scg import AugmentedScg, enumerate_situations, sink_situation, OddAttribute
+from .scg import AugmentedScg, OddAttribute, sink_situation, state_space
 
 
 def default_properties() -> list[BoundedReachProperty]:
@@ -283,21 +283,15 @@ def random_dense_scg(
         raise ValueError("need at least 2 situations")
     rng = np.random.default_rng(seed)
     attributes = (OddAttribute("bench", tuple(f"v{i}" for i in range(n_situations))),)
-    situations = tuple(enumerate_situations(list(attributes)))
-    n_states = n_situations + len(MARITIME_FAILURES)
-    state_ids = [s.id for s in situations] + [f.id for f in MARITIME_FAILURES]
-    per_row = max(1, round(density * n_states))
+    space = state_space(attributes, tuple(f.id for f in MARITIME_FAILURES))
+    state_ids = list(space.ids)
+    per_row = max(1, round(density * len(state_ids)))
     delta = {}
-    for s in situations:
+    for sid in space.situation_ids:
         targets = rng.choice(state_ids, size=per_row, replace=False).tolist()
         probs = rng.dirichlet(np.ones(per_row))
-        delta[s.id] = {t: float(p) for t, p in zip(targets, probs) if p > 0.0}
-    return AugmentedScg(
-        attributes=attributes,
-        situations=situations,
-        failures=MARITIME_FAILURES,
-        delta=delta,
-    )
+        delta[sid] = {t: float(p) for t, p in zip(targets, probs) if p > 0.0}
+    return AugmentedScg(attributes, MARITIME_FAILURES, delta)
 
 
 def run_bench(

@@ -124,12 +124,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GroundTruth, AugmentedScg
     total = config.episodes * config.episode_length
     samples_per_row = max(100, total // len(situations))
     belief_rows = _estimate_belief_rows(rng, rows, samples_per_row)
-    belief = AugmentedScg(
-        attributes=MARITIME_ATTRIBUTES,
-        situations=tuple(situations),
-        failures=MARITIME_FAILURES,
-        delta=belief_rows,
-    )
+    belief = AugmentedScg(MARITIME_ATTRIBUTES, MARITIME_FAILURES, belief_rows)
     return truth, belief
 
 

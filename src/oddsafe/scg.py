@@ -6,10 +6,11 @@ are sinks by construction and never own a delta row.  All operations here are
 pure: they return new values and never mutate their inputs, except that a
 loaded SCG hands the operator it was validated with to its first build_model.
 
-The ODD is fixed while beliefs over it are learned and repaired, so a process
-builds each grid once per attribute tuple (situation_grid) and one StateSpace
-per grid and failure ids (state_space); every SCG that holds the grid's tuple,
-through a load, `replace` or sink_situation, shares both.
+The situations of an SCG are the full grid of its ODD's attributes, with ids
+"s0".."s{n-1}" in enumeration order; adaptation sinks situations but never adds
+or renames one.  So a process builds one StateSpace per (attributes, failure
+ids) value (state_space), shared by every SCG over them however it was made,
+and the Situation objects of a grid (situation_grid) only when they are read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 import warnings
 from collections.abc import Container
 from dataclasses import dataclass, field, replace
@@ -80,10 +80,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class AugmentedScg:
-    """Situations plus failures with a sparse row-stochastic transition map.
+    """An ODD's situation grid plus failures with a sparse row-stochastic
+    transition map.
 
-    `delta` maps each situation id to a sparse distribution over situation and
-    failure ids (absent entries mean probability zero).  `sunk` holds the
+    The situations are the grid of `attributes` (see situation_grid), and
+    `space` (see state_space) their states followed by the failures'; both
+    are derived by value, not passed, and `replace` derives them again.
+    `delta` maps each situation id to a sparse distribution over situation
+    and failure ids (absent entries mean probability zero).  `sunk` holds the
     situation ids currently modelled as absorbing self-loops.  `compiled` is
     the model scg_from_dict validated the SCG by compiling; the first
     build_model takes it, and every other constructor (`replace` included)
@@ -91,22 +95,24 @@ class AugmentedScg:
     """
 
     attributes: tuple[OddAttribute, ...]
-    situations: tuple[Situation, ...]
     failures: tuple[FailureMode, ...]
     delta: dict[str, dict[str, float]]
     sunk: frozenset[str] = field(default_factory=frozenset)
     compiled: Dtmc | None = field(default=None, init=False, compare=False, repr=False)
+    space: StateSpace = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "situations", tuple(self.situations))
         object.__setattr__(self, "failures", tuple(self.failures))
         object.__setattr__(self, "sunk", frozenset(self.sunk))
+        # failure ids, not FailureModes: a description need not hash
+        space = state_space(self.attributes, tuple(map(_ID, self.failures)))
+        object.__setattr__(self, "space", space)
 
     @property
-    def space(self) -> StateSpace:
-        """The state space shared by every SCG over these situations and failure ids."""
-        return state_space(self.situations, self.failures)
+    def situations(self) -> tuple[Situation, ...]:
+        """The situation grid of the ODD, built at its first read."""
+        return situation_grid(self.attributes)
 
     @property
     def situation_ids(self) -> list[str]:
@@ -138,50 +144,37 @@ def _member(sid, ids: frozenset) -> bool:
 class StateSpace:
     """The canonical states of an SCG and the lookups every layer reads.
 
-    One instance is shared by every SCG over the same situations tuple and
-    failure ids (see state_space), and by every model compiled from them, so
-    no member may be mutated.  On repeated ids the index holds the last
-    position, as a dict built from the ordering does.
+    One instance is shared by every SCG over the same attributes and failure
+    ids (see state_space), and by every model compiled from them, so no member
+    may be mutated.  On an id that names both a situation and a failure the
+    index holds the failure's position, as a dict built from the ordering does.
     """
 
-    def __init__(self, situations: tuple[Situation, ...], failures: tuple[FailureMode, ...]):
-        self.situation_ids = tuple(map(_ID, situations))
-        self.ids = self.situation_ids + tuple(map(_ID, failures))
+    def __init__(self, size: int, failure_ids: tuple[str, ...]):
+        self.situation_ids = tuple([f"s{i}" for i in range(size)])
+        self.ids = self.situation_ids + failure_ids
         self.index = {sid: i for i, sid in enumerate(self.ids)}  # state id -> row
         self.situation_set = frozenset(self.situation_ids)
-        self.failure_set = frozenset(self.ids[len(situations) :])
+        self.failure_set = frozenset(failure_ids)
 
 
 _ID = attrgetter("id")
-_spaces: dict[tuple, tuple[tuple[Situation, ...], StateSpace]] = {}
-_spaces_lock = threading.Lock()
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
 def state_space(
-    situations: tuple[Situation, ...], failures: tuple[FailureMode, ...]
+    attributes: tuple[OddAttribute, ...], failure_ids: tuple[str, ...]
 ) -> StateSpace:
-    """The StateSpace of these situations and failures, found by the identity
-    of the situations tuple and the failure ids, so a hit is O(1).
-
-    Up to GRID_CACHE_SIZE spaces are kept, the oldest dropped first.  Each
-    entry holds its tuple, so the tuple's id is not reused while it is kept.
-    """
-    key = (id(situations), tuple(map(_ID, failures)))  # a description may not hash
-    entry = _spaces.get(key)  # one atomic read; only a miss takes the lock
-    if entry is None:
-        with _spaces_lock:
-            entry = _spaces.get(key)
-            if entry is None:
-                entry = _spaces[key] = (situations, StateSpace(situations, failures))
-                if len(_spaces) > GRID_CACHE_SIZE:
-                    del _spaces[next(iter(_spaces))]
-    return entry[1]
+    """The StateSpace of an ODD's situation grid and these failure ids, built
+    once per value; InvalidOddError unless the attributes span a grid."""
+    _check_attributes(attributes)
+    return StateSpace(math.prod(len(a.values) for a in attributes), failure_ids)
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
 def situation_grid(attributes: tuple[OddAttribute, ...]) -> tuple[Situation, ...]:
     """The situation grid of an ODD, built once per attribute tuple and shared
-    by every SCG loaded over it (see enumerate_situations for its order)."""
+    by every SCG over it (see enumerate_situations for its order)."""
     _check_attributes(attributes)
     ranges = [range(len(a.values)) for a in attributes]
     return tuple(
@@ -220,8 +213,7 @@ def describe_situation(scg: AugmentedScg, sid: str) -> str:
     space = scg.space
     if not _member(sid, space.situation_set):
         raise NotFoundError(f"unknown situation {sid!r}")
-    # the first situation of that id: situations come first in the ordering
-    s = scg.situations[space.ids.index(sid)]
+    s = scg.situations[space.situation_ids.index(sid)]
     labels = [a.values[v] for a, v in zip(scg.attributes, s.assignment)]
     return "(" + ",".join(labels) + ")"
 
@@ -241,8 +233,6 @@ def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
     space = scg.space
     situation_ids, failure_ids = space.situation_set, space.failure_set
 
-    if len(situation_ids) != len(scg.situations):
-        out.append(Violation("duplicate-situation", "-", "duplicate situation ids"))
     if len(failure_ids) != len(scg.failures):
         out.append(Violation("duplicate-failure", "-", "duplicate failure ids"))
     overlap = situation_ids & failure_ids
@@ -414,13 +404,7 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     size = math.prod(len(a.values) for a in attributes)
     if size > len(delta):  # some situation has no row; do not build the grid
         raise ModelError(f"invalid augmented SCG: {size} situations, {len(delta)} delta rows")
-    scg = AugmentedScg(
-        attributes=attributes,
-        situations=situation_grid(attributes),
-        failures=failures,
-        delta=delta,
-        sunk=frozenset(sunk),
-    )
+    scg = AugmentedScg(attributes, failures, delta, frozenset(sunk))
     from .dtmc import build_model  # deferred: dtmc imports this module
 
     object.__setattr__(scg, "compiled", build_model(scg))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from oddsafe.scg import AugmentedScg, FailureMode, OddAttribute, enumerate_situations
+from oddsafe.scg import AugmentedScg, FailureMode, OddAttribute
 
 
 def reach_by_paths(
@@ -64,10 +64,8 @@ def make_scg(
 ) -> AugmentedScg:
     """SCG over s0..s{n-1} (single synthetic attribute) with given rows."""
     attributes = (OddAttribute("attr", tuple(f"v{i}" for i in range(n_situations))),)
-    situations = tuple(enumerate_situations(list(attributes)))
     return AugmentedScg(
         attributes=attributes,
-        situations=situations,
         failures=tuple(FailureMode(f, f) for f in failures),
         delta=delta,
         sunk=sunk,

@@ -118,6 +118,13 @@ def test_a_repeated_property_name_is_rejected(entry):
         check(belief, [strict, parse_property("phi", "P < 1.0 [F<=50 f2]")])
 
 
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_an_empty_property_list_is_rejected(entry):
+    # with nothing to check, every situation used to read compliant
+    with pytest.raises(PropertyError, match="at least one property"):
+        ENTRY_POINTS[entry](_violating_scg(), [])
+
+
 def test_a_knowledge_base_rejects_a_repeated_property_name_itself():
     # not only at its first analysis
     phi = parse_property("phi", "P < 0.5 [F<=50 f1]")

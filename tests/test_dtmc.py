@@ -24,7 +24,7 @@ from oddsafe.dtmc import (
     transition_matrix,
     write_rows,
 )
-from oddsafe.errors import ModelError, NotFoundError
+from oddsafe.errors import ModelError, NotFoundError, PropertyError
 from oddsafe.experiments import random_dense_scg
 from oddsafe.scg import (
     AugmentedScg,
@@ -315,7 +315,7 @@ def test_rank_situations_matches_per_situation_models():
 
 def test_rank_situations_requires_properties():
     scg = make_scg({"s0": {"s0": 1.0}}, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PropertyError, match="at least one property"):
         rank_situations(scg, [])
 
 
@@ -507,7 +507,7 @@ def test_write_rows_gives_the_operator_a_fresh_compile_gives(n_rows, width, befo
     rows = _spread_rows([f"s{i}" for i in range(n_rows)], width)
     rows["s0"] = {"s0": 0.5, "f1": 0.5, "f2": 0.0}  # a zero entry is no transition
     updated = AugmentedScg(
-        scg.attributes, scg.situations, scg.failures, {**scg.delta, **rows}
+        scg.attributes, scg.failures, {**scg.delta, **rows}
     )
     write_rows(model, updated, rows)
     fresh = build_model(updated)
@@ -522,7 +522,7 @@ def test_write_rows_gives_the_operator_a_fresh_compile_gives(n_rows, width, befo
 
 def _with_rows(scg, rows):
     return AugmentedScg(
-        scg.attributes, scg.situations, scg.failures, {**scg.delta, **rows}, scg.sunk
+        scg.attributes, scg.failures, {**scg.delta, **rows}, scg.sunk
     )
 
 

@@ -44,6 +44,11 @@ def test_random_dense_scg_shape():
         random_dense_scg(1)
 
 
+def test_benchmark_scgs_of_one_size_share_one_state_space():
+    # each one used to build its own from a fresh situations tuple
+    assert random_dense_scg(10, seed=0).space is random_dense_scg(10, seed=1).space
+
+
 def test_run_bench_records():
     rows = run_bench([4, 8], horizon=10)
     assert [r["n"] for r in rows] == [4, 8]

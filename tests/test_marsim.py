@@ -52,6 +52,13 @@ def test_belief_is_a_valid_scg():
     assert validate_scg(belief) == []
 
 
+def test_generated_beliefs_share_one_state_space():
+    # each scenario used to build its own from a fresh situations tuple
+    _, first = generate_scenario(ScenarioConfig(seed=2))
+    _, second = generate_scenario(ScenarioConfig(seed=3))
+    assert first.space is second.space
+
+
 def test_drift_schedule_only_when_drifting():
     truth, _ = generate_scenario(ScenarioConfig(seed=0))
     assert truth.drift_schedule == []

@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 
 from oddsafe import scg as scg_module
-from oddsafe.dtmc import build_model
+from oddsafe.adapt import SynthesisConfig, synthesize_safe_controller
+from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
 from oddsafe.errors import InvalidOddError, ModelError, NotFoundError, SchemaError
 from oddsafe.scg import (
     AugmentedScg,
     FailureMode,
     OddAttribute,
-    Situation,
     describe_situation,
     enumerate_situations,
     load_scg,
@@ -37,18 +37,27 @@ def test_enumeration_is_lexicographic():
     ]
 
 
-@pytest.mark.parametrize(
-    "attrs",
-    [
-        [],
-        [OddAttribute("a", ("x",)), OddAttribute("a", ("y",))],
-        [OddAttribute("a", ())],
-        [OddAttribute("a", ("x", "x"))],
-    ],
-)
+BAD_ODDS = [
+    [],
+    [OddAttribute("a", ("x",)), OddAttribute("a", ("y",))],
+    [OddAttribute("a", ())],
+    [OddAttribute("a", ("x", "x"))],
+]
+
+
+@pytest.mark.parametrize("attrs", BAD_ODDS)
 def test_enumeration_rejects_bad_odds(attrs):
     with pytest.raises(InvalidOddError):
         enumerate_situations(attrs)
+
+
+@pytest.mark.parametrize("attrs", BAD_ODDS)
+def test_an_scg_over_a_bad_odd_cannot_be_built(attrs):
+    # no attribute at all would otherwise make a one-situation grid
+    with pytest.raises(InvalidOddError):
+        AugmentedScg(attrs, (FailureMode("f1", "f1"),), {"s0": {"f1": 1.0}})
+    with pytest.raises(InvalidOddError):
+        replace(make_scg({"s0": {"f1": 1.0}}, 1), attributes=attrs)
 
 
 def test_describe_situation():
@@ -110,11 +119,8 @@ def test_validate_sunk_invariants():
 
 
 def test_validate_id_overlap():
-    attrs = (OddAttribute("attr", ("v0",)),)
-    situations = tuple(enumerate_situations(list(attrs)))
     scg = AugmentedScg(
-        attributes=attrs,
-        situations=situations,
+        attributes=(OddAttribute("attr", ("v0",)),),
         failures=(FailureMode("s0", "s0"),),
         delta={"s0": {"s0": 1.0}},
     )
@@ -174,11 +180,12 @@ def test_from_dict_rejects_badly_off_rows():
 
 
 def test_from_dict_rejects_a_grid_larger_than_delta_before_enumerating(monkeypatch):
-    # 10^9 situations from under 1 KB: the grid must never be built
-    def enumerate_nothing(attributes):
-        raise AssertionError("enumerated a grid that delta cannot cover")
+    # 10^9 situations from under 1 KB: neither the grid nor its states may be built
+    def build_nothing(*args):
+        raise AssertionError("built a grid that delta cannot cover")
 
-    monkeypatch.setattr(scg_module, "situation_grid", enumerate_nothing)
+    monkeypatch.setattr(scg_module, "situation_grid", build_nothing)
+    monkeypatch.setattr(scg_module, "state_space", build_nothing)
     doc = {
         "attributes": [{"name": a, "values": list("0123456789")} for a in "abcdefghi"],
         "failures": [{"id": "f1", "label": "f1"}],
@@ -243,6 +250,19 @@ def test_a_failure_description_does_not_key_the_state_space():
     assert replace(loaded, failures=failures).state_ids == ["s0", "s1", "f1", "f2"]
 
 
+def test_loading_ranking_and_repairing_build_no_situation():
+    # an ODD no other test uses, so its grid is not cached yet
+    doc = _grid_doc()
+    doc["attributes"] = [{"name": "never-enumerated", "values": ["v0", "v1"]}]
+    prop = BoundedReachProperty("phi", "f1", 50, "<", 0.1)
+    before = scg_module.situation_grid.cache_info()
+    loaded = scg_from_dict(doc)
+    assert not rank_situations(loaded, [prop]).all_compliant()
+    assert synthesize_safe_controller(loaded, [prop], SynthesisConfig()).avoided == ["s0"]
+    assert scg_module.situation_grid.cache_info() == before
+    assert [s.assignment for s in loaded.situations] == [(0,), (1,)]
+
+
 def test_lists_handed_out_are_the_callers_own():
     doc = _grid_doc()
     loaded = scg_from_dict(doc)
@@ -256,13 +276,9 @@ def test_lists_handed_out_are_the_callers_own():
 
 
 def test_repeated_and_overlapping_ids_keep_their_answers():
-    # s0 is repeated, s1 is also a failure, f2 is two failures, s2 has no row
+    # s1 is also a failure, f2 is two failures, s2 has no row
     scg = AugmentedScg(
-        attributes=(OddAttribute("a", ("x", "y", "z", "w")),),
-        situations=(
-            Situation("s0", (0,)), Situation("s1", (1,)), Situation("s0", (2,)),
-            Situation("s2", (3,)),
-        ),
+        attributes=(OddAttribute("a", ("x", "y", "z")),),
         failures=(FailureMode("s1", "f1"), FailureMode("f2", "f2"), FailureMode("f2", "f3")),
         delta={"s0": {"s0": 1.0}, "s1": {"f2": 1.0}, "zz": {"zz": 1.0}},
         sunk=frozenset({"f2", "s1"}),
@@ -271,7 +287,6 @@ def test_repeated_and_overlapping_ids_keep_their_answers():
     assert [scg.is_situation(x) for x in ids] == [True, True, True, False, False, False]
     assert [scg.is_failure(x) for x in ids] == [False, True, False, True, False, False]
     assert [(v.code, v.subject) for v in structural_violations(scg)] == [
-        ("duplicate-situation", "-"),
         ("duplicate-failure", "-"),
         ("id-overlap", "s1"),
         ("failure-has-outgoing", "s1"),
@@ -280,25 +295,25 @@ def test_repeated_and_overlapping_ids_keep_their_answers():
         ("sunk-not-self-loop", "s1"),
         ("unknown-row", "zz"),
     ]
-    assert [describe_situation(scg, x) for x in ("s0", "s1", "s2")] == ["(x)", "(y)", "(w)"]
+    assert [describe_situation(scg, x) for x in ("s0", "s1", "s2")] == ["(x)", "(y)", "(z)"]
     with pytest.raises(NotFoundError):
         describe_situation(scg, "f2")
 
 
 def test_state_spaces_stay_right_under_concurrent_misses():
     # more threads than entries and cores, each forcing misses and evictions
-    failures = (FailureMode("f1", "f1"),)
     wrong = []
 
     def look_up(offset):
         for i in range(300):
-            situations = tuple(Situation(f"s{offset}-{i}-{j}", (j,)) for j in range(3))
+            size, failure_ids = 1 + i % 5, (f"f{offset}-{i}",)
+            attributes = (OddAttribute(f"a{offset}-{i}", tuple(map(str, range(size)))),)
             try:
-                space = scg_module.state_space(situations, failures)
+                space = scg_module.state_space(attributes, failure_ids)
             except Exception as exc:  # a thread's error would be lost
                 wrong.append(exc)
                 continue
-            if space.ids != tuple(s.id for s in situations) + ("f1",):
+            if space.ids != tuple(f"s{j}" for j in range(size)) + failure_ids:
                 wrong.append((offset, i))
 
     interval = sys.getswitchinterval()

@@ -23,11 +23,15 @@ def test_library_guards_are_not_asserts():
     assert asserts == []
 
 
+def _add_checkout_to_path():
+    if str(CHECKOUT) not in sys.path:
+        sys.path.insert(0, str(CHECKOUT))
+
+
 def test_every_function_the_benchmark_traces_exists():
     # perfbench/layers.py looks each one up with getattr(..., None), so a
     # renamed function would silently drop its per-layer counters
-    if str(CHECKOUT) not in sys.path:
-        sys.path.insert(0, str(CHECKOUT))
+    _add_checkout_to_path()
     from perfbench import layers
 
     missing = [
@@ -40,3 +44,24 @@ def test_every_function_the_benchmark_traces_exists():
     if not hasattr(importlib.import_module("oddsafe.dtmc"), "SPARSE_DENSITY_CUTOFF"):
         missing.append("oddsafe.dtmc.SPARSE_DENSITY_CUTOFF")
     assert missing == []
+
+
+def test_the_monitor_oracle_reads_what_the_library_ranks():
+    # the benchmark checks every switched controller with evaluate_scg; a
+    # field it reads going away would show only as failed benchmark ops
+    _add_checkout_to_path()
+    from perfbench.oracle import evaluate_scg, props_from
+    from perfbench.workloads import PROPERTIES_DOC, dense_report_matches
+
+    from oddsafe.dtmc import rank_situations
+    from oddsafe.marsim import ScenarioConfig, generate_scenario
+    from oddsafe.proplang import parse_properties_file
+    from oddsafe.scg import sink_situation
+
+    properties = parse_properties_file(PROPERTIES_DOC)
+    _, belief = generate_scenario(ScenarioConfig(seed=7))
+    sunk = sink_situation(belief, rank_situations(belief, properties).worst_situation)
+    for scg in (belief, sunk):
+        report = rank_situations(scg, properties)
+        assert dense_report_matches(report, evaluate_scg(scg, props_from(properties)))
+    assert len(report.records) == len(belief.situation_ids) - 1
