@@ -12,7 +12,7 @@ import pytest
 
 from oddsafe.cli import main
 from oddsafe.experiments import random_dense_scg
-from oddsafe.scg import scg_to_dict
+from oddsafe.scg import scg_to_dict, sink_situation
 
 from helpers import grid_doc
 
@@ -38,11 +38,29 @@ CHECK_PROPERTIES = [
 ]
 
 
-#: name -> (document, exit code, MD5 of the `check --format json --out` file,
-#: MD5 of its stdout in --format table, MD5 of its stdout in --format json)
+#: property names are the only text of a report a user writes (situation ids
+#: are always s0, s1, ...), so these exercise the writer's escaping
+NAMED_PROPERTIES = [
+    {"name": "φ1 «évite» \"f1\" \\ \u2028", "expression": "P < 0.6 [ F<=20 f1 ]"},
+    {"name": "ψ2", "expression": "P <= 0.5 [ F<=20 f2 ]"},
+]
+
+
+def _sunk_doc(n: int, sunk: int) -> dict:
+    """A sparse random SCG with its first `sunk` situations sunk."""
+    scg = random_dense_scg(n, density=0.2, seed=11)
+    for sid in scg.situation_ids[:sunk]:
+        scg = sink_situation(scg, sid)
+    return scg_to_dict(scg)
+
+
+#: name -> (document, properties, exit code, MD5 of the `check --format json
+#: --out` file, MD5 of its stdout in --format table, MD5 of its stdout in
+#: --format json)
 CHECK_GOLDEN = {
     "dense-640": (
         lambda: scg_to_dict(random_dense_scg(640, density=1.0, seed=2083679832)),
+        CHECK_PROPERTIES,
         0,
         "ec1adabe17f1451aedf003552dd6b5b0",
         "d8f28cf0dd28d089bfb866667a47f9b4",
@@ -50,10 +68,27 @@ CHECK_GOLDEN = {
     ),
     "grid-4096": (
         grid_doc,
+        CHECK_PROPERTIES,
         1,
         "7710fdf22c4cfae9107cb5b595c33bf5",
         "039bbcb9c30660b38eb938e69d431d72",
         "7710fdf22c4cfae9107cb5b595c33bf5",
+    ),
+    "non-ascii-names": (
+        lambda: _sunk_doc(30, 3),
+        NAMED_PROPERTIES,
+        1,
+        "af4f6aff004026113561747270995970",
+        "fe1feb0bc9b89c9f491efc8a3702bfd2",
+        "af4f6aff004026113561747270995970",
+    ),
+    "all-sunk": (
+        lambda: _sunk_doc(6, 6),
+        CHECK_PROPERTIES,
+        0,
+        "87593ff2bb00d0240d2e81135ba33f3a",
+        "8d2a8af1f06eeec2102e1770acf6f65b",
+        "87593ff2bb00d0240d2e81135ba33f3a",
     ),
 }
 
@@ -64,10 +99,10 @@ def _md5(text: str) -> str:
 
 @pytest.mark.parametrize("name", CHECK_GOLDEN)
 def test_check_reports_match_golden_digests(name, tmp_path, capsys):
-    make_doc, code, digest, table_digest, json_digest = CHECK_GOLDEN[name]
+    make_doc, properties, code, digest, table_digest, json_digest = CHECK_GOLDEN[name]
     scg, props, out = tmp_path / "scg.json", tmp_path / "props.json", tmp_path / "report.json"
     scg.write_text(json.dumps(make_doc()))
-    props.write_text(json.dumps(CHECK_PROPERTIES))
+    props.write_text(json.dumps(properties))
     assert main(["--format", "json", "--out", str(out), "check", str(scg), str(props)]) == code
     assert hashlib.md5(out.read_bytes()).hexdigest() == digest
     assert _md5(capsys.readouterr().out) == json_digest
