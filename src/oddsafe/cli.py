@@ -11,7 +11,8 @@ import csv
 import dataclasses
 import json
 import sys
-from itertools import chain
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import experiments
@@ -71,27 +72,91 @@ def _load_config(cls, args):
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
 
-def _write_json(doc, streams) -> None:
-    """Encode `doc` once, writing each piece to every stream as it is made, so
-    the whole text is never held in memory."""
-    for chunk in chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), "\n"):
+#: how many situations one written chunk of a report holds
+CHUNK_ROWS = 4096
+
+
+def _chunks(template: str, rows, separator: str):
+    """`template % row` for each row, joined by `separator`, a few thousand
+    rows per string: the whole text is never held in memory."""
+    rows, prefix = iter(rows), ""
+    while batch := list(islice(rows, CHUNK_ROWS)):
+        yield prefix + separator.join(map(template.__mod__, batch))
+        prefix = separator
+
+
+def _report_json(report):
+    """The text json.dump(report.to_dict(), indent=2, sort_keys=True) writes,
+    formatted straight from the report's arrays, in chunks.
+
+    Keys are encoded as json encodes them and numbers with float.__repr__, as
+    json does for every finite float; reach_vectors lets no other value
+    through.
+    """
+    situations = report.situations
+    rows = sorted(range(len(situations)), key=situations.__getitem__)  # sort_keys order
+    columns = sorted(range(len(report.names)), key=report.names.__getitem__)
+    ids = list(map(encode_basestring_ascii, map(situations.__getitem__, rows)))
+    record = ",\n".join(
+        # a name is text of the template: its % signs are doubled
+        "      %s: {\n" % encode_basestring_ascii(report.names[j]).replace("%", "%%")
+        + '        "compliant": %s,\n        "score": %s,\n        "value": %s\n      }'
+        for j in columns
+    )
+    cells = [ids]
+    for j in columns:
+        cells.append(map(("false", "true").__getitem__, report.compliant[rows, j].tolist()))
+        cells.append(map(float.__repr__, report.scores[rows, j].tolist()))
+        cells.append(map(float.__repr__, report.values[rows, j].tolist()))
+    yield '{\n  "records": '
+    if rows:
+        yield "{\n"
+        yield from _chunks("    %s: {\n" + record + "\n    }", zip(*cells), ",\n")
+        yield "\n  }"
+    else:
+        yield "{}"
+    yield ',\n  "worst_scores": '
+    if rows:
+        yield "{\n"
+        worst = map(float.__repr__, report.worst[rows].tolist())
+        yield from _chunks("    %s: %s", zip(ids, worst), ",\n")
+        yield "\n  }"
+    else:
+        yield "{}"
+    worst_situation = report.worst_situation
+    name = "null" if worst_situation is None else encode_basestring_ascii(worst_situation)
+    yield f',\n  "worst_situation": {name}\n}}\n'
+
+
+def _write_report(report, streams) -> None:
+    """Write the report's JSON text to every stream, chunk by chunk."""
+    for chunk in _report_json(report):
         for stream in streams:
             stream.write(chunk)
 
 
 def _print_table(report) -> None:
-    prop_names = sorted({n for props in report.records.values() for n in props})
-    header = ["situation"] + [f"{n} value/score" for n in prop_names] + ["worst"]
-    print("  ".join(f"{h:>18}" for h in header))
-    for sid in sorted(report.records, key=lambda s: (len(s), s)):
-        cells = [sid]
-        for name in prop_names:
-            r = report.records[sid][name]
-            mark = "" if r.compliant else " !"
-            cells.append(f"{r.value:.5f}/{r.score:+.5f}{mark}")
-        cells.append(f"{report.worst_scores[sid]:+.5f}")
-        print("  ".join(f"{c:>18}" for c in cells))
-    print(f"worst situation: {report.worst_situation}")
+    """One line per situation, in situation order, which is the (length, id)
+    order of ids s0, s1, ...; property columns in name order."""
+    names = report.names if report.situations else []  # no record names a property
+    columns = sorted(range(len(names)), key=names.__getitem__)
+    header = ["situation"] + [f"{names[j]} value/score" for j in columns] + ["worst"]
+    line = "  ".join(["%18s"] * len(header))
+    out = sys.stdout
+    out.write(line % tuple(header) + "\n")
+    cells = [report.situations]
+    for j in columns:
+        marks = map((" !", "").__getitem__, report.compliant[:, j].tolist())
+        cells.append(
+            map(
+                "%.5f/%+.5f%s".__mod__,
+                zip(report.values[:, j].tolist(), report.scores[:, j].tolist(), marks),
+            )
+        )
+    cells.append(map("%+.5f".__mod__, report.worst.tolist()))
+    for chunk in _chunks(line + "\n", zip(*cells), ""):
+        out.write(chunk)
+    out.write(f"worst situation: {report.worst_situation}\n")
 
 
 def cmd_check(args) -> int:
@@ -103,14 +168,15 @@ def cmd_check(args) -> int:
         _print_table(report)
     if args.out:
         with open(args.out, "w") as fh:
-            _write_json(report.to_dict(), stdout + [fh])
+            _write_report(report, stdout + [fh])
     elif stdout:
-        _write_json(report.to_dict(), stdout)
+        _write_report(report, stdout)
     if args.situation:
-        if args.situation not in report.records:
-            raise OddsafeError(f"no record for situation {args.situation!r}")
-        results = report.records[args.situation]
-        return 0 if all(r.compliant for r in results.values()) else 1
+        try:
+            row = report.situations.index(args.situation)
+        except ValueError:
+            raise OddsafeError(f"no record for situation {args.situation!r}") from None
+        return 0 if report.compliant[row].all() else 1
     return 0 if report.all_compliant() else 1
 
 
@@ -280,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OddsafeError as exc:

@@ -86,12 +86,18 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     Dense when more than SPARSE_DENSITY_CUTOFF of its entries are nonzero,
     otherwise CSR with int32 indices and sorted columns, never O(n^2) memory.
     A row that breaks the row rule raises the ModelError of require_valid.
+    Each part of that rule is checked here as the operator is filled: a row
+    lookup finds a missing row and a column lookup an unknown target, the
+    filled values' minimum and maximum the range, and each row's sum the
+    tolerance.  A CSR fill of floats checks the sums in one vectorised pass
+    (_sums_ok); a dense fill, and a CSR fill holding any other value, sum
+    each row in Python.
     """
     space = scg.space
     index = space.index
     n = len(space.ids)
     try:
-        rows = [scg.delta[sid] for sid in space.situation_ids]
+        rows = list(map(scg.delta.__getitem__, space.situation_ids))
         failures = range(len(rows), n)  # absorbing failure states
         mat = None
         # the row lengths bound the nonzeros from above, so only a dense fill
@@ -106,23 +112,29 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
         if mat is None:
             import scipy.sparse as sp  # deferred: dense-only runs never pay for it
 
-            lengths = [len(row) for row in rows] + [1] * len(failures)
-            nnz = sum(lengths)  # filled straight from the rows, no per-entry list
+            lengths = np.fromiter(chain(map(len, rows), repeat(1, len(failures))), np.int64, n)
+            indptr = np.cumsum(np.insert(lengths, 0, 0))
+            nnz = int(indptr[-1])  # filled straight from the rows, no per-entry list
             cols = chain(map(index.__getitem__, chain.from_iterable(rows)), failures)
-            vals = chain(
-                chain.from_iterable(row.values() for row in rows), repeat(1.0, len(failures))
-            )
-            csr = (
-                np.fromiter(vals, np.float64, nnz),
-                np.fromiter(cols, np.int32, nnz),
-                np.cumsum([0] + lengths),
-            )
+
+            def filled(check):
+                vals = chain.from_iterable(map(dict.values, rows))
+                vals = chain(map(check, vals) if check else vals, repeat(1.0, len(failures)))
+                return np.fromiter(vals, np.float64, nnz)
+
+            try:  # float.conjugate passes a float and raises on any other value
+                data = filled(float.conjugate)
+            except TypeError:  # an int or a bool, or text np.fromiter would parse
+                data, sums = filled(None), _rows_sum_to_one(rows)
+            else:
+                sums = _sums_ok(rows, indptr[: len(rows) + 1], data)  # before sorting reorders data
+            csr = (data, np.fromiter(cols, np.int32, nnz), indptr)
             mat = sp.csr_matrix(csr, shape=(n, n))
             mat.sort_indices()  # delta rows are unordered
             mat.eliminate_zeros()  # a zero probability in delta is no transition
+        else:
+            sums = _rows_sum_to_one(rows)
         values = mat if isinstance(mat, np.ndarray) else mat.data
-        # row_violations' sum, which a NaN fails before min and max see it
-        sums = all(abs(sum(row.values()) - 1.0) <= ROW_SUM_ATOL for row in rows)
         valid = sums and 0.0 <= values.min() and values.max() <= 1.0
     except (KeyError, TypeError, ValueError):  # a missing row, unknown target or non-number
         valid = False
@@ -130,6 +142,36 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
         require_valid(scg)
         raise ModelError("invalid augmented SCG: its operator breaks the row rule")
     return list(space.ids), mat
+
+
+def _rows_sum_to_one(rows: list[dict]) -> bool:
+    """row_violations' sum rule, row by row, which a NaN fails before the
+    range check's min and max see it."""
+    return all(abs(sum(row.values()) - 1.0) <= ROW_SUM_ATOL for row in rows)
+
+
+def _sums_ok(rows: list[dict], indptr: np.ndarray, data: np.ndarray) -> bool:
+    """Whether every row, all of whose values are floats (numpy's float64
+    too), sums to 1 within ROW_SUM_ATOL by row_violations' Python sum; row
+    i's values are data[indptr[i]:indptr[i + 1]], in order.
+
+    One np.add.reduceat pass gives the totals.  Its order of additions is not
+    sum's (left to right up to Python 3.11, compensated from 3.12), but either
+    total errs by at most (length - 1) * eps / 2 times the sum of the values'
+    magnitudes, about 1 for a row near the tolerance with its values in
+    [0, 1]; so only a row whose total lies within (length + 1) * eps of the
+    tolerance is summed again with sum.  A value outside [0, 1] fails the
+    range rule whatever its row's sum.
+    """
+    lengths = np.diff(indptr)
+    if not lengths.all():  # an empty row sums to 0; reduceat would not say so
+        return False
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN total fails below
+        off = np.abs(np.add.reduceat(data[: indptr[-1]], indptr[:-1]) - 1.0)
+    near = np.abs(off - ROW_SUM_ATOL) <= (lengths + 1) * np.finfo(float).eps
+    for i in np.flatnonzero(near).tolist():
+        off[i] = abs(sum(rows[i].values()) - 1.0)
+    return bool((off <= ROW_SUM_ATOL).all())
 
 
 def build_model(scg: AugmentedScg) -> Dtmc:

@@ -411,18 +411,22 @@ def load_snapshot(path) -> KnowledgeBase:
 
 
 def read_trace(path) -> list[TraceEvent]:
-    """Read a JSON-lines trace file."""
+    """Read a JSON-lines trace file; a line that does not decode, or is no
+    JSON, is a SchemaError."""
     events = []
     with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{number}: invalid JSON: {exc}") from exc
-            events.append(TraceEvent.from_dict(doc))
+        try:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{number}: invalid JSON: {exc}") from exc
+                events.append(TraceEvent.from_dict(doc))
+        except UnicodeDecodeError as exc:  # raised by reading the next line
+            raise SchemaError(f"{path}: not text: {exc}") from exc
     return events
 
 

@@ -243,25 +243,29 @@ def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
     if len(set(labels)) != len(labels):
         out.append(Violation("duplicate-label", "-", "duplicate failure labels"))
 
-    for sid in sorted(f for f in failure_ids if f in scg.delta):
+    delta = scg.delta
+    for sid in sorted(f for f in failure_ids if f in delta):
         out.append(
             Violation("failure-has-outgoing", sid, f"failure {sid!r} owns a delta row")
         )
-    for sid in space.situation_ids:
-        row = scg.delta.get(sid)
-        if row is None:
-            out.append(Violation("missing-row", sid, f"situation {sid!r} has no distribution"))
-            continue
-        if rows:
-            out += row_violations(sid, row, space.index)
+    # rows keyed by exactly the situations, as usual, are neither missing nor
+    # unknown: one C-level comparison instead of walking every id twice
+    exact = delta.keys() == situation_ids
+    if rows or not exact:
+        for sid in space.situation_ids:
+            row = delta.get(sid)
+            if row is None:
+                out.append(Violation("missing-row", sid, f"situation {sid!r} has no distribution"))
+            elif rows:
+                out += row_violations(sid, row, space.index)
     for sid in sorted(scg.sunk):
         if sid not in situation_ids:
             out.append(Violation("unknown-sunk", sid, f"sunk id {sid!r} is not a situation"))
-        elif scg.delta.get(sid) != {sid: 1.0}:
+        elif delta.get(sid) != {sid: 1.0}:
             out.append(
                 Violation("sunk-not-self-loop", sid, f"sunk {sid!r} is not a pure self-loop")
             )
-    extra = scg.delta.keys() - space.index  # the index is keyed by every state id
+    extra = () if exact else delta.keys() - space.index  # the index has every state id
     for sid in sorted(extra):
         out.append(Violation("unknown-row", sid, f"delta row for unknown id {sid!r}"))
     return out
@@ -350,6 +354,13 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     anything worse raises ModelError.  A document of the wrong shape raises
     SchemaError naming the offending path.  The SCG is validated by compiling
     it, and keeps the model for its first build_model.
+
+    A document whose probabilities are all floats, with a row for every
+    situation, has its rows copied as they are: the compile then checks the
+    row rule (transition_matrix) and the rest (structural_violations).  Any
+    other document, and one that compile rejects, goes through _decode_rows,
+    which converts the values, renormalises or rejects each row by its sum
+    and names the first defect.
     """
     if not isinstance(doc, dict):
         raise SchemaError("SCG document must be a JSON object", ["$"])
@@ -381,8 +392,35 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
                 "a failure description must be a string", [f"$.failures[{i}].description"]
             )
     _check_attributes(list(attributes))
+    size = math.prod(len(a.values) for a in attributes)
+    rows = doc["delta"]
+    if size <= len(rows) and _all_floats(rows.values()):
+        delta = dict(zip(rows, map(dict, rows.values())))
+        try:
+            return _compiled(AugmentedScg(attributes, failures, delta, frozenset(sunk)))
+        except ModelError:
+            pass  # the row loop finds the defect and names it
+    delta = _decode_rows(rows)
+    if size > len(delta):  # some situation has no row; do not build the grid
+        raise ModelError(f"invalid augmented SCG: {size} situations, {len(delta)} delta rows")
+    return _compiled(AugmentedScg(attributes, failures, delta, frozenset(sunk)))
+
+
+def _all_floats(rows) -> bool:
+    """Whether every row is a dict whose values are all floats, in one pass."""
+    try:
+        floats = countOf(map(type, itertools.chain.from_iterable(map(dict.values, rows))), float)
+    except TypeError:  # a row that is no JSON object
+        return False
+    return floats == sum(map(len, rows))
+
+
+def _decode_rows(rows: dict) -> dict[str, dict[str, float]]:
+    """The rows of a document, one by one: values converted to floats, rows
+    off 1 by at most ROW_SUM_RENORM renormalised with a warning, and the first
+    row of the wrong shape or beyond renormalisation an error."""
     delta: dict[str, dict[str, float]] = {}
-    for sid, row in doc["delta"].items():
+    for sid, row in rows.items():
         try:
             items = row.items()  # a row that is no JSON object fails here
             if countOf(map(type, row.values()), float) == len(row):
@@ -396,15 +434,17 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
         total = sum(row.values())
         off = abs(total - 1.0)
         if ROW_SUM_ATOL < off <= ROW_SUM_RENORM:
-            warnings.warn(f"renormalising row {sid!r} (sum {total!r})", stacklevel=2)
+            # the caller of scg_from_dict, two frames up
+            warnings.warn(f"renormalising row {sid!r} (sum {total!r})", stacklevel=3)
             row = {t: p / total for t, p in row.items()}
         elif off > ROW_SUM_RENORM:
             raise ModelError(f"row {sid!r} sums to {total!r}; beyond renormalisation")
         delta[sid] = row
-    size = math.prod(len(a.values) for a in attributes)
-    if size > len(delta):  # some situation has no row; do not build the grid
-        raise ModelError(f"invalid augmented SCG: {size} situations, {len(delta)} delta rows")
-    scg = AugmentedScg(attributes, failures, delta, frozenset(sunk))
+    return delta
+
+
+def _compiled(scg: AugmentedScg) -> AugmentedScg:
+    """`scg` holding the model build_model validated it by."""
     from .dtmc import build_model  # deferred: dtmc imports this module
 
     object.__setattr__(scg, "compiled", build_model(scg))
@@ -418,12 +458,15 @@ def save_scg(scg: AugmentedScg, path) -> None:
 
 
 def read_json(path):
-    """The JSON document in the file at `path`; invalid JSON is a SchemaError."""
+    """The JSON document in the file at `path`; text that does not decode, or
+    is no JSON, is a SchemaError."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not text: {exc}") from exc
 
 
 def load_scg(path) -> AugmentedScg:

@@ -8,9 +8,22 @@ value iteration, so it stays independent of the checker it validates.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import warnings
+from operator import countOf
 
-from oddsafe.scg import AugmentedScg, FailureMode, OddAttribute
+from oddsafe.dtmc import build_model
+from oddsafe.errors import ModelError, SchemaError
+from oddsafe.scg import (
+    ROW_SUM_ATOL,
+    ROW_SUM_RENORM,
+    AugmentedScg,
+    FailureMode,
+    OddAttribute,
+    _check_attributes,
+    require_valid,
+)
 
 
 def reach_by_paths(
@@ -113,3 +126,66 @@ def grid_doc(side: int = 8, dims: int = 4) -> dict:
         "failures": [{"id": f, "label": f} for f in ("f1", "f2")],
         "delta": delta,
     }
+
+
+def reference_scg_from_dict(doc: dict) -> AugmentedScg:
+    """scg_from_dict as it was before its float fast path: every row decoded,
+    summed, renormalised or rejected one by one, then validate_scg's verdict
+    and the compiled model.  Loaders are compared against it."""
+    if not isinstance(doc, dict):
+        raise SchemaError("SCG document must be a JSON object", ["$"])
+    missing = [k for k in ("attributes", "failures", "delta") if k not in doc]
+    if missing:
+        raise SchemaError("SCG document missing keys", [f"$.{k}" for k in missing])
+    try:
+        attributes = tuple(
+            OddAttribute(a["name"], tuple(a["values"])) for a in doc["attributes"]
+        )
+        failures = tuple(
+            FailureMode(f["id"], f["label"], f.get("description", ""))
+            for f in doc["failures"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed attribute/failure entry: {exc}") from exc
+    if not isinstance(doc["delta"], dict):
+        raise SchemaError("delta must map situation ids to rows", ["$.delta"])
+    sunk = doc.get("sunk", [])
+    if not isinstance(sunk, list):
+        raise SchemaError("sunk must be a list of situation ids", ["$.sunk"])
+    names = [a.name for a in attributes] + [v for a in attributes for v in a.values]
+    names += [text for f in failures for text in (f.id, f.label)] + sunk
+    if countOf(map(type, names), str) != len(names):
+        raise SchemaError("names, values, ids, labels and sunk ids must be strings")
+    for i, failure in enumerate(failures):
+        if type(failure.description) is not str:
+            raise SchemaError(
+                "a failure description must be a string", [f"$.failures[{i}].description"]
+            )
+    _check_attributes(list(attributes))
+    delta: dict[str, dict[str, float]] = {}
+    for sid, row in doc["delta"].items():
+        try:
+            items = row.items()
+            if countOf(map(type, row.values()), float) == len(row):
+                row = dict(row)
+            else:
+                row = {t: float(p) for t, p in items}
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(
+                f"a delta row must map ids to numbers: {exc}", [f"$.delta.{sid}"]
+            ) from exc
+        total = sum(row.values())
+        off = abs(total - 1.0)
+        if ROW_SUM_ATOL < off <= ROW_SUM_RENORM:
+            warnings.warn(f"renormalising row {sid!r} (sum {total!r})", stacklevel=2)
+            row = {t: p / total for t, p in row.items()}
+        elif off > ROW_SUM_RENORM:
+            raise ModelError(f"row {sid!r} sums to {total!r}; beyond renormalisation")
+        delta[sid] = row
+    size = math.prod(len(a.values) for a in attributes)
+    if size > len(delta):
+        raise ModelError(f"invalid augmented SCG: {size} situations, {len(delta)} delta rows")
+    scg = AugmentedScg(attributes, failures, delta, frozenset(sunk))
+    require_valid(scg)  # row_violations' verdict, independent of the compile's
+    object.__setattr__(scg, "compiled", build_model(scg))
+    return scg

@@ -82,6 +82,24 @@ def test_missing_file_is_io_error(fixtures, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+@pytest.mark.parametrize("argument", ["scg", "properties", "config"])
+def test_an_unreadable_input_path_is_an_input_error(argument, bad, fixtures, tmp_path, capsys):
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe[\x00]\x00")  # UTF-16 with a byte-order mark
+    argv = {
+        "scg": ["check", str(path), str(fixtures["properties"])],
+        "properties": ["check", str(fixtures["compliant"]), str(path)],
+        "config": ["--out", str(tmp_path / "out"), "experiment-rq1", str(path)],
+    }[argument]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_failure_description_that_is_not_text_is_an_input_error(fixtures, tmp_path, capsys):
     doc = json.loads(fixtures["compliant"].read_text())
     doc["failures"][0]["description"] = ["not", "text"]

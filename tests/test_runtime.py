@@ -77,6 +77,9 @@ def test_malformed_trace_input_is_schema_error(tmp_path):
     path.write_text('{"t": 0, "kind": "episode_reset"}\n{"t": 1,\n')
     with pytest.raises(SchemaError, match=":2: invalid JSON"):
         read_trace(path)
+    path.write_bytes(b'{"t": 0, "kind": "episode_reset"}\n\xff\xfe{}\n')
+    with pytest.raises(SchemaError, match="not text"):
+        read_trace(path)
 
 
 def test_step_rejects_out_of_order_events():
