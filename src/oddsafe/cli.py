@@ -85,6 +85,19 @@ def _chunks(template: str, rows, separator: str):
         prefix = separator
 
 
+def _members(template: str, rows):
+    """A JSON object nested one level deep in json's indent=2 layout, one
+    `template % row` member per row; `{}` when there is none."""
+    chunks = _chunks(template, rows, ",\n")
+    first = next(chunks, None)
+    if first is None:
+        yield "{}"
+        return
+    yield "{\n" + first
+    yield from chunks
+    yield "\n  }"
+
+
 def _report_json(report):
     """The text json.dump(report.to_dict(), indent=2, sort_keys=True) writes,
     formatted straight from the report's arrays, in chunks.
@@ -109,20 +122,9 @@ def _report_json(report):
         cells.append(map(float.__repr__, report.scores[rows, j].tolist()))
         cells.append(map(float.__repr__, report.values[rows, j].tolist()))
     yield '{\n  "records": '
-    if rows:
-        yield "{\n"
-        yield from _chunks("    %s: {\n" + record + "\n    }", zip(*cells), ",\n")
-        yield "\n  }"
-    else:
-        yield "{}"
+    yield from _members("    %s: {\n" + record + "\n    }", zip(*cells))
     yield ',\n  "worst_scores": '
-    if rows:
-        yield "{\n"
-        worst = map(float.__repr__, report.worst[rows].tolist())
-        yield from _chunks("    %s: %s", zip(ids, worst), ",\n")
-        yield "\n  }"
-    else:
-        yield "{}"
+    yield from _members("    %s: %s", zip(ids, map(float.__repr__, report.worst[rows].tolist())))
     worst_situation = report.worst_situation
     name = "null" if worst_situation is None else encode_basestring_ascii(worst_situation)
     yield f',\n  "worst_situation": {name}\n}}\n'
