@@ -80,18 +80,18 @@ def _fill_dense_row(mat: np.ndarray, i: int, row: dict[str, float], index) -> No
     mat[i, cols] = np.fromiter(row.values(), np.float64, len(row))
 
 
-def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
+def transition_matrix(scg: AugmentedScg, _document: bool = False) -> tuple[list[str], Operator]:
     """The operator over situations-then-failures ordering, filled from delta.
 
-    Dense when more than SPARSE_DENSITY_CUTOFF of its entries are nonzero,
-    otherwise CSR with int32 indices and sorted columns, never O(n^2) memory.
-    A row that breaks the row rule raises the ModelError of require_valid.
-    Each part of that rule is checked here as the operator is filled: a row
-    lookup finds a missing row and a column lookup an unknown target, the
-    filled values' minimum and maximum the range, and each row's sum the
-    tolerance.  A CSR fill of floats checks the sums in one vectorised pass
-    (_sums_ok); a dense fill, and a CSR fill holding any other value, sum
-    each row in Python.
+    One flat fill, each row read once, gives row offsets, int32 columns and
+    float64 values; their nonzeros pick the operator: dense, a scatter into
+    np.zeros, above SPARSE_DENSITY_CUTOFF, otherwise CSR with int32 indices
+    and sorted columns, never O(n^2) memory.  A row that breaks the row rule
+    raises the ModelError of require_valid.  The fill checks each part of it:
+    a row lookup finds a missing row, a column lookup an unknown target, the
+    values' minimum and maximum the range, and _sums_ok the sums in one
+    vectorised pass.  Only an SCG holding a value other than a float sums each
+    row in Python; for scg_from_dict (`_document`) that is a defect too.
     """
     space = scg.space
     index = space.index
@@ -99,49 +99,47 @@ def transition_matrix(scg: AugmentedScg) -> tuple[list[str], Operator]:
     try:
         rows = list(map(scg.delta.__getitem__, space.situation_ids))
         failures = range(len(rows), n)  # absorbing failure states
-        mat = None
-        # the row lengths bound the nonzeros from above, so only a dense fill
-        # can find, counting its explicit zeros out, that it belongs in CSR
-        if _is_dense(len(failures) + sum(map(len, rows)), n):
-            mat = np.zeros((n, n))
-            for i, row in enumerate(rows):
-                _fill_dense_row(mat, i, row, index)
-            mat[failures, failures] = 1.0
-            if not _is_dense(int(np.count_nonzero(mat)), n):
-                mat = None
-        if mat is None:
-            import scipy.sparse as sp  # deferred: dense-only runs never pay for it
+        lengths = np.fromiter(chain(map(len, rows), repeat(1, len(failures))), np.int64, n)
+        indptr = np.cumsum(np.insert(lengths, 0, 0))
+        nnz = int(indptr[-1])  # filled straight from the rows, no per-entry list
+        cols = map(index.__getitem__, chain.from_iterable(rows))
+        cols = np.fromiter(chain(cols, failures), np.int32, nnz)
 
-            lengths = np.fromiter(chain(map(len, rows), repeat(1, len(failures))), np.int64, n)
-            indptr = np.cumsum(np.insert(lengths, 0, 0))
-            nnz = int(indptr[-1])  # filled straight from the rows, no per-entry list
-            cols = chain(map(index.__getitem__, chain.from_iterable(rows)), failures)
+        def filled(check):
+            vals = chain.from_iterable(map(dict.values, rows))
+            vals = chain(map(check, vals) if check else vals, repeat(1.0, len(failures)))
+            return np.fromiter(vals, np.float64, nnz)
 
-            def filled(check):
-                vals = chain.from_iterable(map(dict.values, rows))
-                vals = chain(map(check, vals) if check else vals, repeat(1.0, len(failures)))
-                return np.fromiter(vals, np.float64, nnz)
-
-            try:  # float.conjugate passes a float and raises on any other value
-                data = filled(float.conjugate)
-            except TypeError:  # an int or a bool, or text np.fromiter would parse
-                data, sums = filled(None), _rows_sum_to_one(rows)
-            else:
-                sums = _sums_ok(rows, indptr[: len(rows) + 1], data)  # before sorting reorders data
-            csr = (data, np.fromiter(cols, np.int32, nnz), indptr)
-            mat = sp.csr_matrix(csr, shape=(n, n))
-            mat.sort_indices()  # delta rows are unordered
-            mat.eliminate_zeros()  # a zero probability in delta is no transition
+        try:  # float.conjugate passes a float and raises on any other value
+            data = filled(float.conjugate)
+        except TypeError:  # an int or a bool, or text np.fromiter would parse
+            if _document:
+                raise
+            data, sums = filled(None), _rows_sum_to_one(rows)
         else:
-            sums = _rows_sum_to_one(rows)
-        values = mat if isinstance(mat, np.ndarray) else mat.data
-        valid = sums and 0.0 <= values.min() and values.max() <= 1.0
+            sums = _sums_ok(rows, indptr[: len(rows) + 1], data)
+        valid = sums and 0.0 <= data.min() and data.max() <= 1.0
     except (KeyError, TypeError, ValueError):  # a missing row, unknown target or non-number
         valid = False
     if not valid:
-        require_valid(scg)
-        raise ModelError("invalid augmented SCG: its operator breaks the row rule")
+        _reject(scg, _document)
+    if _is_dense(int(np.count_nonzero(data)), n):  # explicit zeros count out
+        mat = np.zeros((n, n))  # a delta row names each of its targets once
+        mat[np.repeat(np.arange(n, dtype=np.int32), lengths), cols] = data
+    else:
+        import scipy.sparse as sp  # deferred: dense-only runs never pay for it
+
+        mat = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+        mat.sort_indices()  # delta rows are unordered
+        mat.eliminate_zeros()  # a zero probability in delta is no transition
     return list(space.ids), mat
+
+
+def _reject(scg: AugmentedScg, document: bool) -> None:
+    """Raise require_valid's ModelError; a document's row loop names its own."""
+    if not document:
+        require_valid(scg)
+    raise ModelError("invalid augmented SCG: its operator breaks the row rule")
 
 
 def _rows_sum_to_one(rows: list[dict]) -> bool:
@@ -174,9 +172,10 @@ def _sums_ok(rows: list[dict], indptr: np.ndarray, data: np.ndarray) -> bool:
     return bool((off <= ROW_SUM_ATOL).all())
 
 
-def build_model(scg: AugmentedScg) -> Dtmc:
+def build_model(scg: AugmentedScg, _document: bool = False) -> Dtmc:
     """Validate the SCG and compile it into the model every check runs on; the
     row rule is checked by transition_matrix as it fills the rows.
+    `_document` is scg_from_dict's: see transition_matrix.
 
     A loaded SCG hands over the model scg_from_dict compiled, once: the
     caller owns it, and write_rows may change it in place.
@@ -186,8 +185,8 @@ def build_model(scg: AugmentedScg) -> Dtmc:
         object.__setattr__(scg, "compiled", None)
         return model
     if structural_violations(scg):
-        require_valid(scg)
-    states, mat = transition_matrix(scg)
+        _reject(scg, _document)
+    states, mat = transition_matrix(scg, _document)
     index = scg.space.index
     labels = {f.label: {index[f.id]} for f in scg.failures}
     return Dtmc(states=states, index=index, matrix=mat, labels=labels)

@@ -18,7 +18,9 @@ from .dtmc import BoundedReachProperty
 from .errors import PropertyRangeError, PropertySyntaxError, SchemaError
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"\d+(?:\.\d*)?|\.\d+")
+#: ASCII digits: \d would read any Unicode digit, and format_property write it back
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")
 #: the largest step bound k: a check runs k sweeps over the whole operator,
 #: so a larger k would run for minutes on a large grid
 MAX_HORIZON = 10_000
@@ -69,7 +71,7 @@ class _Scanner:
         """A step bound of at most MAX_HORIZON, whose digits are counted
         before int() reads them."""
         self.skip_ws()
-        m = re.compile(r"\d+").match(self.text, self.pos)
+        m = _DIGITS.match(self.text, self.pos)
         if not m:
             raise PropertySyntaxError("expected step bound", self.column)
         self.pos = m.end()

@@ -355,12 +355,13 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     SchemaError naming the offending path.  The SCG is validated by compiling
     it, and keeps the model for its first build_model.
 
-    A document whose probabilities are all floats, with a row for every
-    situation, has its rows copied as they are: the compile then checks the
-    row rule (transition_matrix) and the rest (structural_violations).  Any
-    other document, and one that compile rejects, goes through _decode_rows,
-    which converts the values, renormalises or rejects each row by its sum
-    and names the first defect.
+    A document with a row for every situation is compiled first as it is,
+    its rows taken, not copied: the compile's float fill checks every value's
+    type and the row rule (transition_matrix), structural_violations the
+    rest.  So the caller must not mutate the document after loading it.  A
+    document holding any value other than a float, and one the compile
+    rejects, goes through _decode_rows, which converts the values,
+    renormalises or rejects each row by its sum and names the first defect.
     """
     if not isinstance(doc, dict):
         raise SchemaError("SCG document must be a JSON object", ["$"])
@@ -368,9 +369,7 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     if missing:
         raise SchemaError("SCG document missing keys", [f"$.{k}" for k in missing])
     try:
-        attributes = tuple(
-            OddAttribute(a["name"], tuple(a["values"])) for a in doc["attributes"]
-        )
+        attributes = tuple(itertools.starmap(_attribute, enumerate(doc["attributes"])))
         failures = tuple(
             FailureMode(f["id"], f["label"], f.get("description", ""))
             for f in doc["failures"]
@@ -394,10 +393,9 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     _check_attributes(list(attributes))
     size = math.prod(len(a.values) for a in attributes)
     rows = doc["delta"]
-    if size <= len(rows) and _all_floats(rows.values()):
-        delta = dict(zip(rows, map(dict, rows.values())))
+    if size <= len(rows):
         try:
-            return _compiled(AugmentedScg(attributes, failures, delta, frozenset(sunk)))
+            return _compiled(AugmentedScg(attributes, failures, dict(rows), frozenset(sunk)), True)
         except ModelError:
             pass  # the row loop finds the defect and names it
     delta = _decode_rows(rows)
@@ -406,13 +404,11 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     return _compiled(AugmentedScg(attributes, failures, delta, frozenset(sunk)))
 
 
-def _all_floats(rows) -> bool:
-    """Whether every row is a dict whose values are all floats, in one pass."""
-    try:
-        floats = countOf(map(type, itertools.chain.from_iterable(map(dict.values, rows))), float)
-    except TypeError:  # a row that is no JSON object
-        return False
-    return floats == sum(map(len, rows))
+def _attribute(i: int, entry: dict) -> OddAttribute:
+    name, values = entry["name"], entry["values"]
+    if not isinstance(values, list):  # tuple() would split a string into values
+        raise SchemaError("attribute values must be a JSON array", [f"$.attributes[{i}].values"])
+    return OddAttribute(name, tuple(values))
 
 
 def _decode_rows(rows: dict) -> dict[str, dict[str, float]]:
@@ -443,11 +439,12 @@ def _decode_rows(rows: dict) -> dict[str, dict[str, float]]:
     return delta
 
 
-def _compiled(scg: AugmentedScg) -> AugmentedScg:
-    """`scg` holding the model build_model validated it by."""
+def _compiled(scg: AugmentedScg, document: bool = False) -> AugmentedScg:
+    """`scg` holding the model build_model validated it by; for `document`
+    see transition_matrix."""
     from .dtmc import build_model  # deferred: dtmc imports this module
 
-    object.__setattr__(scg, "compiled", build_model(scg))
+    object.__setattr__(scg, "compiled", build_model(scg, document))
     return scg
 
 

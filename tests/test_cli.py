@@ -109,6 +109,17 @@ def test_a_failure_description_that_is_not_text_is_an_input_error(fixtures, tmp_
     assert "$.failures[0].description" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["xy", {"x": 0, "y": 1}, 2], ids=["text", "object", "number"])
+def test_attribute_values_that_are_no_array_are_an_input_error(values, fixtures, capsys):
+    # tuple() used to split "xy" into the values x and y, and check gave a verdict
+    path = fixtures["compliant"]
+    doc = json.loads(path.read_text())
+    doc["attributes"][0]["values"] = values
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), str(fixtures["properties"])]) == 2
+    assert "$.attributes[0].values" in capsys.readouterr().err
+
+
 def test_malformed_property_file_is_error(fixtures, tmp_path, capsys):
     bad = tmp_path / "badprops.json"
     bad.write_text(json.dumps([{"name": "p", "expression": "P < nope"}]))
@@ -124,6 +135,19 @@ def test_step_bound_above_the_maximum_is_usage_error(bound, fixtures, tmp_path, 
     props.write_text(json.dumps([{"name": "p", "expression": f"P < 0.5 [ F<={bound} f2 ]"}]))
     assert main(["check", str(fixtures["compliant"]), str(props)]) == 2
     assert "step bound above the maximum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["P < 0.5 [ F<=\u0665 f1 ]", "P < \u0660.5 [ F<=50 f1 ]"],
+    ids=["arabic-indic-horizon", "arabic-indic-bound"],
+)
+def test_a_non_ascii_digit_is_usage_error(expression, fixtures, tmp_path, capsys):
+    # \d read the Arabic-Indic five as the horizon 5, and check gave a verdict
+    props = tmp_path / "props.json"
+    props.write_text(json.dumps([{"name": "p", "expression": expression}]))
+    assert main(["check", str(fixtures["violating"]), str(props)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bench_horizon_above_the_maximum_is_usage_error(tmp_path, capsys):

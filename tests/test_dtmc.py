@@ -37,6 +37,8 @@ from oddsafe.scg import (
 
 from helpers import grid_doc, make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
 
+CHECKOUT = Path(__file__).resolve().parents[1]
+
 
 def test_transition_matrix_layout():
     scg = make_scg({"s0": {"s1": 0.5, "f1": 0.5}, "s1": {"s1": 1.0}}, 2)
@@ -167,6 +169,85 @@ def test_csr_arrays_equal_an_independent_build(make_doc):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     lengths = sum(map(len, scg.delta.values())) + len(scg.failures)
     assert (mat.nnz < lengths) == (make_doc is _grid_with_zeros)
+
+
+def _dense_reference(scg):
+    """The dense operator of `scg` built independently of transition_matrix:
+    np.zeros, then each situation's row filled entry by entry."""
+    index = {sid: i for i, sid in enumerate(scg.state_ids)}
+    ref = np.zeros((len(index), len(index)))
+    for sid in scg.situation_ids:
+        for target, p in scg.delta[sid].items():
+            ref[index[sid], index[target]] = p
+    for fid in scg.failure_ids:
+        ref[index[fid], index[fid]] = 1.0
+    return ref
+
+
+def _check_dense_doc():
+    # the first document of the check-dense benchmark workload at seed 7
+    if str(CHECKOUT) not in sys.path:
+        sys.path.insert(0, str(CHECKOUT))
+    from perfbench import gen, workloads
+
+    return gen.dense_doc(workloads.SCALES["full"].dense_n, 7, 0)
+
+
+def _dense_with_zeros():
+    # every third row moves its f1 mass to its first target and keeps f1 as
+    # an explicit 0.0 or -0.0
+    doc = scg_to_dict(random_dense_scg(40, seed=11))
+    for k, row in enumerate(doc["delta"].values()):
+        if k % 3 == 0:
+            first = next(t for t in row if t != "f1")
+            row[first] += row["f1"]
+            row["f1"] = -0.0 if k % 2 else 0.0
+    return doc
+
+
+def _cutoff_doc(nonzeros: int, zeros: int = 0) -> dict:
+    """18 situations and 2 failures, so 100 of the 400 entries sit at
+    SPARSE_DENSITY_CUTOFF: `nonzeros` situation entries, and explicit zeros
+    (0.0, -0.0, ...) for f1 in the first `zeros` rows."""
+    m = 18
+    widths = [nonzeros // m + (i < nonzeros % m) for i in range(m)]
+    delta = {}
+    for i, width in enumerate(widths):
+        delta[f"s{i}"] = {f"s{(i + k) % m}": 1.0 / width for k in range(width)}
+        if i < zeros:
+            delta[f"s{i}"]["f1"] = -0.0 if i % 2 else 0.0
+    return scg_to_dict(make_scg(delta, m))
+
+
+@pytest.mark.parametrize(
+    "make_doc",
+    [_check_dense_doc, _dense_with_zeros, lambda: _cutoff_doc(99)],
+    ids=["check-dense", "zeros", "one-above-cutoff"],
+)
+def test_dense_operator_equals_an_independent_build(make_doc):
+    scg = scg_from_dict(make_doc())
+    _, mat = transition_matrix(scg)
+    ref = _dense_reference(scg)
+    assert isinstance(mat, np.ndarray) and mat.dtype == ref.dtype == np.float64
+    assert np.array_equal(mat, ref)
+    assert np.array_equal(np.signbit(mat), np.signbit(ref))  # -0.0 stays -0.0, bit for bit
+
+
+@pytest.mark.parametrize(
+    "nonzeros, zeros",
+    [(98, 0), (97, 0), (97, 2)],
+    ids=["at-cutoff", "one-below-cutoff", "lengths-dense-nonzeros-csr"],
+)
+def test_an_operator_at_or_below_the_cutoff_is_csr(nonzeros, zeros):
+    scg = scg_from_dict(_cutoff_doc(nonzeros, zeros))
+    lengths = sum(map(len, scg.delta.values())) + len(scg.failures)
+    assert dtmc._is_dense(lengths, 20) == (zeros > 0)  # the row lengths alone say dense
+    _, mat = transition_matrix(scg)
+    ref = _coo_reference(scg)
+    assert isinstance(mat, sp.csr_matrix) and mat.nnz == nonzeros + 2
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(mat, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def _counted(calls, name, fn):

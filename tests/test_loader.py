@@ -1,7 +1,7 @@
 """scg_from_dict's float fast path against the row loop it replaces.
 
-A document whose values are all floats is copied and checked by its compile;
-any other goes through the row loop.  Either way the loader must give what
+A document whose values are all floats has its rows taken as they are and
+checked by its compile; any other goes through the row loop.  Either way the loader must give what
 the row loop alone gave: the same delta (value types included), the same
 operator bit for bit, the same warnings and the same errors.
 """
@@ -22,11 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oddsafe import dtmc
+from oddsafe import dtmc, proplang, runtime
 from oddsafe import scg as scg_module
-from oddsafe.dtmc import build_model
-from oddsafe.errors import ModelError
-from oddsafe.experiments import random_dense_scg
+from oddsafe.adapt import SynthesisConfig, synthesize_safe_controller
+from oddsafe.dtmc import build_model, rank_situations
+from oddsafe.errors import ModelError, SchemaError
+from oddsafe.experiments import default_properties, random_dense_scg
+from oddsafe.learn import EstimatorConfig
+from oddsafe.marsim import ScenarioConfig, generate_scenario, simulate
+from oddsafe.runtime import new_knowledge_base
 from oddsafe.scg import (
     ROW_SUM_ATOL,
     load_scg,
@@ -34,6 +38,7 @@ from oddsafe.scg import (
     save_scg,
     scg_from_dict,
     scg_to_dict,
+    sink_situation,
 )
 
 from helpers import make_scg, reference_scg_from_dict
@@ -42,7 +47,7 @@ CHECKOUT = Path(__file__).resolve().parents[1]
 if str(CHECKOUT) not in sys.path:
     sys.path.insert(0, str(CHECKOUT))
 
-from perfbench import gen  # noqa: E402
+from perfbench import gen, workloads  # noqa: E402
 
 #: how some rows of a document write their probabilities: as values the row
 #: loop converts ("0.25", an int, a bool) or rejects (null), or with an
@@ -288,3 +293,123 @@ def test_benchmark_and_saved_documents_take_the_float_path(monkeypatch, tmp_path
         (load_scg, path),
     ):
         assert load(doc).compiled is not None
+
+
+#: a float document of three situations, and one row of it written otherwise
+BASE = {
+    "attributes": [{"name": "a", "values": ["v0", "v1", "v2"]}],
+    "failures": [{"id": "f1", "label": "f1"}, {"id": "f2", "label": "f2"}],
+    "delta": {"s0": {"s0": 0.5, "f1": 0.5}, "s1": {"s1": 0.75, "s2": 0.25}, "s2": {"s2": 1.0}},
+}
+
+
+def _with_s1(row) -> dict:
+    return {**BASE, "delta": {**BASE["delta"], "s1": row}}
+
+
+#: each document, and what loading it gave before the compile checked the
+#: value types: s1's row as (target, type, value), its warnings, or the error
+ROW_LOOP_OUTCOMES = {
+    "int": (_with_s1({"s1": 1, "s2": 0}), [("s1", float, 1.0), ("s2", float, 0.0)], []),
+    "bool": (_with_s1({"s1": True}), [("s1", float, 1.0)], []),
+    "text": (_with_s1({"s1": "0.75", "s2": "0.25"}), [("s1", float, 0.75), ("s2", float, 0.25)], []),
+    "nan": (
+        _with_s1({"s1": math.nan, "s2": 0.25}),
+        (ModelError, "invalid augmented SCG: probability-range(s1)"),
+        [],
+    ),
+    "renormalise": (
+        _with_s1({"s1": 0.75, "s2": 0.2500005}),
+        [("s1", float, 0.7499996250001875), ("s2", float, 0.2500003749998125)],
+        ["renormalising row 's1' (sum 1.0000005)"],
+    ),
+    "non-object": (
+        _with_s1([0.75, 0.25]),
+        (
+            SchemaError,
+            "a delta row must map ids to numbers: 'list' object has no attribute 'items'"
+            " [$.delta.s1]",
+        ),
+        [],
+    ),
+    "unknown-target": (
+        _with_s1({"s1": 0.75, "zz": 0.25}),
+        (ModelError, "invalid augmented SCG: unknown-target(s1)"),
+        [],
+    ),
+    "missing-row": (
+        {**BASE, "delta": {"s0": BASE["delta"]["s0"], "s2": BASE["delta"]["s2"]}},
+        (ModelError, "invalid augmented SCG: 3 situations, 2 delta rows"),
+        [],
+    ),
+}
+
+
+def _count_row_loops(monkeypatch) -> list:
+    calls = []
+    row_loop = scg_module._decode_rows
+
+    def counted(rows):
+        calls.append(rows)
+        return row_loop(rows)
+
+    monkeypatch.setattr(scg_module, "_decode_rows", counted)
+    return calls
+
+
+def test_a_float_document_loads_without_the_row_loop(monkeypatch):
+    calls = _count_row_loops(monkeypatch)
+    for doc in (BASE, gen.dense_doc(64, 1, 0), gen.grid_doc(gen.derive_seed(1))):
+        assert scg_from_dict(doc).compiled is not None
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", list(ROW_LOOP_OUTCOMES))
+def test_any_other_document_goes_through_the_row_loop_once(name, monkeypatch):
+    doc, want, want_warnings = ROW_LOOP_OUTCOMES[name]
+    calls = _count_row_loops(monkeypatch)
+    got, got_warnings = _outcome(scg_from_dict, doc)
+    assert len(calls) == 1
+    assert [text for _, text in got_warnings] == want_warnings
+    if isinstance(got, Exception):
+        assert (type(got), str(got)) == want
+    else:
+        assert _typed(got.delta)["s1"] == want
+        assert build_model(got).matrix.dtype == np.float64
+
+
+def test_a_loaded_document_owns_its_rows_and_nothing_changes_them():
+    doc = gen.dense_doc(40, 3, 0)
+    before = copy.deepcopy(doc)
+    loaded = scg_from_dict(doc)
+    assert all(loaded.delta[sid] is row for sid, row in doc["delta"].items())
+    sink_situation(sink_situation(loaded, "s1"), "s2")
+    rank_situations(loaded, default_properties())
+    assert doc == before
+
+
+def test_synthesis_leaves_a_loaded_planted_grid_as_it_was():
+    properties = proplang.parse_properties_file(workloads.PROPERTIES_DOC)
+    doc, traps = gen.plant_traps(gen.grid_doc(gen.derive_seed(1), 3, 4), 1, 0)
+    before = copy.deepcopy(doc)
+    outcome = synthesize_safe_controller(scg_from_dict(doc), properties, SynthesisConfig())
+    assert sorted(outcome.avoided) == sorted(traps)
+    assert doc == before
+
+
+def test_a_run_leaves_the_loaded_snapshot_as_it_was():
+    # the drifted world breaks phi1 within the run, so synthesis sinks a situation
+    properties = [
+        proplang.parse_property("phi1", "P < 0.9 [ F<=50 f1 ]"),
+        proplang.parse_property("phi2", "P < 0.95 [ F<=50 f2 ]"),
+    ]
+    truth, belief = generate_scenario(ScenarioConfig(seed=7, drift_magnitude=1.0, drift_time=60))
+    kb = new_knowledge_base(belief, properties, EstimatorConfig(mode="bayesian"))
+    doc = runtime.snapshot(kb)
+    before = copy.deepcopy(doc)
+    loaded = runtime.load(doc)
+    assert loaded.prior_scg.delta["s0"] is doc["prior_scg"]["delta"]["s0"]
+    log = runtime.run(loaded, simulate(truth, 300, 9))
+    assert any(entry.outcome and entry.outcome.success for entry in log)
+    assert len(loaded.controllers) == 2
+    assert doc == before

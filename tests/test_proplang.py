@@ -76,6 +76,24 @@ def test_step_bounds_up_to_the_maximum_parse():
     assert parse_property("p", f"P < 0.5 [ F<={'0' * 5000}50 f1 ]").horizon == 50
 
 
+@pytest.mark.parametrize(
+    "expr,column",
+    [
+        ("P < \u0660.5 [ F<=10 f1 ]", 5),  # an Arabic-Indic zero in the bound
+        ("P < 0.\u0665 [ F<=10 f1 ]", 7),
+        ("P < 0.5 [ F<=\u0665 f1 ]", 14),  # an Arabic-Indic five as the horizon
+        ("P < 0.5 [ F<=5\u0665 f1 ]", 15),
+        ("P=? [ F<=\u0969 f1 ] < 0.5", 10),  # a Devanagari three
+        ("P=? [ F<=3 f1 ] < \uff10.5", 19),  # a fullwidth zero
+    ],
+)
+def test_only_ascii_digits_are_numbers(expr, column):
+    # \d matched any Unicode digit, and format_property wrote it back as ASCII
+    with pytest.raises(PropertySyntaxError) as exc:
+        parse_property("p", expr)
+    assert exc.value.column == column
+
+
 def test_non_string_expression():
     with pytest.raises(PropertySyntaxError):
         parse_property("p", 42)

@@ -256,6 +256,16 @@ def test_load_rejects_a_snapshot_without_properties():
     assert exc.value.paths == ["$.properties"]
 
 
+@pytest.mark.parametrize("owner", ["prior", "controller"])
+def test_load_rejects_attribute_values_that_are_no_array(owner):
+    doc = snapshot(_kb(violating=False))
+    scg_doc = doc["prior_scg"] if owner == "prior" else doc["controllers"][0]["scg"]
+    scg_doc["attributes"][0]["values"] = "xyz"  # three characters, three situations
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == ["$.attributes[0].values"]
+
+
 def test_load_rejects_a_non_numeric_count():
     kb = _kb(violating=False)
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
