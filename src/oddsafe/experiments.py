@@ -220,16 +220,7 @@ def _closed_loop(
     while t < steps:
         sampler.apply_drift(t)
         if current is None:
-            sid = sampler.initial_situation()
-            if sid in kb.scg.sunk:
-                # crash-stopped before the episode starts; skip this spawn
-                _, entry = step(kb, TraceEvent(t=t, kind="situation_entered", id=sid))
-                log.append(entry)
-                _, entry = step(kb, TraceEvent(t=t, kind="episode_reset"))
-                log.append(entry)
-                t += 1
-                continue
-            event = TraceEvent(t=t, kind="situation_entered", id=sid)
+            event = TraceEvent(t=t, kind="situation_entered", id=sampler.initial_situation())
         else:
             nxt = sampler.next_state(current)
             kind = "failure_observed" if sampler.is_failure(nxt) else "situation_entered"

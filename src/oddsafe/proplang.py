@@ -17,117 +17,68 @@ import re
 from .dtmc import BoundedReachProperty
 from .errors import PropertyRangeError, PropertySyntaxError, SchemaError
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-#: ASCII digits: \d would read any Unicode digit, and format_property write it back
-_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
-_DIGITS = re.compile(r"[0-9]+")
 #: the largest step bound k: a check runs k sweeps over the whole operator,
 #: so a larger k would run for minutes on a large grid
 MAX_HORIZON = 10_000
 
 
-class _Scanner:
-    """Cursor over the expression text with 1-based column reporting."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    @property
-    def column(self) -> int:
-        return self.pos + 1
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, literal: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
-
-    def expect(self, literal: str, what: str | None = None) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise PropertySyntaxError(f"expected {what or literal!r}", self.column)
-        self.pos += len(literal)
-
-    def comparator(self) -> str:
-        self.skip_ws()
-        for cand in ("<=", ">=", "<", ">"):
-            if self.text.startswith(cand, self.pos):
-                self.pos += len(cand)
-                return cand
-        raise PropertySyntaxError("expected comparator (<, <=, >, >=)", self.column)
-
-    def number(self) -> float:
-        self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            raise PropertySyntaxError("expected probability bound", self.column)
-        self.pos = m.end()
-        return float(m.group())
-
-    def step_bound(self) -> int:
-        """A step bound of at most MAX_HORIZON, whose digits are counted
-        before int() reads them."""
-        self.skip_ws()
-        m = _DIGITS.match(self.text, self.pos)
-        if not m:
-            raise PropertySyntaxError("expected step bound", self.column)
-        self.pos = m.end()
-        digits = m.group().lstrip("0") or "0"
-        if len(digits) > len(str(MAX_HORIZON)) or int(digits) > MAX_HORIZON:
-            raise PropertyRangeError(f"step bound above the maximum {MAX_HORIZON}")
-        return int(digits)
-
-    def identifier(self) -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise PropertySyntaxError("expected label identifier", self.column)
-        self.pos = m.end()
-        return m.group()
-
-    def end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise PropertySyntaxError("unexpected trailing input", self.column)
+def _step_bound(digits: str) -> int:
+    """A step bound of at most MAX_HORIZON, whose digits are counted before
+    int() reads them."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_HORIZON)) or int(digits) > MAX_HORIZON:
+        raise PropertyRangeError(f"step bound above the maximum {MAX_HORIZON}")
+    return int(digits)
 
 
-def _reach_block(sc: _Scanner) -> tuple[int, str]:
-    sc.expect("[", "'['")
-    sc.expect("F", "'F'")
-    sc.expect("<=", "'<='")
-    horizon = sc.step_bound()
-    label = sc.identifier()
-    sc.expect("]", "']'")
-    return horizon, label
+#: each token of the grammar: its pattern, the error where it is missing, and
+#: how its text is read (None: not kept).  Numbers are ASCII digits: \d would
+#: read any Unicode digit, and format_property write it back.
+_TOKENS = {
+    "P": (re.compile(r"P"), "expected \"'P'\"", None),
+    "=?": (re.compile(r"=\?"), "expected '=?'", None),
+    "[": (re.compile(r"\["), "expected \"'['\"", None),
+    "F": (re.compile(r"F"), "expected \"'F'\"", None),
+    "<=": (re.compile(r"<="), "expected \"'<='\"", None),
+    "]": (re.compile(r"\]"), "expected \"']'\"", None),
+    "cmp": (re.compile(r"[<>]=?"), "expected comparator (<, <=, >, >=)", str),
+    "bound": (re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+"), "expected probability bound", float),
+    "k": (re.compile(r"[0-9]+"), "expected step bound", _step_bound),
+    "label": (re.compile(r"[A-Za-z_][A-Za-z0-9_]*"), "expected label identifier", str),
+    "end": (re.compile(r"\Z"), "unexpected trailing input", None),
+}
+_REACH = ("[", "F", "<=", "k", "label", "]")
+_COMPARE_FORM = ("P", "cmp", "bound", *_REACH, "end")
+_QUERY_FORM = ("P", "=?", *_REACH, "cmp", "bound", "end")
+_QUERY = re.compile(r"\s*P\s*=\?")
+_SPACE = re.compile(r"\s*")
 
 
 def parse_property(name: str, expression: str) -> BoundedReachProperty:
     """Parse one property expression; errors carry a 1-based column."""
     if not isinstance(expression, str):
         raise PropertySyntaxError("expression must be text", 1)
-    sc = _Scanner(expression)
-    sc.expect("P", "'P'")
-    if sc.peek("=?"):
-        # query alias: P=? [ F<=k label ] <cmp> <bound>
-        sc.expect("=?")
-        horizon, label = _reach_block(sc)
-        cmp_ = sc.comparator()
-        bound = sc.number()
-        sc.end()
-    else:
-        cmp_ = sc.comparator()
-        bound = sc.number()
-        horizon, label = _reach_block(sc)
-        sc.end()
-    if not (0.0 <= bound <= 1.0):
-        raise PropertyRangeError(f"bound {bound} outside [0, 1]")
-    if horizon < 1:
+    values = {}
+    pos = 0
+    for token in _QUERY_FORM if _QUERY.match(expression) else _COMPARE_FORM:
+        pattern, error, read = _TOKENS[token]
+        pos = _SPACE.match(expression, pos).end()
+        m = pattern.match(expression, pos)
+        if not m:
+            raise PropertySyntaxError(error, pos + 1)
+        if read:
+            values[token] = read(m.group())
+        pos = m.end()
+    if not (0.0 <= values["bound"] <= 1.0):
+        raise PropertyRangeError(f"bound {values['bound']} outside [0, 1]")
+    if values["k"] < 1:
         raise PropertyRangeError("step bound must be >= 1")
     return BoundedReachProperty(
-        name=name, target_label=label, horizon=horizon, comparator=cmp_, bound=bound
+        name=name,
+        target_label=values["label"],
+        horizon=values["k"],
+        comparator=values["cmp"],
+        bound=values["bound"],
     )
 
 
@@ -139,29 +90,23 @@ def format_property(prop: BoundedReachProperty) -> str:
     )
 
 
-def require_distinct_names(properties: list[BoundedReachProperty], path: str) -> None:
-    """Raise SchemaError at the first property whose name is not text or
-    repeats an earlier one: results are keyed by name, so a repeated name
-    would drop the earlier requirement."""
-    names = [p.name for p in properties]
+def parse_properties_file(doc: list, path: str = "$") -> list[BoundedReachProperty]:
+    """Parse a non-empty JSON array of {name, expression} records with
+    distinct text names, found at `path` of its document: results are keyed
+    by name, so a repeated name would drop the earlier requirement."""
+    if not isinstance(doc, list):
+        raise SchemaError("properties file must be a JSON array", [path])
+    if not doc:  # nothing to check would log every step compliant
+        raise SchemaError("properties file lists no property", [path])
+    props = []
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict) or "name" not in entry or "expression" not in entry:
+            raise SchemaError("property entry needs name and expression", [f"{path}[{i}]"])
+        props.append(parse_property(entry["name"], entry["expression"]))
+    names = [p.name for p in props]
     for i, name in enumerate(names):
         if not isinstance(name, str):
             raise SchemaError("property name must be text", [f"{path}[{i}].name"])
         if name in names[:i]:
             raise SchemaError(f"property name {name!r} is repeated", [f"{path}[{i}].name"])
-
-
-def parse_properties_file(doc: list) -> list[BoundedReachProperty]:
-    """Parse a non-empty JSON array of {name, expression} records with
-    distinct text names."""
-    if not isinstance(doc, list):
-        raise SchemaError("properties file must be a JSON array", ["$"])
-    if not doc:
-        raise SchemaError("properties file lists no property", ["$"])
-    props = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or "name" not in entry or "expression" not in entry:
-            raise SchemaError("property entry needs name and expression", [f"$[{i}]"])
-        props.append(parse_property(entry["name"], entry["expression"]))
-    require_distinct_names(props, "$")
     return props

@@ -24,7 +24,7 @@ from .adapt import (
 from .dtmc import BoundedReachProperty, Dtmc, build_model, require_unique_names, write_rows
 from .errors import SchemaError, TraceError
 from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
-from .proplang import format_property, parse_property, require_distinct_names
+from .proplang import format_property, parse_properties_file
 from .scg import (
     AugmentedScg,
     read_json,
@@ -306,7 +306,6 @@ def run(kb: KnowledgeBase, events: list[TraceEvent]) -> list[RunLogEntry]:
 def snapshot(kb: KnowledgeBase) -> dict:
     return {
         "prior_scg": scg_to_dict(kb.prior_scg),
-        "scg": scg_to_dict(kb.scg),
         "counts": kb.counts.to_dict(),
         "properties": [
             {"name": p.name, "expression": format_property(p)} for p in kb.properties
@@ -338,7 +337,8 @@ def load(doc: dict) -> KnowledgeBase:
     """The knowledge base of a snapshot.
 
     The belief is derived again from the prior, the counts and the active
-    controller, so the stored `scg` is not read.
+    controller, so a snapshot does not store it; the `scg` that older
+    snapshots carry is not read.
     """
     required = (
         "prior_scg",
@@ -354,13 +354,8 @@ def load(doc: dict) -> KnowledgeBase:
     missing = [k for k in required if k not in doc]
     if missing:
         raise SchemaError("knowledge-base snapshot incomplete", [f"$.{k}" for k in missing])
+    properties = parse_properties_file(doc["properties"], "$.properties")
     try:
-        properties = [
-            parse_property(p["name"], p["expression"]) for p in doc["properties"]
-        ]
-        require_distinct_names(properties, "$.properties")
-        if not properties:  # nothing to check would log every step compliant
-            raise SchemaError("knowledge-base snapshot lists no property", ["$.properties"])
         controllers = [
             Controller(
                 id=c["id"],
@@ -382,6 +377,15 @@ def load(doc: dict) -> KnowledgeBase:
             support_policy=est["support_policy"],
         )
         belief, model = _derive_belief(prior, counts, estimator, controllers[-1])
+        baseline = doc.get("baseline", False)
+        if type(baseline) is not bool:
+            raise SchemaError("baseline must be true or false", ["$.baseline"])
+        prev = doc.get("prev")
+        if prev is not None and (not belief.is_situation(prev) or prev in belief.sunk):
+            raise SchemaError("prev must be null or a situation not avoided", ["$.prev"])
+        last_t = doc.get("last_t", -1)
+        if type(last_t) is not int:
+            raise SchemaError("last_t must be an integer", ["$.last_t"])
         return KnowledgeBase(
             prior_scg=prior,
             scg=belief,
@@ -392,9 +396,9 @@ def load(doc: dict) -> KnowledgeBase:
             history=[HistoryEntry.from_dict(h) for h in doc["history"]],
             estimator=estimator,
             synthesis=SynthesisConfig(max_removals=int(doc["synthesis"]["max_removals"])),
-            baseline=bool(doc.get("baseline", False)),
-            prev=doc.get("prev"),
-            last_t=int(doc.get("last_t", -1)),
+            baseline=baseline,
+            prev=prev,
+            last_t=last_t,
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed knowledge-base snapshot: {exc}") from exc

@@ -1,5 +1,6 @@
-"""Shared test fixtures: the path-enumeration oracle, random model builders and
-a structured sparse grid document.
+"""Shared test fixtures: the path-enumeration oracle, random model builders, a
+structured sparse grid document, and reference copies of the SCG loader and the
+property parser.
 
 The oracle deliberately enumerates every path of length <= k instead of doing
 value iteration, so it stays independent of the checker it validates.
@@ -10,11 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import warnings
 from operator import countOf
 
-from oddsafe.dtmc import build_model
-from oddsafe.errors import ModelError, SchemaError
+from oddsafe.dtmc import BoundedReachProperty, build_model
+from oddsafe.errors import ModelError, PropertyRangeError, PropertySyntaxError, SchemaError
+from oddsafe.proplang import MAX_HORIZON
 from oddsafe.scg import (
     ROW_SUM_ATOL,
     ROW_SUM_RENORM,
@@ -189,3 +192,117 @@ def reference_scg_from_dict(doc: dict) -> AugmentedScg:
     require_valid(scg)  # row_violations' verdict, independent of the compile's
     object.__setattr__(scg, "compiled", build_model(scg))
     return scg
+
+
+# ---------------------------------------------------------------------------
+# the property parser as it was before its token table; parse_property is
+# compared against it
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+class _Scanner:
+    """Cursor over the expression text with 1-based column reporting."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    @property
+    def column(self) -> int:
+        return self.pos + 1
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self, literal: str) -> bool:
+        self.skip_ws()
+        return self.text.startswith(literal, self.pos)
+
+    def expect(self, literal: str, what: str | None = None) -> None:
+        self.skip_ws()
+        if not self.text.startswith(literal, self.pos):
+            raise PropertySyntaxError(f"expected {what or literal!r}", self.column)
+        self.pos += len(literal)
+
+    def comparator(self) -> str:
+        self.skip_ws()
+        for cand in ("<=", ">=", "<", ">"):
+            if self.text.startswith(cand, self.pos):
+                self.pos += len(cand)
+                return cand
+        raise PropertySyntaxError("expected comparator (<, <=, >, >=)", self.column)
+
+    def number(self) -> float:
+        self.skip_ws()
+        m = _NUMBER.match(self.text, self.pos)
+        if not m:
+            raise PropertySyntaxError("expected probability bound", self.column)
+        self.pos = m.end()
+        return float(m.group())
+
+    def step_bound(self) -> int:
+        """A step bound of at most MAX_HORIZON, whose digits are counted
+        before int() reads them."""
+        self.skip_ws()
+        m = _DIGITS.match(self.text, self.pos)
+        if not m:
+            raise PropertySyntaxError("expected step bound", self.column)
+        self.pos = m.end()
+        digits = m.group().lstrip("0") or "0"
+        if len(digits) > len(str(MAX_HORIZON)) or int(digits) > MAX_HORIZON:
+            raise PropertyRangeError(f"step bound above the maximum {MAX_HORIZON}")
+        return int(digits)
+
+    def identifier(self) -> str:
+        self.skip_ws()
+        m = _IDENT.match(self.text, self.pos)
+        if not m:
+            raise PropertySyntaxError("expected label identifier", self.column)
+        self.pos = m.end()
+        return m.group()
+
+    def end(self) -> None:
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise PropertySyntaxError("unexpected trailing input", self.column)
+
+
+def _reach_block(sc: _Scanner) -> tuple[int, str]:
+    sc.expect("[", "'['")
+    sc.expect("F", "'F'")
+    sc.expect("<=", "'<='")
+    horizon = sc.step_bound()
+    label = sc.identifier()
+    sc.expect("]", "']'")
+    return horizon, label
+
+
+def reference_parse_property(name: str, expression: str) -> BoundedReachProperty:
+    """Parse one property expression; errors carry a 1-based column."""
+    if not isinstance(expression, str):
+        raise PropertySyntaxError("expression must be text", 1)
+    sc = _Scanner(expression)
+    sc.expect("P", "'P'")
+    if sc.peek("=?"):
+        # query alias: P=? [ F<=k label ] <cmp> <bound>
+        sc.expect("=?")
+        horizon, label = _reach_block(sc)
+        cmp_ = sc.comparator()
+        bound = sc.number()
+        sc.end()
+    else:
+        cmp_ = sc.comparator()
+        bound = sc.number()
+        horizon, label = _reach_block(sc)
+        sc.end()
+    if not (0.0 <= bound <= 1.0):
+        raise PropertyRangeError(f"bound {bound} outside [0, 1]")
+    if horizon < 1:
+        raise PropertyRangeError("step bound must be >= 1")
+    return BoundedReachProperty(
+        name=name, target_label=label, horizon=horizon, comparator=cmp_, bound=bound
+    )

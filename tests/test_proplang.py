@@ -1,5 +1,7 @@
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oddsafe.errors import (
@@ -14,6 +16,8 @@ from oddsafe.proplang import (
     parse_property,
     parse_properties_file,
 )
+
+from helpers import reference_parse_property
 
 
 def test_parse_comparator_form():
@@ -153,3 +157,135 @@ def test_properties_file_rejects_names_results_cannot_key(names, path):
     with pytest.raises(SchemaError) as exc:
         parse_properties_file(doc)
     assert exc.value.paths == [path]
+
+
+# ---------------------------------------------------------------------------
+# the token table against the cursor parser it replaced
+
+DIFFERENTIAL = settings(
+    derandomize=True,
+    max_examples=2000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: every code point str.isspace() accepts, and three that look like space but
+#: are not
+SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+NOT_SPACES = ["\u200b", "\u180e", "\ufeff"]
+#: digits of other scripts, and digit-like characters that are no decimals
+ODD_DIGITS = ["\u0660", "\u0665", "\u0969", "\uff10", "\u00b2", "\u2460"]
+
+
+def _outcome(parse, expression):
+    try:
+        prop = parse("p", expression)
+    except PropertyError as exc:
+        return type(exc), str(exc), getattr(exc, "column", None)
+    return prop, repr(prop.bound), type(prop.horizon)
+
+
+def _assert_parses_alike(expression):
+    assert _outcome(parse_property, expression) == _outcome(
+        reference_parse_property, expression
+    )
+
+
+def _tokens(form, comparator, bound, horizon, label):
+    reach = ["[", "F", "<=", horizon, label, "]"]
+    if form == "query":
+        return ["P", "=?", *reach, comparator, bound]
+    return ["P", comparator, bound, *reach]
+
+
+TOKEN_POOL = [
+    "P", "=?", "=", "?", "[", "]", "(", "F", "G", "<=", "<", ">", ">=", "=<",
+    "0.5", "1.", ".5", ".", "1.5", "0", "10", "1e3", "-1", "f1", "_x9", "9x",
+    *ODD_DIGITS, *NOT_SPACES,
+]
+
+
+@st.composite
+def mutated_expressions(draw):
+    """A valid expression of either form, with tokens dropped, repeated,
+    swapped or replaced, joined by spaces of every kind or by nothing."""
+    tokens = _tokens(
+        draw(st.sampled_from(["compare", "query"])),
+        draw(st.sampled_from(["<", "<=", ">", ">="])),
+        draw(st.sampled_from(["0", "0.5", "1", "1.0", ".25", "7.", "00.990"])),
+        draw(st.sampled_from(["1", "50", "010", "10000", "10001", "0"])),
+        draw(st.sampled_from(["f1", "f_2", "_", "Fail9"])),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "replace"]))
+        if edit == "drop":
+            del tokens[i]
+        elif edit == "repeat":
+            tokens.insert(i, tokens[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = draw(st.sampled_from(TOKEN_POOL))
+        if not tokens:
+            break
+    gaps = st.sampled_from(["", "", " ", "  ", "\t", "\n", *SPACES, *NOT_SPACES])
+    text = draw(gaps)
+    for token in tokens:
+        text += token + draw(gaps)
+    return text
+
+
+@DIFFERENTIAL
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        st.text(st.sampled_from("P=?[]F<>0123456789._ fx\t\u0665\u3000"), max_size=30),
+    )
+)
+def test_token_table_agrees_with_the_cursor_parser_on_any_text(text):
+    _assert_parses_alike(text)
+
+
+@DIFFERENTIAL
+@given(mutated_expressions())
+def test_token_table_agrees_with_the_cursor_parser_on_mutated_expressions(text):
+    _assert_parses_alike(text)
+
+
+@pytest.mark.parametrize("space", SPACES + NOT_SPACES, ids=lambda c: f"U+{ord(c):04X}")
+def test_token_table_agrees_with_the_cursor_parser_on_every_space(space):
+    for tokens in (
+        _tokens("compare", "<=", "0.5", "50", "f1"),
+        _tokens("query", ">", "1", "7", "f1"),
+    ):
+        for i in range(len(tokens) + 1):
+            _assert_parses_alike(" ".join(tokens[:i]) + space + " ".join(tokens[i:]))
+        _assert_parses_alike(space.join(["", *tokens, ""]))
+
+
+@pytest.mark.parametrize("digit", ODD_DIGITS)
+def test_token_table_agrees_with_the_cursor_parser_on_other_digits(digit):
+    for form in ("compare", "query"):
+        for bound, horizon in ((digit, "5"), (f"0.{digit}", "5"), ("0.5", digit), ("0.5", f"5{digit}")):
+            _assert_parses_alike(" ".join(_tokens(form, "<", bound, horizon, "f1")))
+
+
+@pytest.mark.parametrize(
+    "horizon, error",
+    [
+        (str(MAX_HORIZON), PropertySyntaxError),
+        (str(MAX_HORIZON + 1), PropertyRangeError),
+        ("9" * 5000, PropertyRangeError),
+    ],
+    ids=["maximum", "above", "5000-digits"],
+)
+@pytest.mark.parametrize("form", ["compare", "query"])
+def test_a_step_bound_is_read_before_a_later_syntax_error(form, horizon, error):
+    tokens = _tokens(form, "<", "0.5", horizon, "f1")
+    tokens[tokens.index("]")] = ")"
+    text = " ".join(tokens)
+    with pytest.raises(error):
+        parse_property("p", text)
+    _assert_parses_alike(text)

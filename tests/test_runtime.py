@@ -23,7 +23,7 @@ from oddsafe.runtime import (
     step,
     write_trace,
 )
-from oddsafe.scg import sink_situation
+from oddsafe.scg import scg_to_dict, sink_situation
 
 from helpers import make_scg
 
@@ -248,12 +248,17 @@ def test_load_rejects_property_names_results_cannot_key(name):
     assert exc.value.paths == ["$.properties[1].name"]
 
 
-def test_load_rejects_a_snapshot_without_properties():
+@pytest.mark.parametrize(
+    "properties, path",
+    [([], "$.properties"), ({}, "$.properties"), ([{"name": "phi"}], "$.properties[0]")],
+    ids=["empty", "no-array", "no-expression"],
+)
+def test_load_rejects_a_snapshot_without_properties(properties, path):
     doc = snapshot(_kb(violating=True))
-    doc["properties"] = []
+    doc["properties"] = properties
     with pytest.raises(SchemaError) as exc:
         load(doc)
-    assert exc.value.paths == ["$.properties"]
+    assert exc.value.paths == [path]
 
 
 @pytest.mark.parametrize("owner", ["prior", "controller"])
@@ -264,6 +269,32 @@ def test_load_rejects_attribute_values_that_are_no_array(owner):
     with pytest.raises(SchemaError) as exc:
         load(doc)
     assert exc.value.paths == ["$.attributes[0].values"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("prev", "zz"),  # no situation
+        ("prev", 5),
+        ("prev", ["s1"]),
+        ("prev", "f1"),  # a failure cannot be a transition source
+        ("prev", "s0"),  # avoided: entering it stops the episode
+        ("baseline", "no"),
+        ("baseline", 0),
+        ("last_t", 2.7),
+        ("last_t", "3"),
+        ("last_t", True),
+    ],
+)
+def test_load_rejects_a_malformed_loop_cursor(key, value):
+    kb = _kb(violating=True)
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    assert kb.scg.sunk == {"s0"} and kb.prev == "s1"
+    doc = snapshot(kb)
+    load(doc)
+    with pytest.raises(SchemaError) as exc:
+        load({**doc, key: value})
+    assert exc.value.paths == [f"$.{key}"]
 
 
 def test_load_rejects_a_non_numeric_count():
@@ -373,9 +404,11 @@ def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):
         resumed += run(kb, events[cut : cut + 1])
         assert kb.scg.delta[left] != stale_row  # the failure's row is estimated at once
         doc = snapshot(kb)
-        # the older format: selection settings, and the row left before a
-        # failure still at its estimate from before that failure
+        # the older format: selection settings, and a stored belief whose row
+        # left before a failure is still at its estimate from before that failure
+        assert "scg" not in doc
         old = copy.deepcopy(doc)
+        old["scg"] = scg_to_dict(kb.scg)
         old["scg"]["delta"][left] = dict(stale_row)
         old["synthesis"].update(rng_seed=7, out_of_odd_horizon=None)
         for saved in (doc, old):
