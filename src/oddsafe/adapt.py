@@ -67,17 +67,6 @@ class AdaptationOutcome:
             "final_report": self.final_report.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AdaptationOutcome":
-        return cls(
-            success=bool(doc["success"]),
-            avoided=list(doc["avoided"]),
-            iterations=int(doc["iterations"]),
-            initial_violations=list(doc["initial_violations"]),
-            worst_initial_score=float(doc["worst_initial_score"]),
-            final_report=CriticalityReport.from_dict(doc["final_report"]),
-        )
-
 
 @dataclass
 class AnalysisResult:

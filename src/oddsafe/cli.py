@@ -20,54 +20,17 @@ from .errors import OddsafeError
 from .dtmc import rank_situations, require_labels
 from .prism import export_model, export_properties
 from .proplang import parse_properties_file
-from .scg import load_scg, read_json
+from .scg import decode, load_scg, read_json
 
 
 def _load_properties(path: str):
     return parse_properties_file(read_json(path))
 
 
-def _fits(value, default) -> bool:
-    """Whether a config value has the type of the field's default."""
-    if type(default) is float:
-        return type(value) in (int, float)
-    if type(default) is int:
-        return type(value) is int  # not bool: JSON true is not a count
-    return isinstance(value, type(default))
-
-
-def _config_from(cls, doc, where: str):
-    """`cls` built from the keys of `doc` over its defaults, nested configs too.
-
-    An unknown key, a value of the wrong type or one `cls` rejects is an
-    OddsafeError.
-    """
-    if not isinstance(doc, dict):
-        raise OddsafeError(f"{where} must be a JSON object")
-    defaults = cls()
-    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise OddsafeError(f"unknown {where} keys: {', '.join(unknown)}")
-    values = {}
-    for key, value in doc.items():
-        default = getattr(defaults, key)
-        if dataclasses.is_dataclass(default):
-            value = _config_from(type(default), value, f"{where}.{key}")
-        elif not _fits(value, default):
-            raise OddsafeError(
-                f"{where}.{key} must be of type {type(default).__name__}: {value!r}"
-            )
-        values[key] = value
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise OddsafeError(f"invalid {where}: {exc}") from exc
-
-
 def _load_config(cls, args):
     """The experiment config: the file's keys over `cls`'s defaults, then the
     --seed and --max-removals options when given."""
-    config = _config_from(cls, read_json(args.config) if args.config else {}, "config")
+    config = decode(cls, read_json(args.config) if args.config else {})
     options = {"seed": args.seed, "max_removals": args.max_removals}
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 

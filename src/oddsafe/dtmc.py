@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import ge, gt, le, lt
+from operator import countOf, ge, gt, itemgetter, le, lt
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ModelError, NotFoundError, PropertyError
+from .errors import ModelError, NotFoundError, PropertyError, SchemaError
 from .scg import ROW_SUM_ATOL, AugmentedScg, require_valid, structural_violations
 
 if TYPE_CHECKING:
@@ -375,25 +375,36 @@ class CriticalityReport:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "CriticalityReport":
-        records, worst = doc["records"], doc["worst_scores"]
-        situations = list(records)
-        names = list(next(iter(records.values()), ()))
-        if list(worst) != situations or any(list(r) != names for r in records.values()):
-            raise ValueError("report records and worst scores name different keys")
-
-        def column(key: str, kind: type) -> np.ndarray:
-            cells = [kind(r[name][key]) for r in records.values() for name in names]
-            return np.array(cells, kind).reshape(len(situations), len(names))
-
-        return cls(
-            situations,
-            names,
-            column("value", float),
-            column("score", float),
-            column("compliant", bool),
-            np.array([float(worst[sid]) for sid in situations]),
-        )
+    def from_dict(cls, doc, path: str = "$") -> CriticalityReport:
+        """The report of a to_dict document, checked column by column: a
+        document of another shape, or a cell that is no finite float or no
+        bool, is a SchemaError at `path`."""
+        ok = type(doc) is dict and doc.keys() - {"worst_situation"} == {"records", "worst_scores"}
+        records, worst = (doc["records"], doc["worst_scores"]) if ok else (None, None)
+        if type(records) is not dict or type(worst) is not dict or list(worst) != list(records):
+            raise SchemaError("a report keys records and worst scores by situation", [path])
+        rows = list(records.values())
+        names = list(rows[0]) if rows and type(rows[0]) is dict else []
+        n = len(rows)
+        if countOf(map(type, rows), dict) != n or countOf(map(list, rows), names) != n:
+            raise SchemaError("every record must score the same properties", [f"{path}.records"])
+        cells = list(chain.from_iterable(map(dict.values, rows)))
+        m = len(cells)
+        try:  # a cell that is no JSON object, or lacks one of the three keys
+            floats = [*map(itemgetter("value"), cells), *map(itemgetter("score"), cells)]
+            compliant = list(map(itemgetter("compliant"), cells))
+        except (KeyError, TypeError):
+            floats = None
+        if floats is None or countOf(map(len, cells), 3) != m:
+            raise SchemaError("a cell holds a value, a score and a verdict", [f"{path}.records"])
+        floats += worst.values()
+        array = np.array(floats if countOf(map(type, floats), float) == len(floats) else [np.nan])
+        if countOf(map(type, compliant), bool) != m or not np.isfinite(array).all():
+            raise SchemaError("cells must be finite floats and bools", [path])
+        shape = (n, len(names))
+        values, scores = array[:m].reshape(shape), array[m : 2 * m].reshape(shape)
+        compliant = np.array(compliant, bool).reshape(shape)
+        return cls(list(records), names, values, scores, compliant, array[2 * m :])
 
 
 def score_situations(

@@ -35,11 +35,6 @@ class TransitionCounts:
             "counts": {s: dict(row) for s, row in self.counts.items()},
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TransitionCounts":
-        counts = {s: {t: int(c) for t, c in row.items()} for s, row in doc["counts"].items()}
-        return cls(failure_ids=frozenset(doc.get("failure_ids", [])), counts=counts)
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -55,7 +50,7 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator mode {self.mode!r}")
         if self.support_policy not in ("observed-only", "prior-support"):
             raise ValueError(f"unknown support policy {self.support_policy!r}")
-        if self.smoothing_alpha < 0 or self.prior_strength_kappa < 0:
+        if not (self.smoothing_alpha >= 0 and self.prior_strength_kappa >= 0):  # NaN fails too
             raise ValueError("smoothing parameters must be non-negative")
 
 

@@ -57,13 +57,14 @@ class ScenarioConfig:
     episodes: int = 200
     drift_magnitude: float = 0.0
     drift_time: int = 0
-    failure_bias: dict = field(default_factory=lambda: {"f1": 1.0, "f2": 1.0})
+    failure_bias: dict[str, float] = field(default_factory=lambda: {"f1": 1.0, "f2": 1.0})
 
     def __post_init__(self):
         if not (0.0 <= self.drift_magnitude <= 1.0):
             raise ValueError("drift_magnitude must be in [0, 1]")
-        if any(v < 0 for v in self.failure_bias.values()):
-            raise ValueError("failure_bias weights must be non-negative")
+        bias, ids = self.failure_bias, {f.id for f in MARITIME_FAILURES}
+        if not (bias.keys() <= ids and all(v >= 0 for v in bias.values())):  # NaN fails too
+            raise ValueError("failure_bias must map maritime failure ids to weights >= 0")
 
 
 def _sample_truth_rows(rng: np.random.Generator, situations, bias) -> dict:

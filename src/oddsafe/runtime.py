@@ -11,7 +11,7 @@ entering an avoided situation triggers a crash stop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .adapt import (
     AdaptationOutcome,
@@ -27,6 +27,7 @@ from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebu
 from .proplang import format_property, parse_properties_file
 from .scg import (
     AugmentedScg,
+    decode,
     read_json,
     require_valid_row,
     scg_from_dict,
@@ -54,18 +55,6 @@ class TraceEvent:
         if self.id is not None:
             doc["id"] = self.id
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TraceEvent":
-        if not isinstance(doc, dict):
-            raise SchemaError("trace event must be a JSON object", ["$"])
-        try:
-            t, kind = doc["t"], doc["kind"]
-        except KeyError as exc:
-            raise SchemaError(f"trace event missing {exc}") from exc
-        if type(t) is not int:
-            raise SchemaError(f"trace event time {t!r} is not an integer", ["$.t"])
-        return cls(t=t, kind=kind, id=doc.get("id"))
 
 
 @dataclass(frozen=True)
@@ -110,15 +99,6 @@ class HistoryEntry:
             "controller_id": self.controller_id,
             "outcome": self.outcome.to_dict() if self.outcome else None,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "HistoryEntry":
-        outcome = doc.get("outcome")
-        return cls(
-            t=int(doc["t"]),
-            controller_id=doc["controller_id"],
-            outcome=AdaptationOutcome.from_dict(outcome) if outcome else None,
-        )
 
 
 @dataclass
@@ -320,13 +300,8 @@ def snapshot(kb: KnowledgeBase) -> dict:
             for c in kb.controllers
         ],
         "history": [h.to_dict() for h in kb.history],
-        "estimator": {
-            "mode": kb.estimator.mode,
-            "smoothing_alpha": kb.estimator.smoothing_alpha,
-            "prior_strength_kappa": kb.estimator.prior_strength_kappa,
-            "support_policy": kb.estimator.support_policy,
-        },
-        "synthesis": {"max_removals": kb.synthesis.max_removals},
+        "estimator": asdict(kb.estimator),
+        "synthesis": asdict(kb.synthesis),
         "baseline": kb.baseline,
         "prev": kb.prev,
         "last_t": kb.last_t,
@@ -334,20 +309,14 @@ def snapshot(kb: KnowledgeBase) -> dict:
 
 
 def load(doc: dict) -> KnowledgeBase:
-    """The knowledge base of a snapshot.
+    """The knowledge base of a snapshot; each defect is a SchemaError at its path.
 
     The belief is derived again from the prior, the counts and the active
-    controller, so a snapshot does not store it; the `scg` that older
-    snapshots carry is not read.
+    controller, so a snapshot does not store it.  The `scg` and the synthesis
+    `rng_seed` and `out_of_odd_horizon` that older snapshots carry are not read.
     """
     required = (
-        "prior_scg",
-        "counts",
-        "properties",
-        "controllers",
-        "history",
-        "estimator",
-        "synthesis",
+        "prior_scg", "counts", "properties", "controllers", "history", "estimator", "synthesis"
     )
     if not isinstance(doc, dict):
         raise SchemaError("knowledge-base snapshot must be a JSON object", ["$"])
@@ -355,53 +324,55 @@ def load(doc: dict) -> KnowledgeBase:
     if missing:
         raise SchemaError("knowledge-base snapshot incomplete", [f"$.{k}" for k in missing])
     properties = parse_properties_file(doc["properties"], "$.properties")
-    try:
-        controllers = [
-            Controller(
-                id=c["id"],
-                scg=scg_from_dict(c["scg"]),
-                avoided=tuple(c["avoided"]),
-                origin=c["origin"],
-            )
-            for c in doc["controllers"]
-        ]
-        if not controllers:
-            raise SchemaError("knowledge-base snapshot has no controller", ["$.controllers"])
-        prior = scg_from_dict(doc["prior_scg"])
-        counts = TransitionCounts.from_dict(doc["counts"])
-        est = doc["estimator"]
-        estimator = EstimatorConfig(
-            mode=est["mode"],
-            smoothing_alpha=float(est["smoothing_alpha"]),
-            prior_strength_kappa=float(est["prior_strength_kappa"]),
-            support_policy=est["support_policy"],
-        )
-        belief, model = _derive_belief(prior, counts, estimator, controllers[-1])
-        baseline = doc.get("baseline", False)
-        if type(baseline) is not bool:
-            raise SchemaError("baseline must be true or false", ["$.baseline"])
-        prev = doc.get("prev")
-        if prev is not None and (not belief.is_situation(prev) or prev in belief.sunk):
-            raise SchemaError("prev must be null or a situation not avoided", ["$.prev"])
-        last_t = doc.get("last_t", -1)
-        if type(last_t) is not int:
-            raise SchemaError("last_t must be an integer", ["$.last_t"])
-        return KnowledgeBase(
-            prior_scg=prior,
-            scg=belief,
-            model=model,
-            counts=counts,
-            properties=properties,
-            controllers=controllers,
-            history=[HistoryEntry.from_dict(h) for h in doc["history"]],
-            estimator=estimator,
-            synthesis=SynthesisConfig(max_removals=int(doc["synthesis"]["max_removals"])),
-            baseline=baseline,
-            prev=prev,
-            last_t=last_t,
-        )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed knowledge-base snapshot: {exc}") from exc
+    prior = scg_from_dict(doc["prior_scg"])
+    controllers = decode(list[Controller], doc["controllers"], "$.controllers")
+    ids = prior.space.ids
+    odd = [f"$.controllers[{i}].scg" for i, c in enumerate(controllers) if c.scg.space.ids != ids]
+    if odd or not controllers:  # the belief sinks the active controller's situations
+        raise SchemaError("need controllers over the prior's states", odd or ["$.controllers"])
+    counts = decode(TransitionCounts, doc["counts"], "$.counts")
+    _check_counts(prior, counts)
+    history = decode(list[HistoryEntry], doc["history"], "$.history")
+    named = {c.id for c in controllers}
+    for i, entry in enumerate(history):
+        if entry.controller_id not in named:
+            raise SchemaError("history names no controller", [f"$.history[{i}].controller_id"])
+    estimator = decode(EstimatorConfig, doc["estimator"], "$.estimator")
+    synthesis, legacy = doc["synthesis"], ("rng_seed", "out_of_odd_horizon")
+    if type(synthesis) is dict:  # older snapshots carry these settings; nothing reads them
+        synthesis = {k: v for k, v in synthesis.items() if k not in legacy}
+    synthesis = decode(SynthesisConfig, synthesis, "$.synthesis")
+    belief, model = _derive_belief(prior, counts, estimator, controllers[-1])
+    prev = decode(str | None, doc.get("prev"), "$.prev")
+    if prev is not None and (not belief.is_situation(prev) or prev in belief.sunk):
+        raise SchemaError("prev must be null or a situation not avoided", ["$.prev"])
+    return KnowledgeBase(
+        prior_scg=prior,
+        scg=belief,
+        model=model,
+        counts=counts,
+        properties=properties,
+        controllers=controllers,
+        history=history,
+        estimator=estimator,
+        synthesis=synthesis,
+        baseline=decode(bool, doc.get("baseline", False), "$.baseline"),
+        prev=prev,
+        last_t=decode(int, doc.get("last_t", -1), "$.last_t"),
+    )
+
+
+def _check_counts(prior: AugmentedScg, counts: TransitionCounts) -> None:
+    """SchemaError unless the counts are over the prior's failures, from its
+    situations to its states, and each >= 0."""
+    if counts.failure_ids != prior.space.failure_set:
+        raise SchemaError("counts must name the prior's failures", ["$.counts.failure_ids"])
+    states = prior.space.index.keys()
+    for sid, row in counts.counts.items():
+        known = prior.is_situation(sid) and row.keys() <= states
+        if not known or min(row.values(), default=0) < 0:
+            message = "counts run from a situation to states of the prior, each >= 0"
+            raise SchemaError(message, [f"$.counts.counts.{sid}"])
 
 
 def save_snapshot(kb: KnowledgeBase, path) -> None:
@@ -428,7 +399,7 @@ def read_trace(path) -> list[TraceEvent]:
                     doc = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise SchemaError(f"{path}:{number}: invalid JSON: {exc}") from exc
-                events.append(TraceEvent.from_dict(doc))
+                events.append(decode(TraceEvent, doc, f"{path}:{number}"))
         except UnicodeDecodeError as exc:  # raised by reading the next line
             raise SchemaError(f"{path}: not text: {exc}") from exc
     return events

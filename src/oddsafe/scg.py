@@ -18,14 +18,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import reprlib
+import sys
 import warnings
 from collections.abc import Container
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache, lru_cache
 from operator import attrgetter, countOf
-from typing import TYPE_CHECKING
+from types import NoneType, UnionType
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
-from .errors import InvalidOddError, ModelError, NotFoundError, SchemaError
+from .errors import InvalidOddError, ModelError, NotFoundError, OddsafeError, SchemaError
 
 if TYPE_CHECKING:
     from .dtmc import Dtmc
@@ -137,7 +140,7 @@ class AugmentedScg:
 def _member(sid, ids: frozenset) -> bool:
     try:
         return sid in ids
-    except TypeError:  # an unhashable id, such as a list from a trace, names no state
+    except TypeError:  # an unhashable id, such as a list a caller passes, names no state
         return False
 
 
@@ -468,3 +471,51 @@ def read_json(path):
 
 def load_scg(path) -> AugmentedScg:
     return scg_from_dict(read_json(path))
+
+
+#: the annotations of each record type decode has read
+_type_hints = cache(get_type_hints)
+
+
+def decode(kind, doc, path: str = "$"):
+    """`doc`, a decoded JSON value, read as a value of type `kind`.
+
+    A dataclass is read from a JSON object of its init fields, each as its
+    annotation says: `X | None`; a list, tuple or frozenset from an array;
+    `dict[str, T]` from an object; `str`, `bool` and `int` (no bool) as they
+    are; `float` from any finite number.  AugmentedScg has scg_from_dict read
+    it, and a type with a `from_dict` that.  A value of another type, an
+    unknown or missing key, or a record its `__post_init__` rejects is a
+    SchemaError naming its path.
+    """
+    if type(doc) is kind and kind in (str, bool, int):  # type(), so an int is no bool
+        return doc
+    if kind is AugmentedScg:
+        return scg_from_dict(doc)
+    if hasattr(kind, "from_dict"):
+        return kind.from_dict(doc, path)
+    origin, args = get_origin(kind) or kind, get_args(kind)
+    if origin is UnionType:  # X | None
+        (inner,) = set(args) - {NoneType}
+        return None if doc is None else decode(inner, doc, path)
+    if origin is float:
+        if type(doc) not in (int, float) or not abs(doc) <= sys.float_info.max:  # NaN fails too
+            raise SchemaError(f"expected a finite number, not {reprlib.repr(doc)}", [path])
+        return float(doc)
+    if origin is dict and type(doc) is dict:
+        return {key: decode(args[1], value, f"{path}.{key}") for key, value in doc.items()}
+    if origin in (list, tuple, frozenset) and type(doc) is list:
+        return origin([decode(args[0], value, f"{path}[{i}]") for i, value in enumerate(doc)])
+    if not (is_dataclass(kind) and type(doc) is dict):
+        raise SchemaError(f"expected {kind.__name__}, not {reprlib.repr(doc)}", [path])
+    init = [f for f in fields(kind) if f.init]
+    odd = doc.keys() - {f.name for f in init}
+    odd |= {f.name for f in init if f.default is f.default_factory is MISSING} - doc.keys()
+    if odd:
+        raise SchemaError("unknown or missing keys", sorted(f"{path}.{key}" for key in odd))
+    hints = _type_hints(kind)
+    values = {key: decode(hints[key], value, f"{path}.{key}") for key, value in doc.items()}
+    try:
+        return kind(**values)
+    except (ValueError, OddsafeError) as exc:  # its __post_init__ rejects it
+        raise SchemaError(str(exc), [path]) from exc

@@ -17,7 +17,7 @@ from oddsafe.errors import ModelError, NotFoundError, OddsafeError, PropertyErro
 from oddsafe.marsim import ScenarioConfig, generate_scenario
 from oddsafe.proplang import parse_property
 from oddsafe.runtime import new_knowledge_base
-from oddsafe.scg import scg_from_dict, scg_to_dict, sink_situation
+from oddsafe.scg import decode, scg_from_dict, scg_to_dict, sink_situation
 
 from helpers import make_scg
 
@@ -216,7 +216,7 @@ def test_outcome_round_trip():
     outcome = synthesize_safe_controller(
         _violating_scg(), [PROP], SynthesisConfig(max_removals=4)
     )
-    again = AdaptationOutcome.from_dict(outcome.to_dict())
+    again = decode(AdaptationOutcome, outcome.to_dict())
     assert json.dumps(again.to_dict()) == json.dumps(outcome.to_dict())
 
 
@@ -229,11 +229,11 @@ def test_outcomes_compare_by_value():
 
     outcome = synthesize(4)
     assert outcome == synthesize(4)
-    assert outcome == AdaptationOutcome.from_dict(outcome.to_dict())
+    assert outcome == decode(AdaptationOutcome, outcome.to_dict())
     assert outcome != synthesize(0)
     doc = outcome.to_dict()
     doc["final_report"]["worst_scores"]["s1"] += 1.0
-    assert outcome != AdaptationOutcome.from_dict(doc)
+    assert outcome != decode(AdaptationOutcome, doc)
     assert outcome != doc
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -321,6 +322,11 @@ def test_experiment_rq1_small_run(tmp_path, capsys):
         ("experiment-rq1", {"max_removals": -1}),
         ("experiment-rq2", {"max_removals": -1}),
         ("experiment-rq2", {"prior_strength_kappa": -0.5}),
+        ("experiment-rq1", {"scenario": {"failure_bias": {"f1": math.nan}}}),
+        ("experiment-rq1", {"scenario": {"failure_bias": {"f1": math.inf}}}),  # as 1e309 reads
+        ("experiment-rq1", {"scenario": {"failure_bias": {"f1": 10**400}}}),
+        ("experiment-rq1", {"scenario": {"failure_bias": {"zz": 1.0}}}),
+        ("experiment-rq2", {"prior_strength_kappa": math.inf}),
     ],
 )
 def test_bad_experiment_config_is_usage_error(command, config, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 from collections import Counter
@@ -24,7 +25,7 @@ from oddsafe.dtmc import (
     transition_matrix,
     write_rows,
 )
-from oddsafe.errors import ModelError, NotFoundError, PropertyError
+from oddsafe.errors import ModelError, NotFoundError, PropertyError, SchemaError
 from oddsafe.experiments import random_dense_scg
 from oddsafe.scg import (
     AugmentedScg,
@@ -456,6 +457,39 @@ def test_report_round_trip_and_queries():
     assert rank_situations(sink_situation(scg, "s0"), [prop]).all_compliant()
     again = CriticalityReport.from_dict(report.to_dict())
     assert again.to_dict() == report.to_dict()
+
+
+def _report_doc() -> dict:
+    scg = make_scg({"s0": {"f1": 0.9, "s0": 0.1}, "s1": {"s1": 1.0}}, 2)
+    props = [BoundedReachProperty(name, "f1", 10, "<", 0.5) for name in ("p", "q")]
+    return rank_situations(scg, props).to_dict()
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d.pop("worst_scores"), "$"),
+        (lambda d: d.update(bogus=1), "$"),
+        (lambda d: d.update(records=[]), "$"),
+        (lambda d: d["worst_scores"].pop("s1"), "$"),
+        (lambda d: d["records"].update(s1=[]), "$.records"),
+        (lambda d: d["records"]["s1"].pop("q"), "$.records"),
+        (lambda d: d["records"]["s1"].update(p=0.5), "$.records"),
+        (lambda d: d["records"]["s1"]["p"].pop("compliant"), "$.records"),
+        (lambda d: d["records"]["s1"]["p"].update(extra=0), "$.records"),
+        (lambda d: d["records"]["s1"]["p"].update(value="0.5"), "$"),
+        (lambda d: d["records"]["s1"]["p"].update(score=math.nan), "$"),
+        (lambda d: d["records"]["s1"]["p"].update(compliant=1), "$"),
+        (lambda d: d["worst_scores"].update(s1=math.inf), "$"),
+    ],
+)
+def test_report_from_dict_names_a_document_of_another_shape(edit, path):
+    doc = _report_doc()
+    CriticalityReport.from_dict(doc)
+    edit(doc)
+    with pytest.raises(SchemaError) as exc:
+        CriticalityReport.from_dict(doc)
+    assert exc.value.paths == [path]
 
 
 def _loop_report(scg, model, vectors, properties) -> dict:

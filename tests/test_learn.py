@@ -11,7 +11,7 @@ from oddsafe.learn import (
     ingest,
     rebuild_scg,
 )
-from oddsafe.scg import sink_situation, validate_scg
+from oddsafe.scg import decode, sink_situation, validate_scg
 
 from helpers import make_scg
 
@@ -36,7 +36,7 @@ def test_counts_round_trip():
     counts = TransitionCounts(failure_ids=frozenset({"f1"}))
     ingest(counts, "s0", "s1")
     ingest(counts, "s1", "f1")
-    again = TransitionCounts.from_dict(counts.to_dict())
+    again = decode(TransitionCounts, counts.to_dict())
     assert again.counts == counts.counts
     sids = ("s0", "s1", "s9")
     assert [again.total(s) for s in sids] == [counts.total(s) for s in sids] == [1, 1, 0]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import copy
 import math
 import warnings
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from hypothesis import strategies as st
 
 from oddsafe.dtmc import build_model
 from oddsafe.errors import ModelError, OddsafeError, SchemaError
+from oddsafe.experiments import VariantConfig
 from oddsafe.proplang import parse_properties_file
 from oddsafe.runtime import TraceEvent, load, new_knowledge_base, run, snapshot
-from oddsafe.scg import ROW_SUM_ATOL, row_violations, scg_from_dict, scg_to_dict
+from oddsafe.scg import ROW_SUM_ATOL, decode, row_violations, scg_from_dict, scg_to_dict
 
 from helpers import make_scg
 
@@ -159,7 +162,13 @@ def test_load_returns_or_raises_oddsafe_error(doc):
 @FUZZ
 @given(mutants({"t": 3, "kind": "situation_entered", "id": "s0"}))
 def test_trace_event_returns_or_raises_oddsafe_error(doc):
-    _returns_or_raises_oddsafe_error(TraceEvent.from_dict, doc)
+    _returns_or_raises_oddsafe_error(partial(decode, TraceEvent), doc)
+
+
+@FUZZ
+@given(mutants(asdict(VariantConfig())))
+def test_variant_config_returns_or_raises_oddsafe_error(doc):
+    _returns_or_raises_oddsafe_error(partial(decode, VariantConfig), doc)
 
 
 @FUZZ

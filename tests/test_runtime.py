@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from oddsafe.runtime import (
     step,
     write_trace,
 )
-from oddsafe.scg import scg_to_dict, sink_situation
+from oddsafe.scg import (
+    AugmentedScg,
+    FailureMode,
+    OddAttribute,
+    decode,
+    scg_to_dict,
+    sink_situation,
+)
 
 from helpers import make_scg
 
@@ -72,8 +80,12 @@ def test_malformed_trace_input_is_schema_error(tmp_path):
         {"kind": "episode_reset"},
     ):
         with pytest.raises(SchemaError):
-            TraceEvent.from_dict(doc)
+            decode(TraceEvent, doc)
     path = tmp_path / "trace.jsonl"
+    path.write_text('{"t": 0, "kind": "episode_reset"}\n{"t": "x", "kind": "episode_reset"}\n')
+    with pytest.raises(SchemaError) as exc:
+        read_trace(path)
+    assert exc.value.paths == [f"{path}:2.t"]
     path.write_text('{"t": 0, "kind": "episode_reset"}\n{"t": 1,\n')
     with pytest.raises(SchemaError, match=":2: invalid JSON"):
         read_trace(path)
@@ -297,6 +309,74 @@ def test_load_rejects_a_malformed_loop_cursor(key, value):
     assert exc.value.paths == [f"$.{key}"]
 
 
+def _maritime_snapshot() -> dict:
+    """A seed-7 maritime knowledge base after two steps: one count, s0 -> s1."""
+    _, belief = generate_scenario(ScenarioConfig(seed=7))
+    kb = new_knowledge_base(belief, experiments.default_properties())
+    run(kb, [TraceEvent(0, "situation_entered", "s0"), TraceEvent(1, "situation_entered", "s1")])
+    return snapshot(kb)
+
+
+MARITIME_SNAPSHOT = _maritime_snapshot()
+
+
+@pytest.mark.parametrize(
+    "keys, value, path",
+    [
+        (("counts", "counts", "zz"), {"s1": 1}, "$.counts.counts.zz"),
+        (("counts", "counts", "f1"), {"s1": 1}, "$.counts.counts.f1"),
+        (("counts", "counts", "s0"), {"zz": 1}, "$.counts.counts.s0"),
+        (("counts", "counts", "s0", "s1"), -1, "$.counts.counts.s0"),
+        (("counts", "counts", "s0", "s1"), "3", "$.counts.counts.s0.s1"),
+        (("counts", "counts", "s0", "s1"), 2.7, "$.counts.counts.s0.s1"),
+        (("counts", "counts", "s0", "s1"), True, "$.counts.counts.s0.s1"),
+        (("counts", "failure_ids"), ["f9"], "$.counts.failure_ids"),
+        (("counts", "failure_ids"), ["f1"], "$.counts.failure_ids"),
+        (("counts", "failure_ids"), "f1", "$.counts.failure_ids"),
+        (("history", 0, "controller_id"), "nope", "$.history[0].controller_id"),
+        (("history", 0, "t"), 2.7, "$.history[0].t"),
+        (("history", 0, "outcome"), [], "$.history[0].outcome"),
+        (("synthesis", "max_removals"), "3", "$.synthesis.max_removals"),
+        (("synthesis", "max_removals"), True, "$.synthesis.max_removals"),
+        (("synthesis", "max_removals"), -1, "$.synthesis"),
+        (("estimator", "bogus"), 1, "$.estimator.bogus"),
+        (("estimator", "mode"), "psychic", "$.estimator"),
+        (("estimator", "prior_strength_kappa"), math.nan, "$.estimator.prior_strength_kappa"),
+        (("estimator", "prior_strength_kappa"), math.inf, "$.estimator.prior_strength_kappa"),
+        (("estimator", "smoothing_alpha"), 10**400, "$.estimator.smoothing_alpha"),
+        (("controllers", 0, "avoided"), "s0", "$.controllers[0].avoided"),
+        (("controllers", 0, "avoided"), ["s0"], "$.controllers[0]"),
+    ],
+)
+def test_load_checks_every_snapshot_field(keys, value, path):
+    doc = json.loads(json.dumps(MARITIME_SNAPSHOT))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == [path]
+
+
+@pytest.mark.parametrize("failure", ["f1", "s3"], ids=["larger-grid", "failure-named-s3"])
+def test_load_rejects_a_controller_over_other_states(failure):
+    # the controller sinks s3, which the prior lacks or names as a failure
+    delta = {"s0": {"s0": 0.99, failure: 0.01}, "s1": {"s1": 1.0}, "s2": {"s2": 1.0}}
+    failures = (FailureMode(failure, "f1"),)
+    prior = AugmentedScg((OddAttribute("a", ("x", "y", "z")),), failures, delta)
+    doc = snapshot(new_knowledge_base(prior, [PROP], estimator=EXACT))
+    grid = AugmentedScg(
+        (OddAttribute("a", ("x", "y", "z", "w")),),
+        (FailureMode("f9", "f9"),),
+        {f"s{i}": {f"s{i}": 1.0} for i in range(4)},
+    )
+    doc["controllers"][0].update(scg=scg_to_dict(sink_situation(grid, "s3")), avoided=["s3"])
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == ["$.controllers[0].scg"]
+
+
 def test_load_rejects_a_non_numeric_count():
     kb = _kb(violating=False)
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
@@ -418,13 +498,14 @@ def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):
             assert [e.to_dict() for e in resumed + rest] == [e.to_dict() for e in full_log]
 
 
-def test_unknown_count_target_is_a_model_error_through_a_loaded_snapshot():
+def test_unknown_count_target_is_a_schema_error_through_a_loaded_snapshot():
     kb = _kb(violating=False)
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
     doc = snapshot(kb)
     doc["counts"]["counts"]["s1"] = {"zz": 1}
-    with pytest.raises(ModelError):
+    with pytest.raises(SchemaError) as exc:
         load(doc)
+    assert exc.value.paths == ["$.counts.counts.s1"]
 
 
 def test_unknown_count_target_is_a_model_error_through_an_incremental_step():

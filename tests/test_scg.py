@@ -1,7 +1,7 @@
 import json
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -9,10 +9,15 @@ from oddsafe import scg as scg_module
 from oddsafe.adapt import SynthesisConfig, synthesize_safe_controller
 from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
 from oddsafe.errors import InvalidOddError, ModelError, NotFoundError, SchemaError
+from oddsafe.experiments import TimelineConfig, VariantConfig
+from oddsafe.learn import EstimatorConfig, TransitionCounts
+from oddsafe.marsim import ScenarioConfig
+from oddsafe.runtime import HistoryEntry, TraceEvent
 from oddsafe.scg import (
     AugmentedScg,
     FailureMode,
     OddAttribute,
+    decode,
     describe_situation,
     enumerate_situations,
     load_scg,
@@ -328,3 +333,52 @@ def test_state_spaces_stay_right_under_concurrent_misses():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def _records():
+    delta = {"s0": {"f1": 0.9, "s0": 0.1}, "s1": {"s0": 0.5, "s1": 0.5}, "s2": {"s2": 1.0}}
+    prop = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
+    outcome = synthesize_safe_controller(make_scg(delta, 3), [prop], SynthesisConfig(2))
+    return [
+        TraceEvent(3, "situation_entered", "s0"),
+        TraceEvent(4, "episode_reset"),
+        HistoryEntry(0, "c0"),
+        HistoryEntry(2, "c1", outcome),
+        TransitionCounts(frozenset({"f1"}), {"s0": {"s1": 2, "f1": 1}}),
+        outcome,
+        EstimatorConfig(mode="frequentist", smoothing_alpha=0.5),
+        SynthesisConfig(max_removals=2),
+        VariantConfig(seed=3, scenario=ScenarioConfig(failure_bias={"f1": 2.0})),
+        TimelineConfig(steps=10, prior_strength_kappa=0.25),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_decode_gives_back_every_record_it_is_written_from(record):
+    doc = record.to_dict() if hasattr(record, "to_dict") else asdict(record)
+    assert decode(type(record), json.loads(json.dumps(doc))) == record
+
+
+@pytest.mark.parametrize(
+    "kind, doc, path",
+    [
+        (int, True, "$"),
+        (int, 1.0, "$"),
+        (float, "1", "$"),
+        (float, float("nan"), "$"),
+        (float, 10**400, "$"),
+        (bool, 0, "$"),
+        (str | None, 5, "$"),
+        (list[int], {"0": 1}, "$"),
+        (list[int], [1, "2"], "$[1]"),
+        (dict[str, int], [], "$"),
+        (dict[str, int], {"a": None}, "$.a"),
+        (SynthesisConfig, {"max_removals": 1, "rng_seed": 7}, "$.rng_seed"),
+        (TraceEvent, {"kind": "episode_reset"}, "$.t"),
+        (TraceEvent, {"t": 0, "kind": "teleported"}, "$"),
+    ],
+)
+def test_decode_names_the_path_of_a_value_of_another_type(kind, doc, path):
+    with pytest.raises(SchemaError) as exc:
+        decode(kind, doc)
+    assert exc.value.paths == [path]
