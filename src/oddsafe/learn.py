@@ -129,9 +129,8 @@ def estimate_row(
 def rebuild_scg(
     prior: AugmentedScg, counts: TransitionCounts, config: EstimatorConfig
 ) -> AugmentedScg:
-    """Re-estimate every non-sunk row of the prior SCG from the counts."""
+    """Re-estimate every non-sunk row of the prior SCG from the counts; the
+    rebuilt rows are checked by the build_model that compiles the belief."""
     require_valid(prior)
     delta = {sid: estimate_row(prior, counts, config, sid) for sid in prior.situation_ids}
-    rebuilt = replace(prior, delta=delta)
-    require_valid(rebuilt)
-    return rebuilt
+    return replace(prior, delta=delta)

@@ -13,9 +13,11 @@ the comparator form.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .dtmc import BoundedReachProperty
 from .errors import PropertyRangeError, PropertySyntaxError, SchemaError
+from .scg import decode
 
 #: the largest step bound k: a check runs k sweeps over the whole operator,
 #: so a larger k would run for minutes on a large grid
@@ -90,23 +92,29 @@ def format_property(prop: BoundedReachProperty) -> str:
     )
 
 
+@dataclass(frozen=True)
+class PropertyEntry:
+    """One record of a properties list: a requirement's name and expression."""
+
+    name: str
+    expression: str
+
+
 def parse_properties_file(doc: list, path: str = "$") -> list[BoundedReachProperty]:
-    """Parse a non-empty JSON array of {name, expression} records with
-    distinct text names, found at `path` of its document: results are keyed
-    by name, so a repeated name would drop the earlier requirement."""
-    if not isinstance(doc, list):
-        raise SchemaError("properties file must be a JSON array", [path])
-    if not doc:  # nothing to check would log every step compliant
+    """Parse a JSON array of {name, expression} records, found at `path` of
+    its document (see parse_entries)."""
+    return parse_entries(decode(list[PropertyEntry], doc, path), path)
+
+
+def parse_entries(entries: list[PropertyEntry], path: str) -> list[BoundedReachProperty]:
+    """Parse the property records of the non-empty list at `path`, with
+    distinct names: results are keyed by name, so a repeated name would drop
+    the earlier requirement."""
+    if not entries:  # nothing to check would log every step compliant
         raise SchemaError("properties file lists no property", [path])
-    props = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or "name" not in entry or "expression" not in entry:
-            raise SchemaError("property entry needs name and expression", [f"{path}[{i}]"])
-        props.append(parse_property(entry["name"], entry["expression"]))
+    props = [parse_property(entry.name, entry.expression) for entry in entries]
     names = [p.name for p in props]
     for i, name in enumerate(names):
-        if not isinstance(name, str):
-            raise SchemaError("property name must be text", [f"{path}[{i}].name"])
         if name in names[:i]:
             raise SchemaError(f"property name {name!r} is repeated", [f"{path}[{i}].name"])
     return props

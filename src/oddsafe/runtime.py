@@ -24,13 +24,12 @@ from .adapt import (
 from .dtmc import BoundedReachProperty, Dtmc, build_model, require_unique_names, write_rows
 from .errors import SchemaError, TraceError
 from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
-from .proplang import format_property, parse_properties_file
+from .proplang import PropertyEntry, format_property, parse_entries
 from .scg import (
     AugmentedScg,
     decode,
     read_json,
     require_valid_row,
-    scg_from_dict,
     scg_to_dict,
     sink_situation,
 )
@@ -308,58 +307,55 @@ def snapshot(kb: KnowledgeBase) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class _Snapshot:
+    """What a snapshot stores of a knowledge base, as load reads it."""
+
+    prior_scg: AugmentedScg
+    counts: TransitionCounts
+    properties: list[PropertyEntry]
+    controllers: list[Controller]
+    history: list[HistoryEntry]
+    estimator: EstimatorConfig
+    synthesis: SynthesisConfig
+    baseline: bool = False
+    prev: str | None = None
+    last_t: int = -1
+
+
 def load(doc: dict) -> KnowledgeBase:
     """The knowledge base of a snapshot; each defect is a SchemaError at its path.
 
     The belief is derived again from the prior, the counts and the active
-    controller, so a snapshot does not store it.  The `scg` and the synthesis
-    `rng_seed` and `out_of_odd_horizon` that older snapshots carry are not read.
+    controller, so a snapshot does not store it.  The `scg` and `scg_version`
+    and the synthesis `rng_seed` and `out_of_odd_horizon` that older
+    snapshots carry are not read.  Nothing builds from the loaded prior and
+    controller SCGs, so they drop the models their load compiled.
     """
-    required = (
-        "prior_scg", "counts", "properties", "controllers", "history", "estimator", "synthesis"
-    )
-    if not isinstance(doc, dict):
-        raise SchemaError("knowledge-base snapshot must be a JSON object", ["$"])
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise SchemaError("knowledge-base snapshot incomplete", [f"$.{k}" for k in missing])
-    properties = parse_properties_file(doc["properties"], "$.properties")
-    prior = scg_from_dict(doc["prior_scg"])
-    controllers = decode(list[Controller], doc["controllers"], "$.controllers")
+    if type(doc) is dict:  # drop what older snapshots carry by name
+        doc = {k: v for k, v in doc.items() if k not in ("scg", "scg_version")}
+        if type(doc.get("synthesis")) is dict:
+            legacy = ("rng_seed", "out_of_odd_horizon")
+            doc["synthesis"] = {k: v for k, v in doc["synthesis"].items() if k not in legacy}
+    record = decode(_Snapshot, doc)
+    properties = parse_entries(record.properties, "$.properties")
+    prior, controllers = record.prior_scg, record.controllers
     ids = prior.space.ids
     odd = [f"$.controllers[{i}].scg" for i, c in enumerate(controllers) if c.scg.space.ids != ids]
     if odd or not controllers:  # the belief sinks the active controller's situations
         raise SchemaError("need controllers over the prior's states", odd or ["$.controllers"])
-    counts = decode(TransitionCounts, doc["counts"], "$.counts")
-    _check_counts(prior, counts)
-    history = decode(list[HistoryEntry], doc["history"], "$.history")
+    _check_counts(prior, record.counts)
     named = {c.id for c in controllers}
-    for i, entry in enumerate(history):
+    for i, entry in enumerate(record.history):
         if entry.controller_id not in named:
             raise SchemaError("history names no controller", [f"$.history[{i}].controller_id"])
-    estimator = decode(EstimatorConfig, doc["estimator"], "$.estimator")
-    synthesis, legacy = doc["synthesis"], ("rng_seed", "out_of_odd_horizon")
-    if type(synthesis) is dict:  # older snapshots carry these settings; nothing reads them
-        synthesis = {k: v for k, v in synthesis.items() if k not in legacy}
-    synthesis = decode(SynthesisConfig, synthesis, "$.synthesis")
-    belief, model = _derive_belief(prior, counts, estimator, controllers[-1])
-    prev = decode(str | None, doc.get("prev"), "$.prev")
+    for scg in (prior, *(c.scg for c in controllers)):
+        object.__setattr__(scg, "compiled", None)
+    belief, model = _derive_belief(prior, record.counts, record.estimator, controllers[-1])
+    prev = record.prev
     if prev is not None and (not belief.is_situation(prev) or prev in belief.sunk):
         raise SchemaError("prev must be null or a situation not avoided", ["$.prev"])
-    return KnowledgeBase(
-        prior_scg=prior,
-        scg=belief,
-        model=model,
-        counts=counts,
-        properties=properties,
-        controllers=controllers,
-        history=history,
-        estimator=estimator,
-        synthesis=synthesis,
-        baseline=decode(bool, doc.get("baseline", False), "$.baseline"),
-        prev=prev,
-        last_t=decode(int, doc.get("last_t", -1), "$.last_t"),
-    )
+    return KnowledgeBase(**{**vars(record), "properties": properties}, scg=belief, model=model)
 
 
 def _check_counts(prior: AugmentedScg, counts: TransitionCounts) -> None:

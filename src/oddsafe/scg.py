@@ -350,13 +350,26 @@ def scg_to_dict(scg: AugmentedScg) -> dict:
     }
 
 
-def scg_from_dict(doc: dict) -> AugmentedScg:
-    """Build an AugmentedScg from its JSON form, renormalising noisy rows.
+@dataclass(frozen=True)
+class _ScgDocument:
+    """The JSON form of an AugmentedScg as decode reads it; `delta` is taken
+    as it is, for scg_from_dict to compile or to decode row by row."""
+
+    attributes: tuple[OddAttribute, ...]
+    failures: tuple[FailureMode, ...]
+    delta: dict
+    sunk: frozenset[str] = frozenset()
+
+
+def scg_from_dict(doc: dict, path: str = "$") -> AugmentedScg:
+    """Build an AugmentedScg from its JSON form, found at `path` of its
+    document, renormalising noisy rows.
 
     Rows off 1 by at most ROW_SUM_RENORM are renormalised with a warning;
-    anything worse raises ModelError.  A document of the wrong shape raises
-    SchemaError naming the offending path.  The SCG is validated by compiling
-    it, and keeps the model for its first build_model.
+    anything worse raises ModelError.  A document of the wrong shape, an
+    unknown key included, raises SchemaError naming the offending path.  The
+    SCG is validated by compiling it, and keeps the model for its first
+    build_model.
 
     A document with a row for every situation is compiled first as it is,
     its rows taken, not copied: the compile's float fill checks every value's
@@ -366,58 +379,25 @@ def scg_from_dict(doc: dict) -> AugmentedScg:
     rejects, goes through _decode_rows, which converts the values,
     renormalises or rejects each row by its sum and names the first defect.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("SCG document must be a JSON object", ["$"])
-    missing = [k for k in ("attributes", "failures", "delta") if k not in doc]
-    if missing:
-        raise SchemaError("SCG document missing keys", [f"$.{k}" for k in missing])
-    try:
-        attributes = tuple(itertools.starmap(_attribute, enumerate(doc["attributes"])))
-        failures = tuple(
-            FailureMode(f["id"], f["label"], f.get("description", ""))
-            for f in doc["failures"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed attribute/failure entry: {exc}") from exc
-    if not isinstance(doc["delta"], dict):
-        raise SchemaError("delta must map situation ids to rows", ["$.delta"])
-    sunk = doc.get("sunk", [])
-    if not isinstance(sunk, list):
-        raise SchemaError("sunk must be a list of situation ids", ["$.sunk"])
-    names = [a.name for a in attributes] + [v for a in attributes for v in a.values]
-    names += [text for f in failures for text in (f.id, f.label)] + sunk
-    if countOf(map(type, names), str) != len(names):
-        raise SchemaError("names, values, ids, labels and sunk ids must be strings")
-    for i, failure in enumerate(failures):
-        if type(failure.description) is not str:  # a FailureMode must hash
-            raise SchemaError(
-                "a failure description must be a string", [f"$.failures[{i}].description"]
-            )
-    _check_attributes(list(attributes))
+    head = decode(_ScgDocument, doc, path)
+    attributes, failures, rows, sunk = head.attributes, head.failures, head.delta, head.sunk
+    _check_attributes(attributes)
     size = math.prod(len(a.values) for a in attributes)
-    rows = doc["delta"]
     if size <= len(rows):
         try:
-            return _compiled(AugmentedScg(attributes, failures, dict(rows), frozenset(sunk)), True)
+            return _compiled(AugmentedScg(attributes, failures, dict(rows), sunk), True)
         except ModelError:
             pass  # the row loop finds the defect and names it
-    delta = _decode_rows(rows)
+    delta = _decode_rows(rows, path)
     if size > len(delta):  # some situation has no row; do not build the grid
         raise ModelError(f"invalid augmented SCG: {size} situations, {len(delta)} delta rows")
-    return _compiled(AugmentedScg(attributes, failures, delta, frozenset(sunk)))
+    return _compiled(AugmentedScg(attributes, failures, delta, sunk))
 
 
-def _attribute(i: int, entry: dict) -> OddAttribute:
-    name, values = entry["name"], entry["values"]
-    if not isinstance(values, list):  # tuple() would split a string into values
-        raise SchemaError("attribute values must be a JSON array", [f"$.attributes[{i}].values"])
-    return OddAttribute(name, tuple(values))
-
-
-def _decode_rows(rows: dict) -> dict[str, dict[str, float]]:
-    """The rows of a document, one by one: values converted to floats, rows
-    off 1 by at most ROW_SUM_RENORM renormalised with a warning, and the first
-    row of the wrong shape or beyond renormalisation an error."""
+def _decode_rows(rows: dict, path: str) -> dict[str, dict[str, float]]:
+    """The rows of the document at `path`, one by one: values converted to
+    floats, rows off 1 by at most ROW_SUM_RENORM renormalised with a warning,
+    and the first row of the wrong shape or beyond renormalisation an error."""
     delta: dict[str, dict[str, float]] = {}
     for sid, row in rows.items():
         try:
@@ -428,7 +408,7 @@ def _decode_rows(rows: dict) -> dict[str, dict[str, float]]:
                 row = {t: float(p) for t, p in items}
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(
-                f"a delta row must map ids to numbers: {exc}", [f"$.delta.{sid}"]
+                f"a delta row must map ids to numbers: {exc}", [f"{path}.delta.{sid}"]
             ) from exc
         total = sum(row.values())
         off = abs(total - 1.0)
@@ -482,16 +462,16 @@ def decode(kind, doc, path: str = "$"):
 
     A dataclass is read from a JSON object of its init fields, each as its
     annotation says: `X | None`; a list, tuple or frozenset from an array;
-    `dict[str, T]` from an object; `str`, `bool` and `int` (no bool) as they
-    are; `float` from any finite number.  AugmentedScg has scg_from_dict read
-    it, and a type with a `from_dict` that.  A value of another type, an
-    unknown or missing key, or a record its `__post_init__` rejects is a
-    SchemaError naming its path.
+    `dict[str, T]` from an object, and a bare `dict` as it is; `str`, `bool`
+    and `int` (no bool) as they are; `float` from any finite number.
+    AugmentedScg has scg_from_dict read it at `path`, and a type with a
+    `from_dict` that.  A value of another type, an unknown or missing key, or
+    a record its `__post_init__` rejects is a SchemaError naming its path.
     """
     if type(doc) is kind and kind in (str, bool, int):  # type(), so an int is no bool
         return doc
     if kind is AugmentedScg:
-        return scg_from_dict(doc)
+        return scg_from_dict(doc, path)
     if hasattr(kind, "from_dict"):
         return kind.from_dict(doc, path)
     origin, args = get_origin(kind) or kind, get_args(kind)
@@ -503,11 +483,13 @@ def decode(kind, doc, path: str = "$"):
             raise SchemaError(f"expected a finite number, not {reprlib.repr(doc)}", [path])
         return float(doc)
     if origin is dict and type(doc) is dict:
+        if not args:  # a bare dict, such as an SCG's delta, is taken as it is
+            return doc
         return {key: decode(args[1], value, f"{path}.{key}") for key, value in doc.items()}
     if origin in (list, tuple, frozenset) and type(doc) is list:
         return origin([decode(args[0], value, f"{path}[{i}]") for i, value in enumerate(doc)])
     if not (is_dataclass(kind) and type(doc) is dict):
-        raise SchemaError(f"expected {kind.__name__}, not {reprlib.repr(doc)}", [path])
+        raise SchemaError(f"expected {kind.__name__.lstrip('_')}, not {reprlib.repr(doc)}", [path])
     init = [f for f in fields(kind) if f.init]
     odd = doc.keys() - {f.name for f in init}
     odd |= {f.name for f in init if f.default is f.default_factory is MISSING} - doc.keys()

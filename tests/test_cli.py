@@ -110,6 +110,14 @@ def test_a_failure_description_that_is_not_text_is_an_input_error(fixtures, tmp_
     assert "$.failures[0].description" in capsys.readouterr().err
 
 
+def test_an_unknown_scg_document_key_is_an_input_error(fixtures, capsys):
+    # an unknown key used to be ignored, so a misspelt "sunk" checked as unsunk
+    path = fixtures["compliant"]
+    path.write_text(json.dumps({**json.loads(path.read_text()), "bogus": 1}))
+    assert main(["check", str(path), str(fixtures["properties"])]) == 2
+    assert "[$.bogus]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("values", ["xy", {"x": 0, "y": 1}, 2], ids=["text", "object", "number"])
 def test_attribute_values_that_are_no_array_are_an_input_error(values, fixtures, capsys):
     # tuple() used to split "xy" into the values x and y, and check gave a verdict

@@ -278,7 +278,7 @@ def test_the_edges_straddle_the_tolerance():
 
 
 def test_benchmark_and_saved_documents_take_the_float_path(monkeypatch, tmp_path):
-    def row_loop(rows):
+    def row_loop(rows, path):
         raise AssertionError("a float document went through the row loop")
 
     monkeypatch.setattr(scg_module, "_decode_rows", row_loop)
@@ -349,9 +349,9 @@ def _count_row_loops(monkeypatch) -> list:
     calls = []
     row_loop = scg_module._decode_rows
 
-    def counted(rows):
+    def counted(rows, path):
         calls.append(rows)
-        return row_loop(rows)
+        return row_loop(rows, path)
 
     monkeypatch.setattr(scg_module, "_decode_rows", counted)
     return calls

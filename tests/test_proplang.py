@@ -140,10 +140,20 @@ def test_properties_file_parsing():
     assert [p.name for p in props] == ["phi1", "phi2"]
 
 
-@pytest.mark.parametrize("doc", [{}, [{"name": "p"}], [42]])
-def test_properties_file_schema_errors(doc):
-    with pytest.raises(SchemaError):
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({}, "$"),
+        ([{"name": "p"}], "$[0].expression"),
+        ([42], "$[0]"),
+        ([{"name": "p", "expression": "P < 0.5 [ F<=5 f1 ]", "bogus": 1}], "$[0].bogus"),
+        ([{"name": "p", "expression": 0.5}], "$[0].expression"),
+    ],
+)
+def test_properties_file_schema_errors(doc, path):
+    with pytest.raises(SchemaError) as exc:
         parse_properties_file(doc)
+    assert exc.value.paths == [path]
 
 
 @pytest.mark.parametrize(

@@ -262,7 +262,11 @@ def test_load_rejects_property_names_results_cannot_key(name):
 
 @pytest.mark.parametrize(
     "properties, path",
-    [([], "$.properties"), ({}, "$.properties"), ([{"name": "phi"}], "$.properties[0]")],
+    [
+        ([], "$.properties"),
+        ({}, "$.properties"),
+        ([{"name": "phi"}], "$.properties[0].expression"),
+    ],
     ids=["empty", "no-array", "no-expression"],
 )
 def test_load_rejects_a_snapshot_without_properties(properties, path):
@@ -276,11 +280,12 @@ def test_load_rejects_a_snapshot_without_properties(properties, path):
 @pytest.mark.parametrize("owner", ["prior", "controller"])
 def test_load_rejects_attribute_values_that_are_no_array(owner):
     doc = snapshot(_kb(violating=False))
+    path = "$.prior_scg" if owner == "prior" else "$.controllers[0].scg"
     scg_doc = doc["prior_scg"] if owner == "prior" else doc["controllers"][0]["scg"]
     scg_doc["attributes"][0]["values"] = "xyz"  # three characters, three situations
     with pytest.raises(SchemaError) as exc:
         load(doc)
-    assert exc.value.paths == ["$.attributes[0].values"]
+    assert exc.value.paths == [f"{path}.attributes[0].values"]
 
 
 @pytest.mark.parametrize(
@@ -296,6 +301,8 @@ def test_load_rejects_attribute_values_that_are_no_array(owner):
         ("last_t", 2.7),
         ("last_t", "3"),
         ("last_t", True),
+        ("baselin", True),  # misspelt: baseline fell back to False
+        ("last_tt", 0),  # misspelt: last_t fell back to -1
     ],
 )
 def test_load_rejects_a_malformed_loop_cursor(key, value):
@@ -346,6 +353,16 @@ MARITIME_SNAPSHOT = _maritime_snapshot()
         (("estimator", "smoothing_alpha"), 10**400, "$.estimator.smoothing_alpha"),
         (("controllers", 0, "avoided"), "s0", "$.controllers[0].avoided"),
         (("controllers", 0, "avoided"), ["s0"], "$.controllers[0]"),
+        (("properties", 0, "bogus"), 1, "$.properties[0].bogus"),
+        (("synthesis", "rng_seedd"), 7, "$.synthesis.rng_seedd"),
+        (("prior_scg", "bogus"), 1, "$.prior_scg.bogus"),
+        (("prior_scg", "attributes", 0, "values", 1), 7, "$.prior_scg.attributes[0].values[1]"),
+        (("prior_scg", "failures", 0, "label"), None, "$.prior_scg.failures[0].label"),
+        (("prior_scg", "delta", "s3"), [1.0], "$.prior_scg.delta.s3"),
+        (("prior_scg", "sunk"), "s0", "$.prior_scg.sunk"),
+        (("controllers", 0, "scg", "bogus"), 1, "$.controllers[0].scg.bogus"),
+        (("controllers", 0, "scg", "delta", "s3"), "abc", "$.controllers[0].scg.delta.s3"),
+        (("controllers", 0, "scg", "delta"), [], "$.controllers[0].scg.delta"),
     ],
 )
 def test_load_checks_every_snapshot_field(keys, value, path):
@@ -375,6 +392,23 @@ def test_load_rejects_a_controller_over_other_states(failure):
     with pytest.raises(SchemaError) as exc:
         load(doc)
     assert exc.value.paths == ["$.controllers[0].scg"]
+
+
+def test_loaded_prior_and_controller_scgs_hold_no_compiled_model():
+    # nothing builds from them; the belief's model is compiled from the prior
+    kb = _kb(violating=True)
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    kb = load(snapshot(kb))
+    assert kb.prior_scg.compiled is None
+    assert [c.scg.compiled for c in kb.controllers] == [None, None]
+    assert kb.model is not None
+
+
+def test_a_bad_estimated_row_is_a_model_error_from_new_knowledge_base():
+    # an infinite kappa estimates every row as NaN / inf, and no such entry is kept
+    estimator = EstimatorConfig(prior_strength_kappa=math.inf)
+    with pytest.raises(ModelError, match=r"invalid augmented SCG: row-sum\(s0\)"):
+        new_knowledge_base(_belief(violating=False), [PROP], estimator=estimator)
 
 
 def test_load_rejects_a_non_numeric_count():
@@ -484,12 +518,14 @@ def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):
         resumed += run(kb, events[cut : cut + 1])
         assert kb.scg.delta[left] != stale_row  # the failure's row is estimated at once
         doc = snapshot(kb)
-        # the older format: selection settings, and a stored belief whose row
-        # left before a failure is still at its estimate from before that failure
+        # the older format: selection settings, a belief version, and a stored
+        # belief whose row left before a failure is still at its estimate from
+        # before that failure
         assert "scg" not in doc
         old = copy.deepcopy(doc)
         old["scg"] = scg_to_dict(kb.scg)
         old["scg"]["delta"][left] = dict(stale_row)
+        old["scg_version"] = 3
         old["synthesis"].update(rng_seed=7, out_of_odd_horizon=None)
         for saved in (doc, old):
             restored = load(saved)

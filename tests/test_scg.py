@@ -359,6 +359,14 @@ def test_decode_gives_back_every_record_it_is_written_from(record):
     assert decode(type(record), json.loads(json.dumps(doc))) == record
 
 
+#: a two-situation SCG document
+SCG = {
+    "attributes": [{"name": "a", "values": ["x", "y"]}],
+    "failures": [{"id": "f1", "label": "f1"}],
+    "delta": {"s0": {"s0": 0.5, "f1": 0.5}, "s1": {"s1": 1.0}},
+}
+
+
 @pytest.mark.parametrize(
     "kind, doc, path",
     [
@@ -376,6 +384,22 @@ def test_decode_gives_back_every_record_it_is_written_from(record):
         (SynthesisConfig, {"max_removals": 1, "rng_seed": 7}, "$.rng_seed"),
         (TraceEvent, {"kind": "episode_reset"}, "$.t"),
         (TraceEvent, {"t": 0, "kind": "teleported"}, "$"),
+        (AugmentedScg, None, "$"),
+        (AugmentedScg, {**SCG, "bogus": 1}, "$.bogus"),
+        (
+            AugmentedScg,
+            {**SCG, "attributes": [{"name": "a", "values": ["x", 0]}]},
+            "$.attributes[0].values[1]",
+        ),
+        (
+            AugmentedScg,
+            {**SCG, "attributes": [{"name": "a", "values": ["x", "y"], "unit": "m"}]},
+            "$.attributes[0].unit",
+        ),
+        (AugmentedScg, {**SCG, "failures": [{"id": ["f1"], "label": "f1"}]}, "$.failures[0].id"),
+        (AugmentedScg, {**SCG, "sunk": [1]}, "$.sunk[0]"),
+        (AugmentedScg, {**SCG, "delta": None}, "$.delta"),
+        (AugmentedScg, {**SCG, "delta": {**SCG["delta"], "s1": [1.0]}}, "$.delta.s1"),
     ],
 )
 def test_decode_names_the_path_of_a_value_of_another_type(kind, doc, path):
