@@ -24,16 +24,17 @@ DEFAULT_MAX_REMOVALS = 4
 
 @dataclass(frozen=True)
 class Controller:
-    """An SCG belief plus the ordered set of situations it avoids."""
+    """The ordered set of situations a controller avoids; one made during a
+    run also holds `scg`, the belief its switch adopts, which is not stored."""
 
     id: str
-    scg: AugmentedScg
+    scg: AugmentedScg | None = None
     avoided: tuple[str, ...] = ()
     origin: str = "pre-deployment"  # "pre-deployment" | "synthesised"
 
     def __post_init__(self):
         object.__setattr__(self, "avoided", tuple(self.avoided))
-        if not set(self.avoided) <= self.scg.sunk:
+        if self.scg is not None and not set(self.avoided) <= self.scg.sunk:
             raise ModelError("avoided situations must be sunk in the controller SCG")
 
 
@@ -153,12 +154,5 @@ def controller_from_outcome(
     scg = base
     for sid in outcome.avoided:
         scg = sink_situation(scg, sid)
-    avoided = tuple(prior_avoided) + tuple(
-        s for s in outcome.avoided if s not in prior_avoided
-    )
-    return Controller(
-        id=controller_id,
-        scg=scg,
-        avoided=avoided,
-        origin="synthesised",
-    )
+    new = tuple(s for s in outcome.avoided if s not in prior_avoided)
+    return Controller(controller_id, scg, tuple(prior_avoided) + new, "synthesised")

@@ -311,10 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # a missing file, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OddsafeError as exc:
+    except (OSError, OddsafeError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

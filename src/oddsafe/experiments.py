@@ -3,6 +3,7 @@ baseline-vs-adaptive timeline, and the criticality-scoring benchmark."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -178,8 +179,8 @@ class TimelineConfig:
             raise ValueError("steps must be >= 1")
         if self.drift_time < 0:
             raise ValueError("drift_time must be >= 0")
-        if not self.prior_strength_kappa >= 0.0:  # NaN fails too
-            raise ValueError("prior_strength_kappa must be >= 0")
+        if not 0.0 <= self.prior_strength_kappa < math.inf:  # NaN fails too
+            raise ValueError("prior_strength_kappa must be a finite number >= 0")
         _check_drift_and_removals(self)
 
 

@@ -7,10 +7,11 @@ plain relative frequency when their smoothing parameter is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import TraceError
-from .scg import AugmentedScg, require_valid
+from .scg import AugmentedScg
 
 DEFAULT_ALPHA = 0.0
 DEFAULT_KAPPA = 20.0
@@ -50,8 +51,9 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator mode {self.mode!r}")
         if self.support_policy not in ("observed-only", "prior-support"):
             raise ValueError(f"unknown support policy {self.support_policy!r}")
-        if not (self.smoothing_alpha >= 0 and self.prior_strength_kappa >= 0):  # NaN fails too
-            raise ValueError("smoothing parameters must be non-negative")
+        for name in ("smoothing_alpha", "prior_strength_kappa"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be a finite number >= 0")
 
 
 def ingest(counts: TransitionCounts, frm: str, to: str) -> TransitionCounts:
@@ -129,8 +131,7 @@ def estimate_row(
 def rebuild_scg(
     prior: AugmentedScg, counts: TransitionCounts, config: EstimatorConfig
 ) -> AugmentedScg:
-    """Re-estimate every non-sunk row of the prior SCG from the counts; the
-    rebuilt rows are checked by the build_model that compiles the belief."""
-    require_valid(prior)
+    """Re-estimate every non-sunk row of the validated prior SCG from the
+    counts; the rebuilt rows are checked by the build_model that compiles it."""
     delta = {sid: estimate_row(prior, counts, config, sid) for sid in prior.situation_ids}
     return replace(prior, delta=delta)

@@ -9,6 +9,7 @@ seeded perturbation of the matrix, bounded in per-row total variation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,12 @@ MARITIME_FAILURES = (
 
 _TTC_INDEX = 2
 _TTC_SHORT = 0
+
+#: failure mass drawn per truth row, before failure_bias scales it: f1 and f2
+#: in short-TTC rows, f2 alone in long-TTC rows
+_SHORT_TTC_F1_RANGE = (0.005, 0.02)
+_SHORT_TTC_F2_RANGE = (0.002, 0.012)
+_LONG_TTC_F2_RANGE = (0.0, 0.004)
 
 #: failure share drawn for strongly drifted rows; the rest self-loops, which
 #: is what lets bounded reachability actually cross the property bounds
@@ -63,8 +70,13 @@ class ScenarioConfig:
         if not (0.0 <= self.drift_magnitude <= 1.0):
             raise ValueError("drift_magnitude must be in [0, 1]")
         bias, ids = self.failure_bias, {f.id for f in MARITIME_FAILURES}
-        if not (bias.keys() <= ids and all(v >= 0 for v in bias.values())):  # NaN fails too
-            raise ValueError("failure_bias must map maritime failure ids to weights >= 0")
+        if not (bias.keys() <= ids and all(0 <= v < math.inf for v in bias.values())):
+            raise ValueError("failure_bias must map maritime failure ids to finite weights >= 0")
+        # short-TTC rows draw the most failure mass; every row keeps some situation mass
+        f2_high = max(_SHORT_TTC_F2_RANGE[1], _LONG_TTC_F2_RANGE[1])
+        most = _SHORT_TTC_F1_RANGE[1] * bias.get("f1", 1.0) + f2_high * bias.get("f2", 1.0)
+        if not most < 1.0:
+            raise ValueError(f"failure_bias lets a truth row's failure mass reach {most:g} >= 1")
 
 
 def _sample_truth_rows(rng: np.random.Generator, situations, bias) -> dict:
@@ -74,12 +86,12 @@ def _sample_truth_rows(rng: np.random.Generator, situations, bias) -> dict:
     for s in situations:
         short_ttc = s.assignment[_TTC_INDEX] == _TTC_SHORT
         if short_ttc:
-            f1 = rng.uniform(0.005, 0.02) * bias.get("f1", 1.0)
-            f2 = rng.uniform(0.002, 0.012) * bias.get("f2", 1.0)
+            f1 = rng.uniform(*_SHORT_TTC_F1_RANGE) * bias.get("f1", 1.0)
+            f2 = rng.uniform(*_SHORT_TTC_F2_RANGE) * bias.get("f2", 1.0)
         else:
             # long TTC never produces f1 directly
             f1 = 0.0
-            f2 = rng.uniform(0.0, 0.004) * bias.get("f2", 1.0)
+            f2 = rng.uniform(*_LONG_TTC_F2_RANGE) * bias.get("f2", 1.0)
         fail_mass = f1 + f2
         situ = rng.dirichlet(np.full(len(sids), 0.8)) * (1.0 - fail_mass)
         row = {sid: float(p) for sid, p in zip(sids, situ) if p > 0.0}

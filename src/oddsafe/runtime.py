@@ -29,6 +29,7 @@ from .scg import (
     AugmentedScg,
     decode,
     read_json,
+    require_valid,
     require_valid_row,
     scg_to_dict,
     sink_situation,
@@ -50,10 +51,7 @@ class TraceEvent:
             raise TraceError(f"{self.kind} event needs an id")
 
     def to_dict(self) -> dict:
-        doc = {"t": self.t, "kind": self.kind}
-        if self.id is not None:
-            doc["id"] = self.id
-        return doc
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -65,12 +63,7 @@ class Directive:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.controller_id is not None:
-            doc["controller_id"] = self.controller_id
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        return doc
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 CONTINUE = Directive("continue")
@@ -130,7 +123,8 @@ def new_knowledge_base(
     baseline: bool = False,
 ) -> KnowledgeBase:
     require_unique_names(properties)
-    initial = Controller(id="c0", scg=scg, avoided=tuple(sorted(scg.sunk)))
+    require_valid(scg)
+    initial = Controller(id="c0", avoided=tuple(sorted(scg.sunk)))
     counts = TransitionCounts(failure_ids=frozenset(scg.failure_ids))
     estimator = estimator or EstimatorConfig()
     belief, model = _derive_belief(scg, counts, estimator, initial)
@@ -157,7 +151,7 @@ def _derive_belief(
     """The belief every row of which is estimated from `counts`, with the
     controller's sinks, and its compiled model."""
     belief = rebuild_scg(prior, counts, estimator)
-    for sid in sorted(controller.scg.sunk):
+    for sid in controller.avoided:
         belief = sink_situation(belief, sid)
     return belief, build_model(belief)
 
@@ -230,15 +224,11 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     analysis = analyze(kb.scg, kb.model, sid, kb.properties)
     if analysis.compliant or kb.baseline:
         kb.prev = sid
-        return kb, RunLogEntry(
-            event.t, event.kind, sid, CONTINUE, compliant=analysis.compliant
-        )
+        return kb, RunLogEntry(event.t, event.kind, sid, CONTINUE, compliant=analysis.compliant)
 
     outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis)
     if not outcome.success:
-        kb.history.append(
-            HistoryEntry(t=event.t, controller_id=kb.active_controller.id, outcome=outcome)
-        )
+        kb.history.append(HistoryEntry(event.t, kb.active_controller.id, outcome))
         kb.prev = None
         directive = safe_stop(
             f"synthesis failed after sinking {outcome.avoided} "
@@ -253,20 +243,16 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         kb.scg, outcome, controller_id, prior_avoided=kb.active_controller.avoided
     )
     kb.controllers.append(controller)
-    kb.history.append(
-        HistoryEntry(t=event.t, controller_id=controller_id, outcome=outcome)
-    )
+    kb.history.append(HistoryEntry(event.t, controller_id, outcome))
     kb.scg = controller.scg
     write_rows(kb.model, kb.scg, {s: kb.scg.delta[s] for s in outcome.avoided})
-    if sid in controller.scg.sunk:
+    if sid in controller.avoided:
         kb.prev = None
         directive = safe_stop(f"current situation {sid} is now avoided")
     else:
         kb.prev = sid
         directive = switch_controller(controller_id)
-    return kb, RunLogEntry(
-        event.t, event.kind, sid, directive, compliant=False, outcome=outcome
-    )
+    return kb, RunLogEntry(event.t, event.kind, sid, directive, compliant=False, outcome=outcome)
 
 
 def run(kb: KnowledgeBase, events: list[TraceEvent]) -> list[RunLogEntry]:
@@ -290,12 +276,7 @@ def snapshot(kb: KnowledgeBase) -> dict:
             {"name": p.name, "expression": format_property(p)} for p in kb.properties
         ],
         "controllers": [
-            {
-                "id": c.id,
-                "scg": scg_to_dict(c.scg),
-                "avoided": list(c.avoided),
-                "origin": c.origin,
-            }
+            {"id": c.id, "avoided": list(c.avoided), "origin": c.origin}
             for c in kb.controllers
         ],
         "history": [h.to_dict() for h in kb.history],
@@ -327,35 +308,44 @@ def load(doc: dict) -> KnowledgeBase:
     """The knowledge base of a snapshot; each defect is a SchemaError at its path.
 
     The belief is derived again from the prior, the counts and the active
-    controller, so a snapshot does not store it.  The `scg` and `scg_version`
+    controller's avoided set, so a snapshot stores neither it nor a
+    controller's SCG.  The `scg` and `scg_version`, each controller's `scg`,
     and the synthesis `rng_seed` and `out_of_odd_horizon` that older
-    snapshots carry are not read.  Nothing builds from the loaded prior and
-    controller SCGs, so they drop the models their load compiled.
+    snapshots carry are not read.  Nothing builds from the loaded prior, so
+    it drops the model its load compiled.
     """
-    if type(doc) is dict:  # drop what older snapshots carry by name
-        doc = {k: v for k, v in doc.items() if k not in ("scg", "scg_version")}
-        if type(doc.get("synthesis")) is dict:
-            legacy = ("rng_seed", "out_of_odd_horizon")
-            doc["synthesis"] = {k: v for k, v in doc["synthesis"].items() if k not in legacy}
+    if type(doc) is dict:  # drop what older snapshots carry by name, unparsed
+        doc = _without(doc, ("scg", "scg_version"))
+        if "synthesis" in doc:
+            doc["synthesis"] = _without(doc["synthesis"], ("rng_seed", "out_of_odd_horizon"))
+        if type(doc.get("controllers")) is list:
+            doc["controllers"] = [_without(c, ("scg",)) for c in doc["controllers"]]
     record = decode(_Snapshot, doc)
     properties = parse_entries(record.properties, "$.properties")
     prior, controllers = record.prior_scg, record.controllers
-    ids = prior.space.ids
-    odd = [f"$.controllers[{i}].scg" for i, c in enumerate(controllers) if c.scg.space.ids != ids]
-    if odd or not controllers:  # the belief sinks the active controller's situations
-        raise SchemaError("need controllers over the prior's states", odd or ["$.controllers"])
+    if not controllers:  # the belief sinks the active controller's situations
+        raise SchemaError("need at least one controller", ["$.controllers"])
+    for i, c in enumerate(controllers):
+        if c.id != f"c{i}":  # the ids new_knowledge_base and step give, in order
+            raise SchemaError(f"controller {i} must be named 'c{i}'", [f"$.controllers[{i}].id"])
+        if not all(map(prior.is_situation, c.avoided)):
+            raise SchemaError("avoided ids must be situations", [f"$.controllers[{i}].avoided"])
     _check_counts(prior, record.counts)
     named = {c.id for c in controllers}
     for i, entry in enumerate(record.history):
         if entry.controller_id not in named:
             raise SchemaError("history names no controller", [f"$.history[{i}].controller_id"])
-    for scg in (prior, *(c.scg for c in controllers)):
-        object.__setattr__(scg, "compiled", None)
+    object.__setattr__(prior, "compiled", None)
     belief, model = _derive_belief(prior, record.counts, record.estimator, controllers[-1])
     prev = record.prev
     if prev is not None and (not belief.is_situation(prev) or prev in belief.sunk):
         raise SchemaError("prev must be null or a situation not avoided", ["$.prev"])
     return KnowledgeBase(**{**vars(record), "properties": properties}, scg=belief, model=model)
+
+
+def _without(doc, keys: tuple[str, ...]):
+    """A JSON object less `keys`; any other JSON value as it is."""
+    return {k: v for k, v in doc.items() if k not in keys} if type(doc) is dict else doc
 
 
 def _check_counts(prior: AugmentedScg, counts: TransitionCounts) -> None:

@@ -240,6 +240,8 @@ def test_outcomes_compare_by_value():
 def test_controller_requires_avoided_to_be_sunk():
     with pytest.raises(ModelError):
         Controller(id="c", scg=_benign_scg(), avoided=("s0",))
+    # a controller without an SCG is its avoided set alone
+    assert Controller("c", avoided=["s0"]).avoided == ("s0",)
 
 
 def test_controller_from_outcome_merges_avoided():

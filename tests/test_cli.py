@@ -346,6 +346,15 @@ def test_bad_experiment_config_is_usage_error(command, config, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weight", [100, 1e308])
+def test_a_failure_bias_that_fills_a_truth_row_is_an_input_error(weight, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"variants": 2, "scenario": {"failure_bias": {"f1": weight}}}))
+    assert main(["--out", str(tmp_path / "out"), "experiment-rq1", str(path)]) == 2
+    assert "$.scenario" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_option_overrides_the_config_file(tmp_path):
     outputs = []
     for seed_in_file, argv in ((0, ["--seed", "3"]), (3, [])):

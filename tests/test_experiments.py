@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from oddsafe.experiments import (
     BENCH_CSV_HEADER,
     CSV_HEADER,
     ExperimentRecord,
+    TimelineConfig,
     VariantConfig,
     default_properties,
     drift_scg,
@@ -93,3 +96,9 @@ def test_experiment_record_csv_row():
         "3", "[phi1, phi2]", "0.04000", "True", "[s2, s3]"
     ]
     assert len(CSV_HEADER) == 5
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_timeline_config_rejects_a_prior_strength_kappa_that_is_not_finite(value):
+    with pytest.raises(ValueError, match="prior_strength_kappa"):
+        TimelineConfig(prior_strength_kappa=value)

@@ -3,13 +3,16 @@
 perfbench/layers.py computes its counters from the bound arguments and the
 results of the functions it wraps, so a changed signature would silently
 zero a counter.  One tiny repair-grid op, traced as the benchmark traces it,
-pins the counters a synthesis speed claim rests on.
+pins the counters a synthesis speed claim rests on, and loading the rq2
+snapshot the work a restart does.
 """
 
 import sys
 from pathlib import Path
 
-from oddsafe import adapt, proplang, scg
+import pytest
+
+from oddsafe import adapt, experiments, proplang, runtime, scg
 
 CHECKOUT = Path(__file__).resolve().parents[1]
 if str(CHECKOUT) not in sys.path:
@@ -46,3 +49,42 @@ def test_traced_repair_op_counts_what_synthesis_did():
     assert counts["adapt.synthesis.iterations"] == outcome.iterations == len(traps) + 1
     assert counts["adapt.synthesis.sinks"] == len(outcome.avoided)
     assert by_name["scg.sink_situation"][0] == len(outcome.avoided)
+
+
+def _rq2_adaptive_snapshot() -> tuple[dict, dict]:
+    """The seed-7 rq2 adaptive knowledge base's snapshot, and that snapshot as
+    older versions wrote it: each controller with its SCG (c0's is the prior)."""
+    kbs = []
+
+    def new_kb(*args, **kwargs):
+        kbs.append(runtime.new_knowledge_base(*args, **kwargs))
+        return kbs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "new_knowledge_base", new_kb)
+        experiments.run_timeline(experiments.TimelineConfig(seed=7))
+    (kb,) = [kb for kb in kbs if not kb.baseline]
+    assert len(kb.controllers) > 1
+    doc = runtime.snapshot(kb)
+    older = {**doc, "controllers": [dict(c) for c in doc["controllers"]]}
+    for entry, controller in zip(older["controllers"], kb.controllers):
+        entry["scg"] = scg.scg_to_dict(controller.scg or kb.prior_scg)
+    return doc, older
+
+
+@pytest.mark.parametrize("older", [False, True], ids=["snapshot", "older-snapshot"])
+def test_loading_the_rq2_snapshot_parses_and_compiles_only_the_prior(older):
+    doc = _rq2_adaptive_snapshot()[older]
+    tracer = Tracer()
+    undo = LayerProbe(tracer).install()
+    try:
+        runtime.load(doc)
+    finally:
+        restore(undo)
+    by_name, _ = tracer.summary()
+    calls = {name: entry[0] for name, entry in by_name.items()}
+    # the prior is validated by its compile; controller SCGs are not read
+    assert calls.get("scg.scg_from_dict") == 1
+    assert calls.get("scg.validate_scg", 0) == 0
+    # one compile of the prior at parse time, one of the derived belief
+    assert calls.get("dtmc.build_model") == 2

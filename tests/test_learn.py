@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -84,6 +85,19 @@ def test_estimator_config_validation():
         EstimatorConfig(support_policy="anything")
     with pytest.raises(ValueError):
         EstimatorConfig(smoothing_alpha=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_estimator_config_rejects_a_smoothing_alpha_that_is_not_finite(value):
+    with pytest.raises(ValueError, match="smoothing_alpha"):
+        EstimatorConfig(mode="frequentist", smoothing_alpha=value)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_estimator_config_rejects_a_prior_strength_kappa_that_is_not_finite(value):
+    # inf / inf would make every Bayesian estimate NaN
+    with pytest.raises(ValueError, match="prior_strength_kappa"):
+        EstimatorConfig(prior_strength_kappa=value)
 
 
 def _prior():

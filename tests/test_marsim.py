@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oddsafe.marsim import (
@@ -98,6 +100,24 @@ def test_scenario_config_validation():
         ScenarioConfig(drift_magnitude=2.0)
     with pytest.raises(ValueError):
         ScenarioConfig(failure_bias={"f1": -1.0})
+
+
+@pytest.mark.parametrize(
+    "bias",
+    [{"f1": math.inf}, {"f2": math.nan}, {"f1": 1e308}, {"f1": 100.0}, {"f1": 44.0, "f2": 10.0}],
+)
+def test_scenario_config_rejects_a_failure_bias_that_fills_a_row(bias):
+    # short-TTC rows draw up to 0.02 * f1 + 0.012 * f2 failure mass
+    with pytest.raises(ValueError, match="failure_bias"):
+        ScenarioConfig(failure_bias=bias)
+
+
+def test_the_largest_failure_bias_accepted_keeps_every_truth_row_stochastic():
+    truth, _ = generate_scenario(ScenarioConfig(seed=3, failure_bias={"f1": 49.0, "f2": 1.0}))
+    for row in truth.rows.values():
+        assert min(row.values()) > 0.0
+        assert row.get("f1", 0.0) + row.get("f2", 0.0) < 1.0
+        assert math.isclose(sum(row.values()), 1.0)
 
 
 def test_simulate_is_deterministic_and_well_formed():

@@ -225,6 +225,8 @@ def test_snapshot_round_trip_keeps_a_successful_outcome():
     _, entry = step(kb, TraceEvent(t=0, kind="situation_entered", id="s2"))
     assert entry.outcome.success and len(entry.outcome.avoided) == 2
     doc = snapshot(kb)
+    # a controller is stored as its avoided set, never as an SCG
+    assert [sorted(c) for c in doc["controllers"]] == [["avoided", "id", "origin"]] * 2
     assert _text(snapshot(load(doc))) == _text(doc)
     assert _text(snapshot(load(json.loads(_text(doc))))) == _text(doc)
 
@@ -277,15 +279,12 @@ def test_load_rejects_a_snapshot_without_properties(properties, path):
     assert exc.value.paths == [path]
 
 
-@pytest.mark.parametrize("owner", ["prior", "controller"])
-def test_load_rejects_attribute_values_that_are_no_array(owner):
+def test_load_rejects_attribute_values_that_are_no_array():
     doc = snapshot(_kb(violating=False))
-    path = "$.prior_scg" if owner == "prior" else "$.controllers[0].scg"
-    scg_doc = doc["prior_scg"] if owner == "prior" else doc["controllers"][0]["scg"]
-    scg_doc["attributes"][0]["values"] = "xyz"  # three characters, three situations
+    doc["prior_scg"]["attributes"][0]["values"] = "xyz"  # three characters, three situations
     with pytest.raises(SchemaError) as exc:
         load(doc)
-    assert exc.value.paths == [f"{path}.attributes[0].values"]
+    assert exc.value.paths == ["$.prior_scg.attributes[0].values"]
 
 
 @pytest.mark.parametrize(
@@ -352,7 +351,8 @@ MARITIME_SNAPSHOT = _maritime_snapshot()
         (("estimator", "prior_strength_kappa"), math.inf, "$.estimator.prior_strength_kappa"),
         (("estimator", "smoothing_alpha"), 10**400, "$.estimator.smoothing_alpha"),
         (("controllers", 0, "avoided"), "s0", "$.controllers[0].avoided"),
-        (("controllers", 0, "avoided"), ["s0"], "$.controllers[0]"),
+        (("controllers", 0, "avoided"), ["zz"], "$.controllers[0].avoided"),
+        (("controllers", 0, "id"), "c1", "$.controllers[0].id"),
         (("properties", 0, "bogus"), 1, "$.properties[0].bogus"),
         (("synthesis", "rng_seedd"), 7, "$.synthesis.rng_seedd"),
         (("prior_scg", "bogus"), 1, "$.prior_scg.bogus"),
@@ -360,9 +360,7 @@ MARITIME_SNAPSHOT = _maritime_snapshot()
         (("prior_scg", "failures", 0, "label"), None, "$.prior_scg.failures[0].label"),
         (("prior_scg", "delta", "s3"), [1.0], "$.prior_scg.delta.s3"),
         (("prior_scg", "sunk"), "s0", "$.prior_scg.sunk"),
-        (("controllers", 0, "scg", "bogus"), 1, "$.controllers[0].scg.bogus"),
-        (("controllers", 0, "scg", "delta", "s3"), "abc", "$.controllers[0].scg.delta.s3"),
-        (("controllers", 0, "scg", "delta"), [], "$.controllers[0].scg.delta"),
+        (("controllers", 0, "bogus"), 1, "$.controllers[0].bogus"),
     ],
 )
 def test_load_checks_every_snapshot_field(keys, value, path):
@@ -377,38 +375,42 @@ def test_load_checks_every_snapshot_field(keys, value, path):
 
 
 @pytest.mark.parametrize("failure", ["f1", "s3"], ids=["larger-grid", "failure-named-s3"])
-def test_load_rejects_a_controller_over_other_states(failure):
-    # the controller sinks s3, which the prior lacks or names as a failure
+def test_load_rejects_an_avoided_id_that_names_no_situation(failure):
+    # the controller avoids s3, which the prior lacks or names as a failure
     delta = {"s0": {"s0": 0.99, failure: 0.01}, "s1": {"s1": 1.0}, "s2": {"s2": 1.0}}
     failures = (FailureMode(failure, "f1"),)
     prior = AugmentedScg((OddAttribute("a", ("x", "y", "z")),), failures, delta)
     doc = snapshot(new_knowledge_base(prior, [PROP], estimator=EXACT))
-    grid = AugmentedScg(
-        (OddAttribute("a", ("x", "y", "z", "w")),),
-        (FailureMode("f9", "f9"),),
-        {f"s{i}": {f"s{i}": 1.0} for i in range(4)},
-    )
-    doc["controllers"][0].update(scg=scg_to_dict(sink_situation(grid, "s3")), avoided=["s3"])
+    doc["controllers"][0]["avoided"] = ["s1", "s3"]
     with pytest.raises(SchemaError) as exc:
         load(doc)
-    assert exc.value.paths == ["$.controllers[0].scg"]
+    assert exc.value.paths == ["$.controllers[0].avoided"]
 
 
-def test_loaded_prior_and_controller_scgs_hold_no_compiled_model():
-    # nothing builds from them; the belief's model is compiled from the prior
+@pytest.mark.parametrize(
+    "ids", [["c0", "c0"], ["c0", "c2"], ["c1", "c0"]], ids=["repeated", "gap", "reordered"]
+)
+def test_load_rejects_controller_ids_out_of_their_order(ids):
+    # a switch names its controller c{len(controllers)}: c0, c2 would make a second c2
+    kb = _kb(violating=True)
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    doc = snapshot(kb)
+    for controller, cid in zip(doc["controllers"], ids):
+        controller["id"] = cid
+    wrong = next(i for i, cid in enumerate(ids) if cid != f"c{i}")
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == [f"$.controllers[{wrong}].id"]
+
+
+def test_loaded_prior_holds_no_compiled_model_and_controllers_no_scg():
+    # nothing builds from the prior; the belief's model is compiled from it
     kb = _kb(violating=True)
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
     kb = load(snapshot(kb))
     assert kb.prior_scg.compiled is None
-    assert [c.scg.compiled for c in kb.controllers] == [None, None]
+    assert [c.scg for c in kb.controllers] == [None, None]
     assert kb.model is not None
-
-
-def test_a_bad_estimated_row_is_a_model_error_from_new_knowledge_base():
-    # an infinite kappa estimates every row as NaN / inf, and no such entry is kept
-    estimator = EstimatorConfig(prior_strength_kappa=math.inf)
-    with pytest.raises(ModelError, match=r"invalid augmented SCG: row-sum\(s0\)"):
-        new_knowledge_base(_belief(violating=False), [PROP], estimator=estimator)
 
 
 def test_load_rejects_a_non_numeric_count():
@@ -447,7 +449,7 @@ def test_run_log_is_reproducible():
 def _full_belief(kb: KnowledgeBase):
     """The belief a from-scratch estimate of every row gives, with the sinks."""
     belief = rebuild_scg(kb.prior_scg, kb.counts, kb.estimator)
-    for sid in sorted(kb.active_controller.scg.sunk):
+    for sid in kb.active_controller.avoided:
         belief = sink_situation(belief, sid)
     return belief
 
@@ -471,6 +473,7 @@ def test_incremental_belief_equals_full_rebuild(estimator, monkeypatch):
 
     def checked_step(kb, event):
         out = step(kb, event)
+        assert kb.scg.sunk == set(kb.active_controller.avoided)
         if event.kind == "situation_entered":
             expected = _full_belief(kb)
             assert kb.scg.delta == expected.delta and kb.scg.sunk == expected.sunk
@@ -518,11 +521,13 @@ def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):
         resumed += run(kb, events[cut : cut + 1])
         assert kb.scg.delta[left] != stale_row  # the failure's row is estimated at once
         doc = snapshot(kb)
-        # the older format: selection settings, a belief version, and a stored
+        # the older format: selection settings, a belief version, a stored
         # belief whose row left before a failure is still at its estimate from
-        # before that failure
+        # before that failure, and each controller's SCG (c0's is the prior)
         assert "scg" not in doc
         old = copy.deepcopy(doc)
+        for entry, controller in zip(old["controllers"], kb.controllers):
+            entry["scg"] = scg_to_dict(controller.scg or kb.prior_scg)
         old["scg"] = scg_to_dict(kb.scg)
         old["scg"]["delta"][left] = dict(stale_row)
         old["scg_version"] = 3
