@@ -154,5 +154,12 @@ def controller_from_outcome(
     scg = base
     for sid in outcome.avoided:
         scg = sink_situation(scg, sid)
-    new = tuple(s for s in outcome.avoided if s not in prior_avoided)
-    return Controller(controller_id, scg, tuple(prior_avoided) + new, "synthesised")
+    avoided = tuple(prior_avoided) + tuple(
+        s for s in outcome.avoided if s not in prior_avoided
+    )
+    return Controller(
+        id=controller_id,
+        scg=scg,
+        avoided=avoided,
+        origin="synthesised",
+    )

@@ -311,7 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, OddsafeError) as exc:  # OSError: a missing file, a directory, no permission
+    except OSError as exc:  # a missing file, a directory, no permission
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OddsafeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,10 @@ class TraceEvent:
             raise TraceError(f"{self.kind} event needs an id")
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
+        doc = {"t": self.t, "kind": self.kind}
+        if self.id is not None:
+            doc["id"] = self.id
+        return doc
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,12 @@ class Directive:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
+        doc = {"kind": self.kind}
+        if self.controller_id is not None:
+            doc["controller_id"] = self.controller_id
+        if self.reason is not None:
+            doc["reason"] = self.reason
+        return doc
 
 
 CONTINUE = Directive("continue")
@@ -224,11 +232,15 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     analysis = analyze(kb.scg, kb.model, sid, kb.properties)
     if analysis.compliant or kb.baseline:
         kb.prev = sid
-        return kb, RunLogEntry(event.t, event.kind, sid, CONTINUE, compliant=analysis.compliant)
+        return kb, RunLogEntry(
+            event.t, event.kind, sid, CONTINUE, compliant=analysis.compliant
+        )
 
     outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis)
     if not outcome.success:
-        kb.history.append(HistoryEntry(event.t, kb.active_controller.id, outcome))
+        kb.history.append(
+            HistoryEntry(t=event.t, controller_id=kb.active_controller.id, outcome=outcome)
+        )
         kb.prev = None
         directive = safe_stop(
             f"synthesis failed after sinking {outcome.avoided} "
@@ -243,7 +255,9 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         kb.scg, outcome, controller_id, prior_avoided=kb.active_controller.avoided
     )
     kb.controllers.append(controller)
-    kb.history.append(HistoryEntry(event.t, controller_id, outcome))
+    kb.history.append(
+        HistoryEntry(t=event.t, controller_id=controller_id, outcome=outcome)
+    )
     kb.scg = controller.scg
     write_rows(kb.model, kb.scg, {s: kb.scg.delta[s] for s in outcome.avoided})
     if sid in controller.avoided:
@@ -252,7 +266,9 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     else:
         kb.prev = sid
         directive = switch_controller(controller_id)
-    return kb, RunLogEntry(event.t, event.kind, sid, directive, compliant=False, outcome=outcome)
+    return kb, RunLogEntry(
+        event.t, event.kind, sid, directive, compliant=False, outcome=outcome
+    )
 
 
 def run(kb: KnowledgeBase, events: list[TraceEvent]) -> list[RunLogEntry]:

@@ -7,6 +7,7 @@ pins the counters a synthesis speed claim rests on, and loading the rq2
 snapshot the work a restart does.
 """
 
+import functools
 import sys
 from pathlib import Path
 
@@ -51,6 +52,7 @@ def test_traced_repair_op_counts_what_synthesis_did():
     assert by_name["scg.sink_situation"][0] == len(outcome.avoided)
 
 
+@functools.cache  # one rq2 run serves both cases; load does not change its input
 def _rq2_adaptive_snapshot() -> tuple[dict, dict]:
     """The seed-7 rq2 adaptive knowledge base's snapshot, and that snapshot as
     older versions wrote it: each controller with its SCG (c0's is the prior)."""

@@ -413,6 +413,14 @@ def test_loaded_prior_holds_no_compiled_model_and_controllers_no_scg():
     assert kb.model is not None
 
 
+def test_a_bad_estimated_row_is_a_model_error_from_new_knowledge_base():
+    # rebuild_scg checks no row: n + alpha * |support| overflows to inf, every
+    # estimate is then 0.0, and no such entry is kept
+    estimator = EstimatorConfig(mode="frequentist", smoothing_alpha=1e308)
+    with pytest.raises(ModelError, match=r"invalid augmented SCG: row-sum\(s0\)"):
+        new_knowledge_base(_belief(violating=False), [PROP], estimator=estimator)
+
+
 def test_load_rejects_a_non_numeric_count():
     kb = _kb(violating=False)
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
