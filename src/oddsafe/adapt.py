@@ -25,7 +25,8 @@ DEFAULT_MAX_REMOVALS = 4
 @dataclass(frozen=True)
 class Controller:
     """The ordered set of situations a controller avoids; one made during a
-    run also holds `scg`, the belief its switch adopts, which is not stored."""
+    run also holds `scg`, a copy of the belief with them sunk at its switch,
+    which the loop never reads and a snapshot does not store."""
 
     id: str
     scg: AugmentedScg | None = None
@@ -102,12 +103,14 @@ def synthesize_safe_controller(
     scg: AugmentedScg,
     properties: list[BoundedReachProperty],
     config: SynthesisConfig,
+    model: Dtmc | None = None,
 ) -> AdaptationOutcome:
     """Iteratively sink the worst-criticality situation until no violations.
 
     Gives up (success=False) once sinking would exceed config.max_removals.
-    `scg` is validated and compiled once; each sink rewrites one row of that
-    model.  The outcome keeps the last ranking as its final report.
+    `scg` is compiled once unless `model`, its compiled model, is given.
+    Each sink rewrites one row of that model, which ends sinking `avoided`.
+    The outcome keeps the last ranking as its final report.
 
     Reach vectors are kept across sinks.  After sinking `t`, only the
     properties whose vector is non-zero at `t` are swept again, unless the
@@ -117,7 +120,7 @@ def synthesize_safe_controller(
     sweep, row `t` fed 0.0 into every other row before the sink as after it,
     and a fresh sweep would return the same vector bit for bit.
     """
-    model = build_model(scg)
+    model = model or build_model(scg)
     vectors = reach_vectors(model, properties)
     report = score_situations(scg, model, vectors, properties)
     initial_violations = report.violated_properties()
@@ -151,9 +154,7 @@ def controller_from_outcome(
     prior_avoided: tuple[str, ...] = (),
 ) -> Controller:
     """Materialise the synthesised controller implied by an outcome."""
-    scg = base
-    for sid in outcome.avoided:
-        scg = sink_situation(scg, sid)
+    scg = sink_situation(base, *outcome.avoided)
     avoided = tuple(prior_avoided) + tuple(
         s for s in outcome.avoided if s not in prior_avoided
     )

@@ -235,12 +235,12 @@ def _bench_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _removals(text: str) -> int:
-    """Type of --max-removals: how many situations synthesis may sink, >= 0."""
-    removals = int(text)
-    if removals < 0:
-        raise argparse.ArgumentTypeError(f"max removals must be >= 0: {text!r}")
-    return removals
+def _non_negative(text: str) -> int:
+    """Type of --seed and --max-removals: an integer >= 0."""
+    number = int(text)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return number
 
 
 def _bench_density(text: str) -> float:
@@ -269,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oddsafe",
         description="Situation-grid verification and safe controller adaptation",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--seed", type=_non_negative, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="output file or directory")
     parser.add_argument(
         "--format", choices=("csv", "json", "table"), default="table"
     )
-    parser.add_argument("--max-removals", type=_removals, default=None, dest="max_removals")
+    parser.add_argument("--max-removals", type=_non_negative, default=None, dest="max_removals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify an SCG against properties")

@@ -42,16 +42,17 @@ def drift_scg(scg: AugmentedScg, magnitude: float, seed: int) -> AugmentedScg:
     """Apply the truth-matrix drift perturbation directly to an SCG belief."""
     truth = GroundTruth(tuple(scg.situation_ids), tuple(scg.failure_ids), scg.delta)
     drifted = inject_drift(truth, magnitude, seed)  # a copy; scg is untouched
-    sunk = {sid: {sid: 1.0} for sid in scg.sunk}
-    return replace(scg, delta={**drifted.rows, **sunk})
+    return sink_situation(replace(scg, delta=drifted.rows), *scg.sunk)
 
 
 # ---------------------------------------------------------------------------
 # drift-variant synthesis experiment (effectiveness)
 
 
-def _check_drift_and_removals(config) -> None:
+def _check_shared_ranges(config) -> None:
     """The range checks VariantConfig and TimelineConfig share."""
+    if config.seed < 0:  # numpy seeds no generator with a negative number
+        raise ValueError("seed must be >= 0")
     if not 0.0 <= config.drift_magnitude <= 1.0:
         raise ValueError("drift_magnitude must be in [0, 1]")
     if config.max_removals < 0:
@@ -69,7 +70,7 @@ class VariantConfig:
     def __post_init__(self):
         if self.variants < 1:
             raise ValueError("variants must be >= 1")
-        _check_drift_and_removals(self)
+        _check_shared_ranges(self)
 
 
 @dataclass
@@ -147,9 +148,7 @@ def recheck_record(
 ) -> bool:
     """Re-verify a successful variant: its avoided set must silence everything."""
     properties = properties or default_properties()
-    scg = record.drifted_scg
-    for sid in record.critical_situations_avoided:
-        scg = sink_situation(scg, sid)
+    scg = sink_situation(record.drifted_scg, *record.critical_situations_avoided)
     return rank_situations(scg, properties).all_compliant()
 
 
@@ -181,7 +180,7 @@ class TimelineConfig:
             raise ValueError("drift_time must be >= 0")
         if not 0.0 <= self.prior_strength_kappa < math.inf:  # NaN fails too
             raise ValueError("prior_strength_kappa must be a finite number >= 0")
-        _check_drift_and_removals(self)
+        _check_shared_ranges(self)
 
 
 @dataclass

@@ -67,6 +67,12 @@ class ScenarioConfig:
     failure_bias: dict[str, float] = field(default_factory=lambda: {"f1": 1.0, "f2": 1.0})
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy seeds no generator with a negative number
+            raise ValueError("seed must be >= 0")
+        if min(self.episodes, self.episode_length) < 1:
+            raise ValueError("episodes and episode_length must be >= 1")
+        if self.episodes * self.episode_length > np.iinfo(np.int64).max:  # multinomial's n
+            raise ValueError("episodes * episode_length must be at most 2**63 - 1")
         if not (0.0 <= self.drift_magnitude <= 1.0):
             raise ValueError("drift_magnitude must be in [0, 1]")
         bias, ids = self.failure_bias, {f.id for f in MARITIME_FAILURES}

@@ -3,15 +3,16 @@
 The loop owns a KnowledgeBase and folds trace events into it: every observed
 situation change is ingested into the counts, the belief row of the situation
 it leaves is re-estimated from the pre-deployment prior plus counts and
-written into the compiled model, and the current situation is checked on it.
-On violation a safe controller is synthesised by sinking critical situations;
-entering an avoided situation triggers a crash stop.
+written in place into the belief and its compiled model, and the current
+situation is checked on it.  On violation a safe controller is synthesised on
+that model by sinking critical situations; entering an avoided situation
+triggers a crash stop.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .adapt import (
     AdaptationOutcome,
@@ -29,7 +30,6 @@ from .scg import (
     AugmentedScg,
     decode,
     read_json,
-    require_valid,
     require_valid_row,
     scg_to_dict,
     sink_situation,
@@ -131,7 +131,7 @@ def new_knowledge_base(
     baseline: bool = False,
 ) -> KnowledgeBase:
     require_unique_names(properties)
-    require_valid(scg)
+    build_model(scg)  # the compile validates; a loaded prior releases its model
     initial = Controller(id="c0", avoided=tuple(sorted(scg.sunk)))
     counts = TransitionCounts(failure_ids=frozenset(scg.failure_ids))
     estimator = estimator or EstimatorConfig()
@@ -158,9 +158,7 @@ def _derive_belief(
 ) -> tuple[AugmentedScg, Dtmc]:
     """The belief every row of which is estimated from `counts`, with the
     controller's sinks, and its compiled model."""
-    belief = rebuild_scg(prior, counts, estimator)
-    for sid in controller.avoided:
-        belief = sink_situation(belief, sid)
+    belief = sink_situation(rebuild_scg(prior, counts, estimator), *controller.avoided)
     return belief, build_model(belief)
 
 
@@ -186,7 +184,7 @@ class RunLogEntry:
 
 def _ingest(kb: KnowledgeBase, to: str) -> None:
     """Count the transition from `prev` and write its re-estimated row into
-    the belief and its model; the other rows' counts are unchanged.
+    the belief and its model, in place; the other rows' counts are unchanged.
 
     No such row is sunk: `prev` never names a sunk situation, since entering
     one stops the episode.
@@ -197,7 +195,7 @@ def _ingest(kb: KnowledgeBase, to: str) -> None:
     ingest(kb.counts, sid, to)
     row = estimate_row(kb.prior_scg, kb.counts, kb.estimator, sid)
     require_valid_row(kb.scg, sid, row)
-    kb.scg = replace(kb.scg, delta={**kb.scg.delta, sid: row})
+    kb.scg.delta[sid] = row  # the knowledge base alone holds its belief's delta
     write_rows(kb.model, kb.scg, {sid: row})
 
 
@@ -236,8 +234,9 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
             event.t, event.kind, sid, CONTINUE, compliant=analysis.compliant
         )
 
-    outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis)
+    outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis, kb.model)
     if not outcome.success:
+        write_rows(kb.model, kb.scg, {s: kb.scg.delta[s] for s in outcome.avoided})
         kb.history.append(
             HistoryEntry(t=event.t, controller_id=kb.active_controller.id, outcome=outcome)
         )
@@ -258,8 +257,7 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     kb.history.append(
         HistoryEntry(t=event.t, controller_id=controller_id, outcome=outcome)
     )
-    kb.scg = controller.scg
-    write_rows(kb.model, kb.scg, {s: kb.scg.delta[s] for s in outcome.avoided})
+    kb.scg = sink_situation(kb.scg, *outcome.avoided)
     if sid in controller.avoided:
         kb.prev = None
         directive = safe_stop(f"current situation {sid} is now avoided")
@@ -344,6 +342,9 @@ def load(doc: dict) -> KnowledgeBase:
     for i, c in enumerate(controllers):
         if c.id != f"c{i}":  # the ids new_knowledge_base and step give, in order
             raise SchemaError(f"controller {i} must be named 'c{i}'", [f"$.controllers[{i}].id"])
+        origin = "synthesised" if i else "pre-deployment"  # the origins they give
+        if c.origin != origin:
+            raise SchemaError(f"controller {i} must be {origin}", [f"$.controllers[{i}].origin"])
         if not all(map(prior.is_situation, c.avoided)):
             raise SchemaError("avoided ids must be situations", [f"$.controllers[{i}].avoided"])
     _check_counts(prior, record.counts)

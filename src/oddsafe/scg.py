@@ -5,6 +5,7 @@ row-stochastic transition function delta over situation rows.  Failure states
 are sinks by construction and never own a delta row.  All operations here are
 pure: they return new values and never mutate their inputs, except that a
 loaded SCG hands the operator it was validated with to its first build_model.
+The monitor alone mutates an SCG: it replaces rows in its own belief's delta.
 
 The situations of an SCG are the full grid of its ODD's attributes, with ids
 "s0".."s{n-1}" in enumeration order; adaptation sinks situations but never adds
@@ -316,20 +317,22 @@ def require_valid_row(scg: AugmentedScg, sid: str, row: dict[str, float]) -> Non
     _raise_violations("delta row", row_violations(sid, row, scg.space.index))
 
 
-def sink_situation(scg: AugmentedScg, target: str) -> AugmentedScg:
-    """Make `target` absorbing: its row becomes a self-loop of probability 1.
+def sink_situation(scg: AugmentedScg, *targets: str) -> AugmentedScg:
+    """Make each target absorbing: its row becomes a self-loop of probability 1.
 
-    Incoming transitions are untouched; the operation is idempotent.
+    Incoming transitions are untouched; the operation is idempotent.  It
+    equals sinking the targets one by one, checks them all first, copies once.
     """
-    if scg.is_failure(target):
-        raise TypeError(f"cannot sink failure state {target!r}")
-    if not scg.is_situation(target):
-        raise NotFoundError(f"unknown situation {target!r}")
-    if target in scg.sunk and scg.delta.get(target) == {target: 1.0}:
+    for target in targets:
+        if scg.is_failure(target):
+            raise TypeError(f"cannot sink failure state {target!r}")
+        if not scg.is_situation(target):
+            raise NotFoundError(f"unknown situation {target!r}")
+    if all(t in scg.sunk and scg.delta.get(t) == {t: 1.0} for t in targets):
         return scg
     # rows are never mutated in place, so the new SCG shares the others
-    delta = {**scg.delta, target: {target: 1.0}}
-    return replace(scg, delta=delta, sunk=scg.sunk | {target})
+    delta = {**scg.delta, **{t: {t: 1.0} for t in targets}}
+    return replace(scg, delta=delta, sunk=scg.sunk | set(targets))
 
 
 # ---------------------------------------------------------------------------

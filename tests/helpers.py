@@ -15,7 +15,9 @@ import re
 import warnings
 from operator import countOf
 
-from oddsafe.dtmc import BoundedReachProperty, build_model
+import numpy as np
+
+from oddsafe.dtmc import BoundedReachProperty, Dtmc, build_model
 from oddsafe.errors import ModelError, PropertyRangeError, PropertySyntaxError, SchemaError
 from oddsafe.proplang import MAX_HORIZON
 from oddsafe.scg import (
@@ -106,6 +108,22 @@ def random_scg(
         total = sum(weights.values())
         delta[s] = {t: w / total for t, w in weights.items()}
     return make_scg(delta, n_situations, failures)
+
+
+def assert_compiles_to(model: Dtmc, scg: AugmentedScg) -> None:
+    """`model` is the model a fresh compile of `scg` gives: the same operator
+    kind, values, dtypes and layout (sorted CSR columns, no stored zeros)."""
+    fresh = build_model(scg)
+    assert type(model.matrix) is type(fresh.matrix)
+    assert model.index == fresh.index and model.labels == fresh.labels
+    if isinstance(fresh.matrix, np.ndarray):
+        parts = [(model.matrix, fresh.matrix)]
+    else:
+        assert model.matrix.has_sorted_indices
+        attrs = ("data", "indices", "indptr")
+        parts = [(getattr(model.matrix, a), getattr(fresh.matrix, a)) for a in attrs]
+    for ours, theirs in parts:
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
 
 def grid_doc(side: int = 8, dims: int = 4) -> dict:

@@ -259,6 +259,9 @@ def test_bench_writes_csv(tmp_path, capsys):
         ["bench", "--density", "nan"],
         ["--estimator", "bayesian", "bench", "--n", "4"],
         ["--max-removals", "-1", "experiment-rq1"],
+        ["--seed", "-1", "experiment-rq2"],  # numpy seeds no generator with these
+        ["--seed", "-3000", "experiment-rq1"],
+        ["--seed", "-20", "bench", "--n", "10"],
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, tmp_path, capsys):
@@ -335,6 +338,13 @@ def test_experiment_rq1_small_run(tmp_path, capsys):
         ("experiment-rq1", {"scenario": {"failure_bias": {"f1": 10**400}}}),
         ("experiment-rq1", {"scenario": {"failure_bias": {"zz": 1.0}}}),
         ("experiment-rq2", {"prior_strength_kappa": math.inf}),
+        ("experiment-rq2", {"seed": -1}),
+        ("experiment-rq1", {"seed": -1}),
+        ("experiment-rq1", {"scenario": {"seed": -1}}),
+        ("experiment-rq1", {"scenario": {"episodes": 0}}),
+        ("experiment-rq1", {"scenario": {"episode_length": 0}}),
+        ("experiment-rq1", {"scenario": {"episodes": 10**30}}),  # multinomial's n overflows
+        ("experiment-rq1", {"scenario": {"episodes": 2**32, "episode_length": 2**31}}),
     ],
 )
 def test_bad_experiment_config_is_usage_error(command, config, tmp_path, capsys):

@@ -3,8 +3,9 @@
 perfbench/layers.py computes its counters from the bound arguments and the
 results of the functions it wraps, so a changed signature would silently
 zero a counter.  One tiny repair-grid op, traced as the benchmark traces it,
-pins the counters a synthesis speed claim rests on, and loading the rq2
-snapshot the work a restart does.
+pins the counters a synthesis speed claim rests on, loading the rq2
+snapshot the work a restart does, and the rq2 run that no step compiles or
+validates a model.
 """
 
 import functools
@@ -21,7 +22,7 @@ if str(CHECKOUT) not in sys.path:
 
 from perfbench import gen, workloads  # noqa: E402
 from perfbench.layers import LayerProbe  # noqa: E402
-from perfbench.spans import Tracer, restore  # noqa: E402
+from perfbench.spans import NAME, PARENT, Tracer, restore  # noqa: E402
 
 
 def test_traced_repair_op_counts_what_synthesis_did():
@@ -90,3 +91,28 @@ def test_loading_the_rq2_snapshot_parses_and_compiles_only_the_prior(older):
     assert calls.get("scg.validate_scg", 0) == 0
     # one compile of the prior at parse time, one of the derived belief
     assert calls.get("dtmc.build_model") == 2
+
+
+def test_the_rq2_run_compiles_no_model_inside_a_step_and_validates_nothing():
+    tracer = Tracer()
+    undo = LayerProbe(tracer).install()
+    try:
+        result = experiments.run_timeline(experiments.TimelineConfig(seed=7))
+    finally:
+        restore(undo)
+    spans = tracer.spans
+
+    def in_step(span) -> bool:
+        while span[PARENT] >= 0:
+            span = spans[span[PARENT]]
+            if span[NAME] == "runtime.step":
+                return True
+        return False
+
+    names = [span[NAME] for span in spans]
+    assert result.adaptation_entries() and "adapt.synthesize_safe_controller" in names
+    # synthesis sinks into the knowledge base's model; each of the two knowledge
+    # bases compiles its prior once, which validates it, and its belief once
+    compiles = [span for span in spans if span[NAME] == "dtmc.build_model"]
+    assert len(compiles) == 4 and not any(map(in_step, compiles))
+    assert "scg.validate_scg" not in names

@@ -1,17 +1,21 @@
 import copy
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oddsafe import experiments
-from oddsafe.dtmc import BoundedReachProperty, transition_matrix
+from oddsafe.dtmc import BoundedReachProperty
 from oddsafe.errors import ModelError, SchemaError, TraceError
 from oddsafe.learn import EstimatorConfig, ingest, rebuild_scg
 from oddsafe.marsim import ScenarioConfig, generate_scenario
 from oddsafe.adapt import SynthesisConfig
 from oddsafe.runtime import (
+    EVENT_KINDS,
     KnowledgeBase,
     TraceEvent,
     load,
@@ -29,12 +33,15 @@ from oddsafe.scg import (
     FailureMode,
     OddAttribute,
     decode,
+    require_valid,
+    scg_from_dict,
     scg_to_dict,
     sink_situation,
 )
 
-from helpers import make_scg
+from helpers import assert_compiles_to, make_scg
 
+CHECKOUT = Path(__file__).resolve().parents[1]
 PROP = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
 EXACT = EstimatorConfig(mode="frequentist", smoothing_alpha=0.0)
 
@@ -353,6 +360,8 @@ MARITIME_SNAPSHOT = _maritime_snapshot()
         (("controllers", 0, "avoided"), "s0", "$.controllers[0].avoided"),
         (("controllers", 0, "avoided"), ["zz"], "$.controllers[0].avoided"),
         (("controllers", 0, "id"), "c1", "$.controllers[0].id"),
+        (("controllers", 0, "origin"), "bogus", "$.controllers[0].origin"),
+        (("controllers", 0, "origin"), "synthesised", "$.controllers[0].origin"),
         (("properties", 0, "bogus"), 1, "$.properties[0].bogus"),
         (("synthesis", "rng_seedd"), 7, "$.synthesis.rng_seedd"),
         (("prior_scg", "bogus"), 1, "$.prior_scg.bogus"),
@@ -401,6 +410,18 @@ def test_load_rejects_controller_ids_out_of_their_order(ids):
     with pytest.raises(SchemaError) as exc:
         load(doc)
     assert exc.value.paths == [f"$.controllers[{wrong}].id"]
+
+
+@pytest.mark.parametrize("i, origin", [(1, "pre-deployment"), (1, "bogus"), (0, "synthesised")])
+def test_load_rejects_an_origin_new_knowledge_base_and_step_do_not_give(i, origin):
+    kb = _kb(violating=True)
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    doc = snapshot(kb)
+    assert [c["origin"] for c in doc["controllers"]] == ["pre-deployment", "synthesised"]
+    doc["controllers"][i]["origin"] = origin
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == [f"$.controllers[{i}].origin"]
 
 
 def test_loaded_prior_holds_no_compiled_model_and_controllers_no_scg():
@@ -457,9 +478,7 @@ def test_run_log_is_reproducible():
 def _full_belief(kb: KnowledgeBase):
     """The belief a from-scratch estimate of every row gives, with the sinks."""
     belief = rebuild_scg(kb.prior_scg, kb.counts, kb.estimator)
-    for sid in kb.active_controller.avoided:
-        belief = sink_situation(belief, sid)
-    return belief
+    return sink_situation(belief, *kb.active_controller.avoided)
 
 
 @pytest.mark.parametrize(
@@ -482,21 +501,80 @@ def test_incremental_belief_equals_full_rebuild(estimator, monkeypatch):
     def checked_step(kb, event):
         out = step(kb, event)
         assert kb.scg.sunk == set(kb.active_controller.avoided)
-        if event.kind == "situation_entered":
-            expected = _full_belief(kb)
-            assert kb.scg.delta == expected.delta and kb.scg.sunk == expected.sunk
-            _, fresh = transition_matrix(kb.scg)
-            assert type(kb.model.matrix) is type(fresh)
-            assert np.array_equal(kb.model.matrix, fresh)
-            checked.append(event.t)
+        expected = _full_belief(kb)
+        assert kb.scg.delta == expected.delta and kb.scg.sunk == expected.sunk
+        assert_compiles_to(kb.model, kb.scg)
+        # the knowledge base alone holds the delta it writes rows into
+        assert all(c.scg is None or c.scg.delta is not kb.scg.delta for c in kb.controllers)
+        checked.append(event.kind)
         return out
 
     monkeypatch.setattr(experiments, "new_knowledge_base", new_kb)
     monkeypatch.setattr(experiments, "step", checked_step)
     result = experiments.run_timeline(experiments.TimelineConfig(seed=7))
-    assert len(checked) > 1000
+    assert len(checked) > 1000 and set(checked) == set(EVENT_KINDS)
     if estimator is None:  # the controller switch and its row writes are covered
         assert result.adaptation_entries()
+
+
+def _two_trap_kb(kind: str):
+    """A knowledge base whose belief holds more traps than synthesis may sink,
+    dense or a loaded CSR grid, and a situation that breaks a property."""
+    synthesis = SynthesisConfig(max_removals=1)
+    if kind == "dense":  # s0 and s1 each feed f1; s2 leaks into both
+        delta = {
+            "s0": {"s0": 0.1, "f1": 0.9},
+            "s1": {"s1": 0.1, "f1": 0.9},
+            "s2": {"s0": 0.3, "s1": 0.3, "s2": 0.4},
+        }
+        scg = make_scg(delta, 3)
+        return new_knowledge_base(scg, [PROP], estimator=EXACT, synthesis=synthesis), "s2"
+    if str(CHECKOUT) not in sys.path:
+        sys.path.insert(0, str(CHECKOUT))
+    from perfbench import gen
+
+    doc, traps = gen.plant_traps(gen.grid_doc(gen.derive_seed(1), 3, 4), 1, 0)
+    properties = experiments.default_properties()
+    return new_knowledge_base(scg_from_dict(doc), properties, synthesis=synthesis), traps[0]
+
+
+@pytest.mark.parametrize("kind, operator", [("dense", np.ndarray), ("csr", sp.csr_matrix)])
+def test_a_failed_synthesis_leaves_the_model_of_the_unchanged_belief(kind, operator):
+    kb, current = _two_trap_kb(kind)
+    belief = copy.deepcopy(kb.scg)
+    assert isinstance(kb.model.matrix, operator)
+    _, entry = step(kb, TraceEvent(t=0, kind="situation_entered", id=current))
+    assert entry.directive.kind == "safe_stop" and not entry.outcome.success
+    assert len(entry.outcome.avoided) == 1  # synthesis sank one trap into the model
+    assert kb.scg == belief and [c.id for c in kb.controllers] == ["c0"]
+    assert_compiles_to(kb.model, kb.scg)
+
+
+def test_a_loaded_prior_hands_its_model_to_the_knowledge_base_that_validates_it():
+    prior = scg_from_dict(scg_to_dict(_belief(violating=True)))
+    assert prior.compiled is not None
+    kb = new_knowledge_base(prior, [PROP])
+    assert kb.prior_scg is prior and prior.compiled is None
+
+
+@pytest.mark.parametrize(
+    "delta, sunk",
+    [
+        ({"s0": {"s0": 0.5}, "s1": {"s1": 1.0}, "s2": {"s2": 1.0}}, ()),
+        ({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}}, ()),
+        ({"s0": {"zz": 1.0}, "s1": {"s1": 1.0}, "s2": {"s2": 1.0}}, ()),
+        ({"s0": {"s0": 1.0}, "s1": {"s2": 1.0}, "s2": {"s2": 1.0}}, ("s1",)),
+        ({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}, "s2": {"s2": 1.0}, "f1": {"f1": 1.0}}, ()),
+    ],
+    ids=["row-sum", "missing-row", "unknown-target", "sunk-not-self-loop", "failure-row"],
+)
+def test_an_invalid_prior_is_the_model_error_require_valid_raises(delta, sunk):
+    prior = make_scg(delta, 3, sunk=frozenset(sunk))
+    with pytest.raises(ModelError) as expected:
+        require_valid(prior)
+    with pytest.raises(ModelError) as exc:
+        new_knowledge_base(prior, [PROP])
+    assert str(exc.value) == str(expected.value)
 
 
 def test_snapshot_with_a_pending_row_resumes_to_the_same_log(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 import threading
@@ -154,6 +155,46 @@ def test_sink_situation_errors():
         sink_situation(scg, "f1")
     with pytest.raises(NotFoundError):
         sink_situation(scg, "s7")
+
+
+def _sinkable():
+    # rows out of id order, s1 sunk already, s3 sunk but not a self-loop, s4 without a row
+    delta = {
+        "s2": {"s0": 0.5, "f1": 0.5},
+        "s0": {"s1": 1.0},
+        "s1": {"s1": 1.0},
+        "s3": {"s2": 1.0},
+    }
+    return make_scg(delta, 5, sunk=frozenset({"s1", "s3"}))
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [(), ("s0",), ("s2", "s0"), ("s0", "s2", "s0"), ("s1",), ("s1", "s2"), ("s3",), ("s4", "s0")],
+)
+def test_sinking_several_targets_equals_sinking_them_one_by_one(targets):
+    scg = _sinkable()
+    before = copy.deepcopy(scg)
+    chained = scg
+    for target in targets:
+        chained = sink_situation(chained, target)
+    at_once = sink_situation(scg, *targets)
+    assert at_once.delta == chained.delta and list(at_once.delta) == list(chained.delta)
+    assert at_once.sunk == chained.sunk
+    assert (at_once is scg) == (chained is scg)
+    assert scg == before and list(scg.delta) == list(before.delta)  # the input is untouched
+
+
+@pytest.mark.parametrize(
+    "targets, error",
+    [(("s0", "f1"), TypeError), (("s2", "s7"), NotFoundError), (("s0", ["s1"]), NotFoundError)],
+)
+def test_sinking_several_targets_checks_them_all_first(targets, error):
+    scg = _sinkable()
+    before = copy.deepcopy(scg)
+    with pytest.raises(error):
+        sink_situation(scg, *targets)
+    assert scg == before and list(scg.delta) == list(before.delta)
 
 
 def test_json_round_trip(tmp_path):
