@@ -95,7 +95,7 @@ def analyze(
     i = model.index[current]
     results = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
     compliant = all(r.compliant for r in results.values())
-    full = None if compliant else score_situations(scg, model, vectors, properties)
+    full = None if compliant else score_situations(model, scg.sunk, vectors, properties)
     return AnalysisResult(current=results, compliant=compliant, full_report=full)
 
 
@@ -109,8 +109,9 @@ def synthesize_safe_controller(
 
     Gives up (success=False) once sinking would exceed config.max_removals.
     `scg` is compiled once unless `model`, its compiled model, is given.
-    Each sink rewrites one row of that model, which ends sinking `avoided`.
-    The outcome keeps the last ranking as its final report.
+    Each sink writes the self-loop row of its situation into that model,
+    which ends sinking `avoided`; `scg` itself is left as it is.  The outcome
+    keeps the last ranking as its final report.
 
     Reach vectors are kept across sinks.  After sinking `t`, only the
     properties whose vector is non-zero at `t` are swept again, unless the
@@ -121,22 +122,23 @@ def synthesize_safe_controller(
     and a fresh sweep would return the same vector bit for bit.
     """
     model = model or build_model(scg)
+    sunk = set(scg.sunk)
     vectors = reach_vectors(model, properties)
-    report = score_situations(scg, model, vectors, properties)
+    report = score_situations(model, sunk, vectors, properties)
     initial_violations = report.violated_properties()
     worst_initial_score = report.worst_score()
     avoided: list[str] = []
     while not report.all_compliant() and len(avoided) < config.max_removals:
         target = report.worst_situation
-        scg = sink_situation(scg, target)
         kind = type(model.matrix)
-        write_rows(model, scg, {target: scg.delta[target]})
+        write_rows(model, {target: {target: 1.0}})
+        sunk.add(target)
         avoided.append(target)
-        recompiled, t = type(model.matrix) is not kind, model.index[target]
-        stale = [p for p in properties if recompiled or vectors[p.name][t] != 0.0]
+        converted, t = type(model.matrix) is not kind, model.index[target]
+        stale = [p for p in properties if converted or vectors[p.name][t] != 0.0]
         if stale:
             vectors.update(reach_vectors(model, stale))
-        report = score_situations(scg, model, vectors, properties)
+        report = score_situations(model, sunk, vectors, properties)
     return AdaptationOutcome(
         success=report.all_compliant(),
         avoided=avoided,

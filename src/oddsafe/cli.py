@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import experiments
 from .errors import OddsafeError
-from .dtmc import rank_situations, require_labels
+from .dtmc import rank_situations, require_checkable
 from .prism import export_model, export_properties
 from .proplang import parse_properties_file
 from .scg import decode, load_scg, read_json
@@ -255,7 +255,7 @@ def cmd_export_prism(args) -> int:
     scg = load_scg(args.scg)
     properties = _load_properties(args.properties)
     model = export_model(scg, args.situation)  # names are checked before anything is written
-    require_labels({f.label for f in scg.failures}, properties)  # as check rejects it
+    require_checkable({f.label for f in scg.failures}, properties)  # as check rejects it
     out_dir = Path(args.out or "prism-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "model.pm").write_text(model)
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_non_negative, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="output file or directory")
     parser.add_argument(
-        "--format", choices=("csv", "json", "table"), default="table"
+        "--format", choices=("json", "table"), default="table"
     )
     parser.add_argument("--max-removals", type=_non_negative, default=None, dest="max_removals")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,9 +17,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelError, NotFoundError, PropertyError, SchemaError
-from .scg import ROW_SUM_ATOL, AugmentedScg, require_valid, structural_violations
+from .scg import ROW_SUM_ATOL, AugmentedScg, StateSpace, require_valid, structural_violations
 
 if TYPE_CHECKING:
+    from collections.abc import Collection
+
     import scipy.sparse as sp
 
     #: a row-stochastic transition operator, shape (n, n)
@@ -65,19 +67,14 @@ class PropertyResult:
 class Dtmc:
     """The compiled model of one SCG belief, shared by every start state."""
 
-    states: list[str]
-    index: dict[str, int]  # state id -> row of the operator (the shared StateSpace.index)
+    space: StateSpace  # the states of the SCG, shared with it
+    index: dict[str, int]  # state id -> row of the operator: space.index
     matrix: Operator
     labels: dict[str, set[int]]  # failure label -> state indices
 
 
 def _is_dense(nnz: int, n: int) -> bool:
     return nnz / (n * n) > SPARSE_DENSITY_CUTOFF
-
-
-def _fill_dense_row(mat: np.ndarray, i: int, row: dict[str, float], index) -> None:
-    cols = np.fromiter(map(index.__getitem__, row), np.intp, len(row))
-    mat[i, cols] = np.fromiter(row.values(), np.float64, len(row))
 
 
 def transition_matrix(scg: AugmentedScg, _document: bool = False) -> tuple[list[str], Operator]:
@@ -186,10 +183,10 @@ def build_model(scg: AugmentedScg, _document: bool = False) -> Dtmc:
         return model
     if structural_violations(scg):
         _reject(scg, _document)
-    states, mat = transition_matrix(scg, _document)
-    index = scg.space.index
-    labels = {f.label: {index[f.id]} for f in scg.failures}
-    return Dtmc(states=states, index=index, matrix=mat, labels=labels)
+    _, mat = transition_matrix(scg, _document)
+    space = scg.space
+    labels = {f.label: {space.index[f.id]} for f in scg.failures}
+    return Dtmc(space, space.index, mat, labels)
 
 
 def _splice_rows(mat: sp.csr_matrix, rows: dict[str, dict[str, float]], index) -> None:
@@ -214,13 +211,13 @@ def _splice_rows(mat: sp.csr_matrix, rows: dict[str, dict[str, float]], index) -
     indptr[1:] = np.cumsum(lengths)
 
 
-def write_rows(model: Dtmc, scg: AugmentedScg, rows: dict[str, dict[str, float]]) -> None:
-    """Make `model` the model of `scg`, whose delta differs from it in `rows` only.
+def write_rows(model: Dtmc, rows: dict[str, dict[str, float]]) -> None:
+    """Write whole rows into the operator of `model` in place, dense or CSR.
 
-    The rows are written into the operator in place, dense or CSR; only when
-    that moves its density across SPARSE_DENSITY_CUTOFF is it compiled again
-    from delta, so the operator is always the one transition_matrix would
-    build.  Nothing is validated: the caller checked the rows.
+    When that moves its density across SPARSE_DENSITY_CUTOFF the operator is
+    converted to the other kind, so it always equals, in values, dtypes and
+    layout, what transition_matrix builds from a delta holding the written
+    rows.  Nothing is validated: the caller checked the rows.
     """
     mat = model.matrix
     dense = isinstance(mat, np.ndarray)
@@ -228,13 +225,16 @@ def write_rows(model: Dtmc, scg: AugmentedScg, rows: dict[str, dict[str, float]]
         for sid, row in rows.items():
             i = model.index[sid]
             mat[i] = 0.0
-            _fill_dense_row(mat, i, row, model.index)
+            mat[i, list(map(model.index.__getitem__, row))] = list(row.values())
         nnz = int(np.count_nonzero(mat))
     else:
         _splice_rows(mat, rows, model.index)
         nnz = mat.nnz
     if _is_dense(nnz, mat.shape[0]) != dense:
-        _, model.matrix = transition_matrix(scg)
+        import scipy.sparse as sp  # deferred: dense-only runs never pay for it
+
+        # the CSR of an array keeps its nonzeros alone, in sorted columns
+        model.matrix = sp.csr_matrix(mat) if dense else mat.toarray()
 
 
 def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndarray:
@@ -248,23 +248,20 @@ def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndar
     return x
 
 
-def require_labels(labels, properties: list[BoundedReachProperty]) -> None:
-    """Raise NotFoundError at the first property whose target is not in labels."""
-    for prop in properties:
-        if prop.target_label not in labels:
-            raise NotFoundError(f"unknown label {prop.target_label!r}")
-
-
-def require_unique_names(properties: list[BoundedReachProperty]) -> None:
+def require_checkable(labels, properties: list[BoundedReachProperty]) -> None:
     """Raise PropertyError on an empty list, which would report every
     situation compliant, and at the first repeated property name: vectors and
-    results are keyed by name, so a repeat would drop a requirement."""
+    results are keyed by name, so a repeat would drop a requirement.  Then
+    raise NotFoundError at the first property whose target is not in labels."""
     if not properties:
         raise PropertyError("need at least one property")
     names = [p.name for p in properties]
     if len(set(names)) < len(names):
         repeated = next(name for i, name in enumerate(names) if name in names[:i])
         raise PropertyError(f"property name {repeated!r} is repeated")
+    for prop in properties:
+        if prop.target_label not in labels:
+            raise NotFoundError(f"unknown label {prop.target_label!r}")
 
 
 def reach_vectors(
@@ -275,8 +272,7 @@ def reach_vectors(
     Values outside [0, 1] (beyond rounding) raise ModelError, never a verdict;
     an empty list or a repeated property name raises PropertyError.
     """
-    require_unique_names(properties)
-    require_labels(model.labels, properties)
+    require_checkable(model.labels, properties)
     out: dict[str, np.ndarray] = {}
     for prop in properties:
         x = bounded_reach_vector(model.matrix, model.labels[prop.target_label], prop.horizon)
@@ -307,8 +303,8 @@ class CriticalityReport:
     """Every non-sunk situation scored against every property, one column per
     property, by the same arithmetic as score_value.
 
-    The per-situation dicts `records` and `worst_scores` are built at their
-    first read and kept; to_dict reads the arrays.
+    The per-situation dicts of `records` are built at their first read and
+    kept; to_dict reads the arrays.
     """
 
     situations: list[str]  # non-sunk situation ids, in situation order
@@ -350,10 +346,6 @@ class CriticalityReport:
             sid: {name: PropertyResult(*r) for name, r in zip(self.names, row)}
             for sid, row in self._rows()
         }
-
-    @cached_property
-    def worst_scores(self) -> dict[str, float]:
-        return dict(zip(self.situations, self.worst.tolist()))
 
     def __eq__(self, other) -> bool:
         # by value, as the documents they serialise to
@@ -408,16 +400,16 @@ class CriticalityReport:
 
 
 def score_situations(
-    scg: AugmentedScg,
     model: Dtmc,
+    sunk: Collection[str],
     vectors: dict[str, np.ndarray],
     properties: list[BoundedReachProperty],
 ) -> CriticalityReport:
-    """Score every non-sunk situation from the model's reach vectors."""
+    """Score every situation not in `sunk` from the model's reach vectors."""
     by_name = {p.name: p for p in properties}
-    ids = scg.space.situation_ids  # situation i is row i of the model
+    ids = model.space.situation_ids  # situation i is row i of the model
     keep = np.ones(len(ids), bool)
-    keep[[model.index[s] for s in scg.sunk]] = False
+    keep[[model.index[s] for s in sunk]] = False
     situations = list(compress(ids, keep.tolist()))
     rows = np.flatnonzero(keep)
     values = np.stack([vectors[name][rows] for name in by_name], axis=1)
@@ -440,4 +432,4 @@ def rank_situations(
     iteration per property yields the value for every situation.
     """
     model = build_model(scg)
-    return score_situations(scg, model, reach_vectors(model, properties), properties)
+    return score_situations(model, scg.sunk, reach_vectors(model, properties), properties)

@@ -17,6 +17,7 @@ from .marsim import (
     GroundTruth,
     ScenarioConfig,
     TruthSampler,
+    check_seed,
     generate_scenario,
     inject_drift,
 )
@@ -51,8 +52,7 @@ def drift_scg(scg: AugmentedScg, magnitude: float, seed: int) -> AugmentedScg:
 
 def _check_shared_ranges(config) -> None:
     """The range checks VariantConfig and TimelineConfig share."""
-    if config.seed < 0:  # numpy seeds no generator with a negative number
-        raise ValueError("seed must be >= 0")
+    check_seed(config.seed)
     if not 0.0 <= config.drift_magnitude <= 1.0:
         raise ValueError("drift_magnitude must be in [0, 1]")
     if config.max_removals < 0:
@@ -272,6 +272,7 @@ def random_dense_scg(
     """A benchmark SCG with n situations, 2 failures and the given row density."""
     if n_situations < 2:
         raise ValueError("need at least 2 situations")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     attributes = (OddAttribute("bench", tuple(f"v{i}" for i in range(n_situations))),)
     space = state_space(attributes, tuple(f.id for f in MARITIME_FAILURES))
@@ -289,6 +290,7 @@ def run_bench(
     n_list: list[int], horizon: int = 50, density: float = 1.0, seed: int = 0
 ) -> list[dict]:
     """Time rank_situations on generated SCGs; one CSV-able record per size."""
+    check_seed(seed)  # each size seeds its SCG with seed + n
     properties = [
         parse_property("phi1", f"P < 0.99 [ F<={horizon} f1 ]"),
         parse_property("phi2", f"P < 0.95 [ F<={horizon} f2 ]"),

@@ -27,9 +27,6 @@ class TransitionCounts:
     def row(self, sid: str) -> dict[str, int]:
         return dict(self.counts.get(sid, {}))
 
-    def total(self, sid: str) -> int:
-        return sum(self.counts.get(sid, {}).values())
-
     def to_dict(self) -> dict:
         return {
             "failure_ids": sorted(self.failure_ids),

@@ -57,6 +57,11 @@ class GroundTruth:
         return replace(self, rows={s: dict(r) for s, r in self.rows.items()})
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:  # numpy seeds no generator with a negative number
+        raise ValueError("seed must be >= 0")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 0
@@ -67,8 +72,7 @@ class ScenarioConfig:
     failure_bias: dict[str, float] = field(default_factory=lambda: {"f1": 1.0, "f2": 1.0})
 
     def __post_init__(self):
-        if self.seed < 0:  # numpy seeds no generator with a negative number
-            raise ValueError("seed must be >= 0")
+        check_seed(self.seed)
         if min(self.episodes, self.episode_length) < 1:
             raise ValueError("episodes and episode_length must be >= 1")
         if self.episodes * self.episode_length > np.iinfo(np.int64).max:  # multinomial's n

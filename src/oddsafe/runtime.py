@@ -22,7 +22,7 @@ from .adapt import (
     controller_from_outcome,
     synthesize_safe_controller,
 )
-from .dtmc import BoundedReachProperty, Dtmc, build_model, require_unique_names, write_rows
+from .dtmc import BoundedReachProperty, Dtmc, build_model, require_checkable, write_rows
 from .errors import SchemaError, TraceError
 from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
 from .proplang import PropertyEntry, format_property, parse_entries
@@ -130,7 +130,7 @@ def new_knowledge_base(
     synthesis: SynthesisConfig | None = None,
     baseline: bool = False,
 ) -> KnowledgeBase:
-    require_unique_names(properties)
+    require_checkable({f.label for f in scg.failures}, properties)
     build_model(scg)  # the compile validates; a loaded prior releases its model
     initial = Controller(id="c0", avoided=tuple(sorted(scg.sunk)))
     counts = TransitionCounts(failure_ids=frozenset(scg.failure_ids))
@@ -196,7 +196,7 @@ def _ingest(kb: KnowledgeBase, to: str) -> None:
     row = estimate_row(kb.prior_scg, kb.counts, kb.estimator, sid)
     require_valid_row(kb.scg, sid, row)
     kb.scg.delta[sid] = row  # the knowledge base alone holds its belief's delta
-    write_rows(kb.model, kb.scg, {sid: row})
+    write_rows(kb.model, {sid: row})
 
 
 def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEntry]:
@@ -236,7 +236,7 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
 
     outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis, kb.model)
     if not outcome.success:
-        write_rows(kb.model, kb.scg, {s: kb.scg.delta[s] for s in outcome.avoided})
+        write_rows(kb.model, {s: kb.scg.delta[s] for s in outcome.avoided})
         kb.history.append(
             HistoryEntry(t=event.t, controller_id=kb.active_controller.id, outcome=outcome)
         )
@@ -337,6 +337,9 @@ def load(doc: dict) -> KnowledgeBase:
     record = decode(_Snapshot, doc)
     properties = parse_entries(record.properties, "$.properties")
     prior, controllers = record.prior_scg, record.controllers
+    for i, prop in enumerate(properties):  # a target must be a failure label of the prior
+        if prop.target_label not in {f.label for f in prior.failures}:
+            raise SchemaError(f"unknown label {prop.target_label!r}", [f"$.properties[{i}]"])
     if not controllers:  # the belief sinks the active controller's situations
         raise SchemaError("need at least one controller", ["$.controllers"])
     for i, c in enumerate(controllers):

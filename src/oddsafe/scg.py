@@ -126,11 +126,6 @@ class AugmentedScg:
     def failure_ids(self) -> list[str]:
         return [f.id for f in self.failures]
 
-    @property
-    def state_ids(self) -> list[str]:
-        """Situations first, then failures; the canonical state ordering."""
-        return list(self.space.ids)
-
     def is_situation(self, sid: str) -> bool:
         return _member(sid, self.space.situation_set)
 

@@ -19,7 +19,7 @@ from oddsafe.proplang import parse_property
 from oddsafe.runtime import new_knowledge_base
 from oddsafe.scg import decode, scg_from_dict, scg_to_dict, sink_situation
 
-from helpers import make_scg
+from helpers import assert_compiles_to, make_scg
 
 PROP = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
 
@@ -210,6 +210,27 @@ def test_rankings_build_their_records_only_when_read(monkeypatch, make, dense):
     for sid in outcome.avoided:
         sunk = sink_situation(sunk, sid)
     assert outcome.to_dict()["final_report"] == rank_situations(sunk, [PROP]).to_dict()
+
+
+@pytest.mark.parametrize("make", [_violating_scg, _trapped_chain], ids=["dense", "csr"])
+@pytest.mark.parametrize("given_model", [False, True], ids=["compiled", "model-given"])
+def test_synthesis_leaves_its_input_scg_unchanged(make, given_model):
+    # synthesis writes its sinks into the model alone, never into the SCG
+    scg = sink_situation(make(), "s2")
+    delta = {sid: dict(row) for sid, row in scg.delta.items()}
+    rows = dict(scg.delta)
+    model = build_model(scg) if given_model else None
+    config = SynthesisConfig(max_removals=4)
+    outcome = synthesize_safe_controller(scg, [PROP], config, model)
+    assert outcome.success and outcome.avoided == ["s0"]
+    assert scg.delta == delta and scg.sunk == {"s2"}
+    assert all(scg.delta[sid] is row for sid, row in rows.items())
+    # its ranking leaves out the situations sunk before it and by it
+    repaired = sink_situation(scg, *outcome.avoided)
+    assert outcome.final_report == rank_situations(repaired, [PROP])
+    assert {"s0", "s2"}.isdisjoint(outcome.final_report.situations)
+    if given_model:
+        assert_compiles_to(model, repaired)
 
 
 def test_outcome_round_trip():

@@ -262,6 +262,7 @@ def test_bench_writes_csv(tmp_path, capsys):
         ["--seed", "-1", "experiment-rq2"],  # numpy seeds no generator with these
         ["--seed", "-3000", "experiment-rq1"],
         ["--seed", "-20", "bench", "--n", "10"],
+        ["--format", "csv", "bench", "--n", "4"],  # no command writes csv to stdout
     ],
 )
 def test_bad_option_values_are_usage_errors(argv, tmp_path, capsys):

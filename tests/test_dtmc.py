@@ -29,6 +29,7 @@ from oddsafe.errors import ModelError, NotFoundError, PropertyError, SchemaError
 from oddsafe.experiments import random_dense_scg
 from oddsafe.scg import (
     AugmentedScg,
+    StateSpace,
     require_valid,
     require_valid_row,
     scg_from_dict,
@@ -137,7 +138,7 @@ def test_build_model_rejects_as_require_valid_does(dense):
 def _coo_reference(scg):
     """The CSR operator of `scg` built independently of transition_matrix:
     COO triplets to CSR, then sorted columns and no explicit zeros."""
-    index = {sid: i for i, sid in enumerate(scg.state_ids)}
+    index = {sid: i for i, sid in enumerate(scg.space.ids)}
     triplets = [
         (index[s], index[t], p) for s in scg.situation_ids for t, p in scg.delta[s].items()
     ]
@@ -175,7 +176,7 @@ def test_csr_arrays_equal_an_independent_build(make_doc):
 def _dense_reference(scg):
     """The dense operator of `scg` built independently of transition_matrix:
     np.zeros, then each situation's row filled entry by entry."""
-    index = {sid: i for i, sid in enumerate(scg.state_ids)}
+    index = {sid: i for i, sid in enumerate(scg.space.ids)}
     ref = np.zeros((len(index), len(index)))
     for sid in scg.situation_ids:
         for target, p in scg.delta[sid].items():
@@ -279,7 +280,7 @@ def test_a_valid_scg_is_walked_once_per_boundary(monkeypatch):
         assert calls == {"transition_matrix": 1}
         calls.clear()
         assert again.matrix is not model.matrix
-        assert (again.states, again.index, again.labels) == (model.states, model.index, model.labels)
+        assert (again.space, again.index, again.labels) == (model.space, model.index, model.labels)
         assert type(again.matrix) is type(model.matrix)
         assert np.array_equal(_as_array(again.matrix), _as_array(model.matrix))
 
@@ -316,9 +317,10 @@ def test_check_bounded_reach_errors():
 
 def test_reach_vectors_reject_values_outside_unit_interval():
     # row 0 sums to 2, so two sweeps take its reach value to 2.0
+    space = StateSpace(1, ("f",))
     model = Dtmc(
-        states=["a", "f"],
-        index={"a": 0, "f": 1},
+        space=space,
+        index=space.index,
         matrix=np.array([[1.0, 1.0], [0.0, 1.0]]),
         labels={"f": {1}},
     )
@@ -365,7 +367,8 @@ def test_rank_situations_tie_breaks_to_smallest_id():
     )
     prop = BoundedReachProperty("p", "f1", 3, "<", 0.5)
     report = rank_situations(scg, [prop])
-    assert report.worst_scores["s0"] == report.worst_scores["s1"]
+    worst = report.to_dict()["worst_scores"]
+    assert worst["s0"] == worst["s1"]
     assert report.worst_situation == "s0"
 
 
@@ -402,7 +405,7 @@ def test_rank_situations_requires_properties():
 
 
 def _dict_filled(scg):
-    states = scg.state_ids
+    states = scg.space.ids
     mat = np.zeros((len(states), len(states)))
     for sid, row in scg.delta.items():
         for target, p in row.items():
@@ -513,7 +516,7 @@ def _loop_report(scg, model, vectors, properties) -> dict:
 
 
 def _assert_scores_match_the_loop(scg, model, vectors, properties):
-    report = score_situations(scg, model, vectors, properties)
+    report = score_situations(model, scg.sunk, vectors, properties)
     expected = _loop_report(scg, model, vectors, properties)
     assert report.to_dict() == expected
     # repr shows every bit of a float, the sign of a zero included
@@ -530,8 +533,7 @@ def _assert_scores_match_the_loop(scg, model, vectors, properties):
     for props in report.records.values():
         for r in props.values():
             assert (type(r.value), type(r.score), type(r.compliant)) == (float, float, bool)
-    assert json.dumps(report.worst_scores) == json.dumps(worst)
-    assert {type(v) for v in report.worst_scores.values()} <= {float}
+    assert {type(v) for v in report.to_dict()["worst_scores"].values()} <= {float}
     # decoding gives the same text back, through JSON text and with sorted keys
     for kw in ({}, {"sort_keys": True}):
         again = CriticalityReport.from_dict(json.loads(json.dumps(report.to_dict(), **kw)))
@@ -557,7 +559,7 @@ def test_scorer_equals_a_score_value_loop(seed):
         for j, cmp_ in enumerate(comparators)
     ]
     vectors = {
-        p.name: np.array([rng.choice(grid + [rng.random()]) for _ in model.states])
+        p.name: np.array([rng.choice(grid + [rng.random()]) for _ in model.space.ids])
         for p in properties
     }
     _assert_scores_match_the_loop(scg, model, vectors, properties)
@@ -593,7 +595,7 @@ def test_scorer_keeps_the_first_of_equal_zero_scores():
     props = [BoundedReachProperty(name, "f1", 1, "<=", 0.0) for name in ("z1", "z2")]
     vectors = {"z1": np.array([-0.0, 0.0, 0.0, 0.0]), "z2": np.array([0.0, -0.0, 0.0, 0.0])}
     report = _assert_scores_match_the_loop(scg, model, vectors, props)
-    assert [repr(v) for v in report.worst_scores.values()] == ["-0.0", "0.0"]
+    assert [repr(v) for v in report.to_dict()["worst_scores"].values()] == ["-0.0", "0.0"]
     assert repr(report.worst_score()) == "-0.0"
 
 
@@ -624,7 +626,7 @@ def test_write_rows_gives_the_operator_a_fresh_compile_gives(n_rows, width, befo
     updated = AugmentedScg(
         scg.attributes, scg.failures, {**scg.delta, **rows}
     )
-    write_rows(model, updated, rows)
+    write_rows(model, rows)
     fresh = build_model(updated)
     assert type(model.matrix) is type(fresh.matrix) is after
     if after is np.ndarray:
@@ -668,18 +670,26 @@ def test_csr_row_writes_splice_the_operator_in_place(monkeypatch):
     ]
     for rows in writes:
         scg = _with_rows(scg, rows)
-        write_rows(model, scg, rows)
+        write_rows(model, rows)
         _assert_fresh_csr(model.matrix, scg)
     for sid in ("s3", "s39"):  # rows collapsing to a sink self-loop
         scg = sink_situation(scg, sid)
-        write_rows(model, scg, {sid: scg.delta[sid]})
+        write_rows(model, {sid: scg.delta[sid]})
         _assert_fresh_csr(model.matrix, scg)
-    assert not compiles
-    rows = _spread_rows([f"s{i}" for i in range(40)], 40)  # density crosses the cutoff
+    # the density crosses the cutoff upwards, then back: the operator is
+    # converted, never compiled again, and is what a fresh compile gives
+    rows = _spread_rows([f"s{i}" for i in range(40)], 40)
     scg = _with_rows(scg, rows)
-    write_rows(model, scg, rows)
-    assert len(compiles) == 1 and isinstance(model.matrix, np.ndarray)
-    assert np.array_equal(model.matrix, original(scg)[1])
+    write_rows(model, rows)
+    assert isinstance(model.matrix, np.ndarray)
+    _, fresh = original(scg)
+    assert model.matrix.dtype == fresh.dtype and np.array_equal(model.matrix, fresh)
+    assert model.matrix.flags.c_contiguous and fresh.flags.c_contiguous
+    rows = _spread_rows([f"s{i}" for i in range(40)], 1)
+    scg = _with_rows(scg, rows)
+    write_rows(model, rows)
+    _assert_fresh_csr(model.matrix, scg)
+    assert not compiles
 
 
 def test_dense_runs_never_import_scipy_sparse():

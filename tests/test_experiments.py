@@ -41,7 +41,7 @@ def test_drift_scg_preserves_sunk_rows():
 def test_random_dense_scg_shape():
     scg = random_dense_scg(10, density=1.0, seed=0)
     assert len(scg.situations) == 10
-    assert len(scg.state_ids) == 12
+    assert len(scg.space.ids) == 12
     assert validate_scg(scg) == []
     with pytest.raises(ValueError):
         random_dense_scg(1)
@@ -60,6 +60,20 @@ def test_run_bench_records():
         assert row["transitions"] == row["n"] * (row["n"] + 2)
         assert row["ms"] >= 0.0
     assert BENCH_CSV_HEADER == ["n", "states", "transitions", "ms"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_dense_scg(4, seed=-1),
+        lambda: run_bench([4], horizon=5, seed=-20),
+        lambda: run_bench([4], horizon=5, seed=-2),  # seed + n would be 2
+    ],
+    ids=["random_dense_scg", "run_bench", "run_bench-offset"],
+)
+def test_a_negative_seed_is_rejected_before_numpy_sees_it(call):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        call()
 
 
 def test_rescue_rate():

@@ -23,8 +23,8 @@ def test_ingest_accumulates():
     ingest(counts, "s0", "s1")
     ingest(counts, "s0", "f1")
     assert counts.row("s0") == {"s1": 2, "f1": 1}
-    assert counts.total("s0") == 3
-    assert counts.total("s9") == 0
+    assert sum(counts.row("s0").values()) == 3
+    assert sum(counts.row("s9").values()) == 0
 
 
 def test_ingest_rejects_failure_source():
@@ -40,7 +40,8 @@ def test_counts_round_trip():
     again = decode(TransitionCounts, counts.to_dict())
     assert again.counts == counts.counts
     sids = ("s0", "s1", "s9")
-    assert [again.total(s) for s in sids] == [counts.total(s) for s in sids] == [1, 1, 0]
+    totals = [[sum(c.row(s).values()) for s in sids] for c in (again, counts)]
+    assert totals == [[1, 1, 0], [1, 1, 0]]
     assert again.failure_ids == counts.failure_ids
 
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from oddsafe import experiments
 from oddsafe.dtmc import BoundedReachProperty
-from oddsafe.errors import ModelError, SchemaError, TraceError
+from oddsafe.errors import ModelError, NotFoundError, SchemaError, TraceError
 from oddsafe.learn import EstimatorConfig, ingest, rebuild_scg
 from oddsafe.marsim import ScenarioConfig, generate_scenario
 from oddsafe.adapt import SynthesisConfig
@@ -139,7 +139,7 @@ def test_episode_reset_clears_cursor_without_counting():
     step(kb, TraceEvent(t=1, kind="episode_reset"))
     assert kb.prev is None
     step(kb, TraceEvent(t=2, kind="situation_entered", id="s2"))
-    assert kb.counts.total("s1") == 0
+    assert sum(kb.counts.row("s1").values()) == 0
 
 
 def test_violation_triggers_controller_switch():
@@ -284,6 +284,20 @@ def test_load_rejects_a_snapshot_without_properties(properties, path):
     with pytest.raises(SchemaError) as exc:
         load(doc)
     assert exc.value.paths == [path]
+
+
+def test_new_knowledge_base_rejects_a_property_with_an_unknown_label():
+    # as check does, before the first analysed step would find it
+    with pytest.raises(NotFoundError, match="unknown label 'zz'"):
+        new_knowledge_base(_belief(violating=False), [BoundedReachProperty("p", "zz", 5, "<", 0.5)])
+
+
+def test_load_rejects_a_property_with_an_unknown_label():
+    doc = snapshot(_kb(violating=False))
+    doc["properties"].append({"name": "psi", "expression": "P < 0.5 [ F<=5 zz ]"})
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == ["$.properties[1]"]
 
 
 def test_load_rejects_attribute_values_that_are_no_array():

@@ -293,7 +293,7 @@ def test_a_failure_description_does_not_key_the_state_space():
     # an SCG built in Python checks no description; its state space still builds
     loaded = scg_from_dict(_grid_doc())
     failures = (FailureMode("f1", "f1", ["not", "text"]),) + loaded.failures[1:]
-    assert replace(loaded, failures=failures).state_ids == ["s0", "s1", "f1", "f2"]
+    assert replace(loaded, failures=failures).space.ids == ("s0", "s1", "f1", "f2")
 
 
 def test_loading_ranking_and_repairing_build_no_situation():
@@ -314,10 +314,9 @@ def test_lists_handed_out_are_the_callers_own():
     loaded = scg_from_dict(doc)
     enumerate_situations(list(loaded.attributes)).clear()
     loaded.situation_ids.append("s9")
-    loaded.state_ids.reverse()
     again = scg_from_dict(doc)
     assert again.situation_ids == ["s0", "s1"]
-    assert again.state_ids == ["s0", "s1", "f1", "f2"]
+    assert again.space.ids == ("s0", "s1", "f1", "f2")
     assert [s.id for s in again.situations] == ["s0", "s1"]
 
 

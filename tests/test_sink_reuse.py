@@ -33,7 +33,7 @@ def resweep_everything(scg, properties, config):
     at the sunk row (the reuse rule's two branches)."""
     model = build_model(scg)
     vectors = reach_vectors(model, properties)
-    report = score_situations(scg, model, vectors, properties)
+    report = score_situations(model, scg.sunk, vectors, properties)
     initial_violations = report.violated_properties()
     worst_initial_score = report.worst_score()
     avoided, sinks = [], []
@@ -41,12 +41,12 @@ def resweep_everything(scg, properties, config):
         target = report.worst_situation
         scg = sink_situation(scg, target)
         kind = type(model.matrix)
-        write_rows(model, scg, {target: scg.delta[target]})
+        write_rows(model, {target: scg.delta[target]})
         avoided.append(target)
         t = model.index[target]
         sinks.append((type(model.matrix) is not kind, any(v[t] == 0.0 for v in vectors.values())))
         vectors = reach_vectors(model, properties)
-        report = score_situations(scg, model, vectors, properties)
+        report = score_situations(model, scg.sunk, vectors, properties)
     outcome = AdaptationOutcome(
         success=report.all_compliant(),
         avoided=avoided,
