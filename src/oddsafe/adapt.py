@@ -50,24 +50,30 @@ class SynthesisConfig:
 
 @dataclass
 class AdaptationOutcome:
-    """Result record of one synthesis run (one table row per variant)."""
+    """Result record of one synthesis run (one table row per variant).
+
+    Synthesis keeps its last ranking as `final_report`, which the run log
+    writes; a knowledge base's history records the decision without it.
+    """
 
     success: bool
     avoided: list[str]
     iterations: int
     initial_violations: list[str]
     worst_initial_score: float
-    final_report: CriticalityReport
+    final_report: CriticalityReport | None = None
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "success": self.success,
             "avoided": list(self.avoided),
             "iterations": self.iterations,
             "initial_violations": list(self.initial_violations),
             "worst_initial_score": self.worst_initial_score,
-            "final_report": self.final_report.to_dict(),
         }
+        if self.final_report is not None:
+            doc["final_report"] = self.final_report.to_dict()
+        return doc
 
 
 @dataclass
@@ -92,7 +98,7 @@ def analyze(
     if current in scg.sunk:
         raise ModelError(f"current situation {current!r} is sunk")
     vectors = reach_vectors(model, properties)
-    i = model.index[current]
+    i = model.space.index[current]
     results = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
     compliant = all(r.compliant for r in results.values())
     full = None if compliant else score_situations(model, scg.sunk, vectors, properties)
@@ -134,7 +140,7 @@ def synthesize_safe_controller(
         write_rows(model, {target: {target: 1.0}})
         sunk.add(target)
         avoided.append(target)
-        converted, t = type(model.matrix) is not kind, model.index[target]
+        converted, t = type(model.matrix) is not kind, model.space.index[target]
         stale = [p for p in properties if converted or vectors[p.name][t] != 0.0]
         if stale:
             vectors.update(reach_vectors(model, stale))

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import countOf, ge, gt, itemgetter, le, lt
+from operator import ge, gt, le, lt
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ModelError, NotFoundError, PropertyError, SchemaError
+from .errors import ModelError, NotFoundError, PropertyError
 from .scg import ROW_SUM_ATOL, AugmentedScg, StateSpace, require_valid, structural_violations
 
 if TYPE_CHECKING:
@@ -67,8 +67,7 @@ class PropertyResult:
 class Dtmc:
     """The compiled model of one SCG belief, shared by every start state."""
 
-    space: StateSpace  # the states of the SCG, shared with it
-    index: dict[str, int]  # state id -> row of the operator: space.index
+    space: StateSpace  # the states of the SCG, shared with it; its index gives their rows
     matrix: Operator
     labels: dict[str, set[int]]  # failure label -> state indices
 
@@ -186,7 +185,7 @@ def build_model(scg: AugmentedScg, _document: bool = False) -> Dtmc:
     _, mat = transition_matrix(scg, _document)
     space = scg.space
     labels = {f.label: {space.index[f.id]} for f in scg.failures}
-    return Dtmc(space, space.index, mat, labels)
+    return Dtmc(space, mat, labels)
 
 
 def _splice_rows(mat: sp.csr_matrix, rows: dict[str, dict[str, float]], index) -> None:
@@ -221,14 +220,15 @@ def write_rows(model: Dtmc, rows: dict[str, dict[str, float]]) -> None:
     """
     mat = model.matrix
     dense = isinstance(mat, np.ndarray)
+    index = model.space.index
     if dense:
         for sid, row in rows.items():
-            i = model.index[sid]
+            i = index[sid]
             mat[i] = 0.0
-            mat[i, list(map(model.index.__getitem__, row))] = list(row.values())
+            mat[i, list(map(index.__getitem__, row))] = list(row.values())
         nnz = int(np.count_nonzero(mat))
     else:
-        _splice_rows(mat, rows, model.index)
+        _splice_rows(mat, rows, index)
         nnz = mat.nnz
     if _is_dense(nnz, mat.shape[0]) != dense:
         import scipy.sparse as sp  # deferred: dense-only runs never pay for it
@@ -366,38 +366,6 @@ class CriticalityReport:
             "worst_situation": self.worst_situation,
         }
 
-    @classmethod
-    def from_dict(cls, doc, path: str = "$") -> CriticalityReport:
-        """The report of a to_dict document, checked column by column: a
-        document of another shape, or a cell that is no finite float or no
-        bool, is a SchemaError at `path`."""
-        ok = type(doc) is dict and doc.keys() - {"worst_situation"} == {"records", "worst_scores"}
-        records, worst = (doc["records"], doc["worst_scores"]) if ok else (None, None)
-        if type(records) is not dict or type(worst) is not dict or list(worst) != list(records):
-            raise SchemaError("a report keys records and worst scores by situation", [path])
-        rows = list(records.values())
-        names = list(rows[0]) if rows and type(rows[0]) is dict else []
-        n = len(rows)
-        if countOf(map(type, rows), dict) != n or countOf(map(list, rows), names) != n:
-            raise SchemaError("every record must score the same properties", [f"{path}.records"])
-        cells = list(chain.from_iterable(map(dict.values, rows)))
-        m = len(cells)
-        try:  # a cell that is no JSON object, or lacks one of the three keys
-            floats = [*map(itemgetter("value"), cells), *map(itemgetter("score"), cells)]
-            compliant = list(map(itemgetter("compliant"), cells))
-        except (KeyError, TypeError):
-            floats = None
-        if floats is None or countOf(map(len, cells), 3) != m:
-            raise SchemaError("a cell holds a value, a score and a verdict", [f"{path}.records"])
-        floats += worst.values()
-        array = np.array(floats if countOf(map(type, floats), float) == len(floats) else [np.nan])
-        if countOf(map(type, compliant), bool) != m or not np.isfinite(array).all():
-            raise SchemaError("cells must be finite floats and bools", [path])
-        shape = (n, len(names))
-        values, scores = array[:m].reshape(shape), array[m : 2 * m].reshape(shape)
-        compliant = np.array(compliant, bool).reshape(shape)
-        return cls(list(records), names, values, scores, compliant, array[2 * m :])
-
 
 def score_situations(
     model: Dtmc,
@@ -409,7 +377,7 @@ def score_situations(
     by_name = {p.name: p for p in properties}
     ids = model.space.situation_ids  # situation i is row i of the model
     keep = np.ones(len(ids), bool)
-    keep[[model.index[s] for s in sunk]] = False
+    keep[[model.space.index[s] for s in sunk]] = False
     situations = list(compress(ids, keep.tolist()))
     rows = np.flatnonzero(keep)
     values = np.stack([vectors[name][rows] for name in by_name], axis=1)

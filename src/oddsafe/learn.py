@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import TraceError
+from .errors import ModelError, TraceError
 from .scg import AugmentedScg
 
 DEFAULT_ALPHA = 0.0
@@ -75,6 +75,8 @@ def estimate_frequentist(
     if n == 0 and alpha == 0:
         return dict(prior_row)
     denom = n + alpha * len(support)
+    if not math.isfinite(denom):  # every estimate would be 0.0
+        raise ModelError(f"smoothing_alpha {alpha!r} over {len(support)} targets overflows")
     return {t: (row_counts.get(t, 0) + alpha) / denom for t in support}
 
 

@@ -15,7 +15,7 @@ from .scg import AugmentedScg
 
 def export_model(scg: AugmentedScg, initial: str) -> str:
     """Render the DTMC with `initial` as start state as PRISM source text."""
-    index = build_model(scg).index  # validates the SCG as every check does
+    index = build_model(scg).space.index  # validates the SCG as every check does
     if not scg.is_situation(initial):
         raise NotFoundError(f"unknown initial situation {initial!r}")
     n = len(index)

@@ -12,7 +12,7 @@ triggers a crash stop.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .adapt import (
     AdaptationOutcome,
@@ -235,11 +235,10 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         )
 
     outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis, kb.model)
+    decision = replace(outcome, final_report=None)  # history keeps no ranking
     if not outcome.success:
         write_rows(kb.model, {s: kb.scg.delta[s] for s in outcome.avoided})
-        kb.history.append(
-            HistoryEntry(t=event.t, controller_id=kb.active_controller.id, outcome=outcome)
-        )
+        kb.history.append(HistoryEntry(event.t, kb.active_controller.id, decision))
         kb.prev = None
         directive = safe_stop(
             f"synthesis failed after sinking {outcome.avoided} "
@@ -254,9 +253,7 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         kb.scg, outcome, controller_id, prior_avoided=kb.active_controller.avoided
     )
     kb.controllers.append(controller)
-    kb.history.append(
-        HistoryEntry(t=event.t, controller_id=controller_id, outcome=outcome)
-    )
+    kb.history.append(HistoryEntry(event.t, controller_id, decision))
     kb.scg = sink_situation(kb.scg, *outcome.avoided)
     if sid in controller.avoided:
         kb.prev = None
@@ -324,9 +321,9 @@ def load(doc: dict) -> KnowledgeBase:
     The belief is derived again from the prior, the counts and the active
     controller's avoided set, so a snapshot stores neither it nor a
     controller's SCG.  The `scg` and `scg_version`, each controller's `scg`,
-    and the synthesis `rng_seed` and `out_of_odd_horizon` that older
-    snapshots carry are not read.  Nothing builds from the loaded prior, so
-    it drops the model its load compiled.
+    each history outcome's `final_report`, and the synthesis `rng_seed` and
+    `out_of_odd_horizon` that older snapshots carry are not read.  Nothing
+    builds from the loaded prior, so it drops the model its load compiled.
     """
     if type(doc) is dict:  # drop what older snapshots carry by name, unparsed
         doc = _without(doc, ("scg", "scg_version"))
@@ -334,6 +331,8 @@ def load(doc: dict) -> KnowledgeBase:
             doc["synthesis"] = _without(doc["synthesis"], ("rng_seed", "out_of_odd_horizon"))
         if type(doc.get("controllers")) is list:
             doc["controllers"] = [_without(c, ("scg",)) for c in doc["controllers"]]
+        if type(doc.get("history")) is list:
+            doc["history"] = list(map(_without_report, doc["history"]))
     record = decode(_Snapshot, doc)
     properties = parse_entries(record.properties, "$.properties")
     prior, controllers = record.prior_scg, record.controllers
@@ -366,6 +365,14 @@ def load(doc: dict) -> KnowledgeBase:
 def _without(doc, keys: tuple[str, ...]):
     """A JSON object less `keys`; any other JSON value as it is."""
     return {k: v for k, v in doc.items() if k not in keys} if type(doc) is dict else doc
+
+
+def _without_report(entry):
+    """A history entry whose outcome is a JSON object, less its `final_report`;
+    any other JSON value as it is."""
+    if type(entry) is dict and "outcome" in entry:
+        return {**entry, "outcome": _without(entry["outcome"], ("final_report",))}
+    return entry
 
 
 def _check_counts(prior: AugmentedScg, counts: TransitionCounts) -> None:

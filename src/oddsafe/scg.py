@@ -462,16 +462,14 @@ def decode(kind, doc, path: str = "$"):
     annotation says: `X | None`; a list, tuple or frozenset from an array;
     `dict[str, T]` from an object, and a bare `dict` as it is; `str`, `bool`
     and `int` (no bool) as they are; `float` from any finite number.
-    AugmentedScg has scg_from_dict read it at `path`, and a type with a
-    `from_dict` that.  A value of another type, an unknown or missing key, or
-    a record its `__post_init__` rejects is a SchemaError naming its path.
+    AugmentedScg has scg_from_dict read it at `path`.  A value of another
+    type, an unknown or missing key, or a record its `__post_init__` rejects
+    is a SchemaError naming its path.
     """
     if type(doc) is kind and kind in (str, bool, int):  # type(), so an int is no bool
         return doc
     if kind is AugmentedScg:
         return scg_from_dict(doc, path)
-    if hasattr(kind, "from_dict"):
-        return kind.from_dict(doc, path)
     origin, args = get_origin(kind) or kind, get_args(kind)
     if origin is UnionType:  # X | None
         (inner,) = set(args) - {NoneType}

@@ -8,6 +8,7 @@ value iteration, so it stays independent of the checker it validates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -16,10 +17,13 @@ import warnings
 from operator import countOf
 
 import numpy as np
+import pytest
 
+from oddsafe import experiments
 from oddsafe.dtmc import BoundedReachProperty, Dtmc, build_model
 from oddsafe.errors import ModelError, PropertyRangeError, PropertySyntaxError, SchemaError
 from oddsafe.proplang import MAX_HORIZON
+from oddsafe.runtime import new_knowledge_base
 from oddsafe.scg import (
     ROW_SUM_ATOL,
     ROW_SUM_RENORM,
@@ -115,7 +119,7 @@ def assert_compiles_to(model: Dtmc, scg: AugmentedScg) -> None:
     kind, values, dtypes and layout (sorted CSR columns, no stored zeros)."""
     fresh = build_model(scg)
     assert type(model.matrix) is type(fresh.matrix)
-    assert model.index == fresh.index and model.labels == fresh.labels
+    assert model.space.index == fresh.space.index and model.labels == fresh.labels
     if isinstance(fresh.matrix, np.ndarray):
         parts = [(model.matrix, fresh.matrix)]
     else:
@@ -124,6 +128,22 @@ def assert_compiles_to(model: Dtmc, scg: AugmentedScg) -> None:
         parts = [(getattr(model.matrix, a), getattr(fresh.matrix, a)) for a in attrs]
     for ours, theirs in parts:
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+@functools.cache  # one run serves every test; snapshot and load leave it as it is
+def rq2_adaptive_run():
+    """The seed-7 rq2 timeline, and the adaptive knowledge base it ran."""
+    kbs = []
+
+    def new_kb(*args, **kwargs):
+        kbs.append(new_knowledge_base(*args, **kwargs))
+        return kbs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "new_knowledge_base", new_kb)
+        result = experiments.run_timeline(experiments.TimelineConfig(seed=7))
+    (kb,) = [kb for kb in kbs if not kb.baseline]
+    return result, kb
 
 
 def grid_doc(side: int = 8, dims: int = 4) -> dict:

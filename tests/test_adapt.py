@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -13,7 +14,7 @@ from oddsafe.adapt import (
     synthesize_safe_controller,
 )
 from oddsafe.dtmc import BoundedReachProperty, CriticalityReport, build_model, rank_situations
-from oddsafe.errors import ModelError, NotFoundError, OddsafeError, PropertyError
+from oddsafe.errors import ModelError, NotFoundError, OddsafeError, PropertyError, SchemaError
 from oddsafe.marsim import ScenarioConfig, generate_scenario
 from oddsafe.proplang import parse_property
 from oddsafe.runtime import new_knowledge_base
@@ -234,11 +235,21 @@ def test_synthesis_leaves_its_input_scg_unchanged(make, given_model):
 
 
 def test_outcome_round_trip():
+    # what history keeps of an outcome, its decision without its ranking,
+    # decodes to itself; the run log's form adds the report and nothing else
     outcome = synthesize_safe_controller(
         _violating_scg(), [PROP], SynthesisConfig(max_removals=4)
     )
-    again = decode(AdaptationOutcome, outcome.to_dict())
-    assert json.dumps(again.to_dict()) == json.dumps(outcome.to_dict())
+    decision = replace(outcome, final_report=None)
+    assert "final_report" not in decision.to_dict()
+    again = decode(AdaptationOutcome, decision.to_dict())
+    assert again == decision
+    assert json.dumps(again.to_dict()) == json.dumps(decision.to_dict())
+    report = outcome.final_report.to_dict()
+    assert outcome.to_dict() == {**decision.to_dict(), "final_report": report}
+    # a ranking is written, never read back
+    with pytest.raises(SchemaError):
+        decode(AdaptationOutcome, outcome.to_dict())
 
 
 def test_outcomes_compare_by_value():
@@ -250,12 +261,14 @@ def test_outcomes_compare_by_value():
 
     outcome = synthesize(4)
     assert outcome == synthesize(4)
-    assert outcome == decode(AdaptationOutcome, outcome.to_dict())
     assert outcome != synthesize(0)
-    doc = outcome.to_dict()
-    doc["final_report"]["worst_scores"]["s1"] += 1.0
-    assert outcome != decode(AdaptationOutcome, doc)
-    assert outcome != doc
+    decision = replace(outcome, final_report=None)
+    assert decision == decode(AdaptationOutcome, decision.to_dict())
+    assert outcome != decision and decision != outcome
+    r = outcome.final_report
+    worse = CriticalityReport(r.situations, r.names, r.values, r.scores, r.compliant, r.worst + 1.0)
+    assert outcome != replace(outcome, final_report=worse)
+    assert outcome != outcome.to_dict()
 
 
 def test_controller_requires_avoided_to_be_sunk():

@@ -1,5 +1,6 @@
-"""The rq1/rq2 experiment outputs at their default configs and the check
-reports of two large SCGs, pinned by MD5.
+"""The rq1/rq2 experiment outputs at their default configs, the snapshot of
+the rq2 adaptive knowledge base and the check reports of large SCGs, pinned
+by MD5.
 
 Any refactor of the model, the learner, the loop or synthesis must leave
 these bytes unchanged (or log and justify the drift).
@@ -12,9 +13,10 @@ import pytest
 
 from oddsafe.cli import main
 from oddsafe.experiments import random_dense_scg
+from oddsafe.runtime import save_snapshot
 from oddsafe.scg import scg_to_dict, sink_situation
 
-from helpers import grid_doc
+from helpers import grid_doc, rq2_adaptive_run
 
 GOLDEN = {
     "rq2/adaptive.jsonl": "25d7a87702ad42d7b2b8eadabade2cc5",
@@ -30,6 +32,16 @@ def test_experiment_outputs_match_golden_digests(tmp_path, capsys):
         name: hashlib.md5((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+
+
+#: the seed-7 rq2 adaptive knowledge base's snapshot file, 18,137 bytes
+RQ2_SNAPSHOT_MD5 = "8a074e1a5114b480b1777946b8464538"
+
+
+def test_the_rq2_adaptive_snapshot_matches_its_golden_digest(tmp_path):
+    _, kb = rq2_adaptive_run()
+    save_snapshot(kb, tmp_path / "kb.json")
+    assert hashlib.md5((tmp_path / "kb.json").read_bytes()).hexdigest() == RQ2_SNAPSHOT_MD5
 
 
 CHECK_PROPERTIES = [

@@ -8,6 +8,7 @@ snapshot the work a restart does, and the rq2 run that no step compiles or
 validates a model.
 """
 
+import copy
 import functools
 import sys
 from pathlib import Path
@@ -23,6 +24,8 @@ if str(CHECKOUT) not in sys.path:
 from perfbench import gen, workloads  # noqa: E402
 from perfbench.layers import LayerProbe  # noqa: E402
 from perfbench.spans import NAME, PARENT, Tracer, restore  # noqa: E402
+
+from helpers import rq2_adaptive_run  # noqa: E402
 
 
 def test_traced_repair_op_counts_what_synthesis_did():
@@ -56,25 +59,20 @@ def test_traced_repair_op_counts_what_synthesis_did():
     assert "scg.sink_situation" not in by_name
 
 
-@functools.cache  # one rq2 run serves both cases; load does not change its input
+@functools.cache  # load does not change its input
 def _rq2_adaptive_snapshot() -> tuple[dict, dict]:
     """The seed-7 rq2 adaptive knowledge base's snapshot, and that snapshot as
-    older versions wrote it: each controller with its SCG (c0's is the prior)."""
-    kbs = []
-
-    def new_kb(*args, **kwargs):
-        kbs.append(runtime.new_knowledge_base(*args, **kwargs))
-        return kbs[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "new_knowledge_base", new_kb)
-        experiments.run_timeline(experiments.TimelineConfig(seed=7))
-    (kb,) = [kb for kb in kbs if not kb.baseline]
+    older versions wrote it: each controller with its SCG (c0's is the prior)
+    and each history outcome with the final report the run log holds."""
+    result, kb = rq2_adaptive_run()
     assert len(kb.controllers) > 1
     doc = runtime.snapshot(kb)
-    older = {**doc, "controllers": [dict(c) for c in doc["controllers"]]}
+    older = copy.deepcopy(doc)
     for entry, controller in zip(older["controllers"], kb.controllers):
         entry["scg"] = scg.scg_to_dict(controller.scg or kb.prior_scg)
+    logged = [entry.outcome for entry in result.adaptive_log if entry.outcome]
+    for entry, outcome in zip(older["history"][1:], logged, strict=True):
+        entry["outcome"]["final_report"] = outcome.final_report.to_dict()
     return doc, older
 
 

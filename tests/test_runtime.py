@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +193,9 @@ def test_synthesis_failure_safe_stops():
     _, entry = step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
     assert entry.directive.kind == "safe_stop"
     assert entry.outcome is not None and not entry.outcome.success
-    assert kb.history[-1].outcome is entry.outcome
+    # history keeps the decision; the log alone carries the ranking
+    assert entry.outcome.final_report is not None
+    assert kb.history[-1].outcome == replace(entry.outcome, final_report=None)
 
 
 def _text(doc) -> str:
@@ -236,6 +239,43 @@ def test_snapshot_round_trip_keeps_a_successful_outcome():
     assert [sorted(c) for c in doc["controllers"]] == [["avoided", "id", "origin"]] * 2
     assert _text(snapshot(load(doc))) == _text(doc)
     assert _text(snapshot(load(json.loads(_text(doc))))) == _text(doc)
+
+
+def _adapted(max_removals: int):
+    """A knowledge base after one synthesis on s1, and the outcome its log holds."""
+    synthesis = SynthesisConfig(max_removals=max_removals)
+    kb = new_knowledge_base(_belief(violating=True), [PROP], estimator=EXACT, synthesis=synthesis)
+    _, entry = step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    assert entry.outcome.success == (max_removals > 0)
+    return kb, entry.outcome
+
+
+@pytest.mark.parametrize("max_removals", [4, 0], ids=["success", "failure"])
+def test_a_snapshot_restores_the_history_it_records(max_removals):
+    kb, _ = _adapted(max_removals)
+    doc = snapshot(kb)
+    assert "final_report" not in _text(doc)
+    assert load(doc).history == kb.history
+    assert load(json.loads(_text(doc))).history == kb.history
+
+
+@pytest.mark.parametrize(
+    "report", ["logged", [], None, "report"], ids=["valid", "list", "null", "text"]
+)
+def test_an_older_snapshot_with_ranked_history_loads_to_the_new_text(report):
+    # older snapshots stored each outcome with its final report, which load
+    # drops unparsed, valid or not
+    kb, logged = _adapted(4)
+    doc = snapshot(kb)
+    older = json.loads(_text(doc))
+    outcome = older["history"][-1]["outcome"]
+    outcome["final_report"] = logged.final_report.to_dict() if report == "logged" else report
+    assert _text(snapshot(load(older))) == _text(doc)
+    # the rest of the outcome is still checked
+    outcome["bogus"] = 1
+    with pytest.raises(SchemaError) as exc:
+        load(older)
+    assert exc.value.paths == ["$.history[1].outcome.bogus"]
 
 
 def test_snapshot_file_round_trip(tmp_path):
@@ -449,10 +489,9 @@ def test_loaded_prior_holds_no_compiled_model_and_controllers_no_scg():
 
 
 def test_a_bad_estimated_row_is_a_model_error_from_new_knowledge_base():
-    # rebuild_scg checks no row: n + alpha * |support| overflows to inf, every
-    # estimate is then 0.0, and no such entry is kept
+    # n + alpha * |support| overflows to inf, so every estimate would be 0.0
     estimator = EstimatorConfig(mode="frequentist", smoothing_alpha=1e308)
-    with pytest.raises(ModelError, match=r"invalid augmented SCG: row-sum\(s0\)"):
+    with pytest.raises(ModelError, match=r"smoothing_alpha 1e\+308 over 2 targets overflows"):
         new_knowledge_base(_belief(violating=False), [PROP], estimator=estimator)
 
 

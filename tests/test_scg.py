@@ -279,7 +279,7 @@ def test_loads_of_one_odd_share_its_grid_and_state_space():
     first, second = scg_from_dict(doc), scg_from_dict(json.loads(json.dumps(doc)))
     assert first.situations is second.situations
     assert first.space is second.space
-    assert build_model(first).index is build_model(second).index is first.space.index
+    assert build_model(first).space.index is build_model(second).space.index is first.space.index
 
 
 def test_sinking_and_replacing_keep_the_state_space():
@@ -379,6 +379,7 @@ def _records():
     delta = {"s0": {"f1": 0.9, "s0": 0.1}, "s1": {"s0": 0.5, "s1": 0.5}, "s2": {"s2": 1.0}}
     prop = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
     outcome = synthesize_safe_controller(make_scg(delta, 3), [prop], SynthesisConfig(2))
+    outcome = replace(outcome, final_report=None)  # as history records it
     return [
         TraceEvent(3, "situation_entered", "s0"),
         TraceEvent(4, "episode_reset"),

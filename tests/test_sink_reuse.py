@@ -43,7 +43,7 @@ def resweep_everything(scg, properties, config):
         kind = type(model.matrix)
         write_rows(model, {target: scg.delta[target]})
         avoided.append(target)
-        t = model.index[target]
+        t = model.space.index[target]
         sinks.append((type(model.matrix) is not kind, any(v[t] == 0.0 for v in vectors.values())))
         vectors = reach_vectors(model, properties)
         report = score_situations(model, scg.sunk, vectors, properties)

@@ -5,6 +5,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import oddsafe
 
 CHECKOUT = Path(__file__).resolve().parents[1]
@@ -21,6 +23,25 @@ def test_library_guards_are_not_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+#: the library's modules but __init__.py, which imports names to re-export them
+MODULES = sorted(p for p in Path(oddsafe.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_a_library_module_uses_every_name_it_imports(path):
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    unused = []
+    for node in nodes:
+        if not isinstance(node, ast.Import | ast.ImportFrom):
+            continue
+        if getattr(node, "module", None) == "__future__":  # a compiler directive
+            continue
+        names = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        unused += [f"{path.name}:{node.lineno}: {n}" for n in names if n not in used]
+    assert unused == []
 
 
 def _add_checkout_to_path():
