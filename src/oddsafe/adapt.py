@@ -3,7 +3,8 @@ controller synthesis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Collection
+from dataclasses import dataclass, field
 
 from .dtmc import (
     BoundedReachProperty,
@@ -53,7 +54,7 @@ class AdaptationOutcome:
     """Result record of one synthesis run (one table row per variant).
 
     Synthesis keeps its last ranking as `final_report`, which the run log
-    writes; a knowledge base's history records the decision without it.
+    writes and no reader takes; history records the decision without it.
     """
 
     success: bool
@@ -61,7 +62,7 @@ class AdaptationOutcome:
     iterations: int
     initial_violations: list[str]
     worst_initial_score: float
-    final_report: CriticalityReport | None = None
+    final_report: CriticalityReport | None = field(default=None, metadata={"written_only": True})
 
     def to_dict(self) -> dict:
         doc = {
@@ -86,22 +87,22 @@ class AnalysisResult:
 
 
 def analyze(
-    scg: AugmentedScg,
     model: Dtmc,
+    sunk: Collection[str],
     current: str,
     properties: list[BoundedReachProperty],
 ) -> AnalysisResult:
-    """Check the current situation on `model`, the compiled model of `scg`;
-    rank everything only on violation."""
-    if not scg.is_situation(current):
+    """Check the current situation on `model`, in which the situations of
+    `sunk` are sunk; rank every other situation only on violation."""
+    if not model.space.is_situation(current):
         raise NotFoundError(f"unknown situation {current!r}")
-    if current in scg.sunk:
+    if current in sunk:
         raise ModelError(f"current situation {current!r} is sunk")
     vectors = reach_vectors(model, properties)
     i = model.space.index[current]
     results = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
     compliant = all(r.compliant for r in results.values())
-    full = None if compliant else score_situations(model, scg.sunk, vectors, properties)
+    full = None if compliant else score_situations(model, sunk, vectors, properties)
     return AnalysisResult(current=results, compliant=compliant, full_report=full)
 
 
@@ -161,14 +162,8 @@ def controller_from_outcome(
     controller_id: str,
     prior_avoided: tuple[str, ...] = (),
 ) -> Controller:
-    """Materialise the synthesised controller implied by an outcome."""
+    """Materialise the synthesised controller implied by an outcome: `base`
+    with its sinks, in one copy of the delta, and `prior_avoided` extended."""
+    avoided = tuple(prior_avoided) + tuple(s for s in outcome.avoided if s not in prior_avoided)
     scg = sink_situation(base, *outcome.avoided)
-    avoided = tuple(prior_avoided) + tuple(
-        s for s in outcome.avoided if s not in prior_avoided
-    )
-    return Controller(
-        id=controller_id,
-        scg=scg,
-        avoided=avoided,
-        origin="synthesised",
-    )
+    return Controller(id=controller_id, scg=scg, avoided=avoided, origin="synthesised")

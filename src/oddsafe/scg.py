@@ -127,7 +127,7 @@ class AugmentedScg:
         return [f.id for f in self.failures]
 
     def is_situation(self, sid: str) -> bool:
-        return _member(sid, self.space.situation_set)
+        return self.space.is_situation(sid)
 
     def is_failure(self, sid: str) -> bool:
         return _member(sid, self.space.failure_set)
@@ -155,6 +155,9 @@ class StateSpace:
         self.index = {sid: i for i, sid in enumerate(self.ids)}  # state id -> row
         self.situation_set = frozenset(self.situation_ids)
         self.failure_set = frozenset(failure_ids)
+
+    def is_situation(self, sid: str) -> bool:
+        return _member(sid, self.situation_set)
 
 
 _ID = attrgetter("id")
@@ -210,7 +213,7 @@ def _check_attributes(attributes: list[OddAttribute]) -> None:
 def describe_situation(scg: AugmentedScg, sid: str) -> str:
     """Render a situation as its attribute-value tuple, e.g. "(none,low,short)"."""
     space = scg.space
-    if not _member(sid, space.situation_set):
+    if not space.is_situation(sid):
         raise NotFoundError(f"unknown situation {sid!r}")
     s = scg.situations[space.situation_ids.index(sid)]
     labels = [a.values[v] for a, v in zip(scg.attributes, s.assignment)]
@@ -365,9 +368,9 @@ def scg_from_dict(doc: dict, path: str = "$") -> AugmentedScg:
 
     Rows off 1 by at most ROW_SUM_RENORM are renormalised with a warning;
     anything worse raises ModelError.  A document of the wrong shape, an
-    unknown key included, raises SchemaError naming the offending path.  The
-    SCG is validated by compiling it, and keeps the model for its first
-    build_model.
+    unknown key or a probability that is no number included, raises
+    SchemaError naming the offending path.  The SCG is validated by
+    compiling it, and keeps the model for its first build_model.
 
     A document with a row for every situation is compiled first as it is,
     its rows taken, not copied: the compile's float fill checks every value's
@@ -393,21 +396,21 @@ def scg_from_dict(doc: dict, path: str = "$") -> AugmentedScg:
 
 
 def _decode_rows(rows: dict, path: str) -> dict[str, dict[str, float]]:
-    """The rows of the document at `path`, one by one: values converted to
-    floats, rows off 1 by at most ROW_SUM_RENORM renormalised with a warning,
-    and the first row of the wrong shape or beyond renormalisation an error."""
+    """The rows of the document at `path`, one by one: values read as decode
+    reads a float, rows off 1 by at most ROW_SUM_RENORM renormalised with a
+    warning, and the first bad row, value or sum an error."""
     delta: dict[str, dict[str, float]] = {}
     for sid, row in rows.items():
         try:
             items = row.items()  # a row that is no JSON object fails here
-            if countOf(map(type, row.values()), float) == len(row):
-                row = dict(row)  # JSON numbers with a point decode as floats already
-            else:
-                row = {t: float(p) for t, p in items}
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        except AttributeError as exc:
             raise SchemaError(
                 f"a delta row must map ids to numbers: {exc}", [f"{path}.delta.{sid}"]
             ) from exc
+        if countOf(map(type, row.values()), float) == len(row):
+            row = dict(row)  # JSON numbers with a point decode as floats already
+        else:
+            row = {t: decode(float, p, f"{path}.delta.{sid}.{t}") for t, p in items}
         total = sum(row.values())
         off = abs(total - 1.0)
         if ROW_SUM_ATOL < off <= ROW_SUM_RENORM:
@@ -463,8 +466,8 @@ def decode(kind, doc, path: str = "$"):
     `dict[str, T]` from an object, and a bare `dict` as it is; `str`, `bool`
     and `int` (no bool) as they are; `float` from any finite number.
     AugmentedScg has scg_from_dict read it at `path`.  A value of another
-    type, an unknown or missing key, or a record its `__post_init__` rejects
-    is a SchemaError naming its path.
+    type, an unknown or missing key (a `written_only` field is no key), or a
+    record its `__post_init__` rejects is a SchemaError naming its path.
     """
     if type(doc) is kind and kind in (str, bool, int):  # type(), so an int is no bool
         return doc
@@ -486,7 +489,7 @@ def decode(kind, doc, path: str = "$"):
         return origin([decode(args[0], value, f"{path}[{i}]") for i, value in enumerate(doc)])
     if not (is_dataclass(kind) and type(doc) is dict):
         raise SchemaError(f"expected {kind.__name__.lstrip('_')}, not {reprlib.repr(doc)}", [path])
-    init = [f for f in fields(kind) if f.init]
+    init = [f for f in fields(kind) if f.init and not f.metadata.get("written_only")]
     odd = doc.keys() - {f.name for f in init}
     odd |= {f.name for f in init if f.default is f.default_factory is MISSING} - doc.keys()
     if odd:

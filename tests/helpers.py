@@ -13,6 +13,8 @@ import itertools
 import math
 import random
 import re
+import reprlib
+import sys
 import warnings
 from operator import countOf
 
@@ -207,14 +209,14 @@ def reference_scg_from_dict(doc: dict) -> AugmentedScg:
     for sid, row in doc["delta"].items():
         try:
             items = row.items()
-            if countOf(map(type, row.values()), float) == len(row):
-                row = dict(row)
-            else:
-                row = {t: float(p) for t, p in items}
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        except AttributeError as exc:
             raise SchemaError(
                 f"a delta row must map ids to numbers: {exc}", [f"$.delta.{sid}"]
             ) from exc
+        if countOf(map(type, row.values()), float) == len(row):
+            row = dict(row)
+        else:
+            row = {t: _reference_probability(p, f"$.delta.{sid}.{t}") for t, p in items}
         total = sum(row.values())
         off = abs(total - 1.0)
         if ROW_SUM_ATOL < off <= ROW_SUM_RENORM:
@@ -230,6 +232,14 @@ def reference_scg_from_dict(doc: dict) -> AugmentedScg:
     require_valid(scg)  # row_violations' verdict, independent of the compile's
     object.__setattr__(scg, "compiled", build_model(scg))
     return scg
+
+
+def _reference_probability(p, path: str) -> float:
+    """A probability written as a JSON number: an int or a finite float, never
+    text, a bool or null."""
+    if type(p) not in (int, float) or not abs(p) <= sys.float_info.max:
+        raise SchemaError(f"expected a finite number, not {reprlib.repr(p)}", [path])
+    return float(p)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ PROP = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
 
 
 def _analyze(scg, current, properties):
-    return analyze(scg, build_model(scg), current, properties)
+    return analyze(build_model(scg), scg.sunk, current, properties)
 
 
 def _violating_scg():

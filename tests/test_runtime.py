@@ -603,6 +603,51 @@ def test_a_failed_synthesis_leaves_the_model_of_the_unchanged_belief(kind, opera
     assert_compiles_to(kb.model, kb.scg)
 
 
+#: a trace in which s0's one observed move, into f1, makes it as critical as
+#: the traps; synthesis then sinks s0 first, the smallest id among the ties
+RESTORE_TRACE = [
+    ("situation_entered", "s0"),
+    ("failure_observed", "f1"),
+    ("episode_reset", None),
+    ("situation_entered", "s3"),
+    ("episode_reset", None),
+    ("situation_entered", "s0"),
+]
+
+
+def test_a_failed_synthesis_restores_each_row_to_the_estimate_of_its_counts():
+    # s1 and s2 each feed f1 and s3 leaks into both, so sinking one situation
+    # never silences the violation; s0 starts out benign
+    delta = {
+        "s0": {"s0": 0.999, "s3": 0.001},
+        "s1": {"s1": 0.1, "f1": 0.9},
+        "s2": {"s2": 0.1, "f1": 0.9},
+        "s3": {"s1": 0.3, "s2": 0.3, "s3": 0.4},
+    }
+    synthesis = SynthesisConfig(max_removals=1)
+    kb = new_knowledge_base(make_scg(delta, 4), [PROP], estimator=EXACT, synthesis=synthesis)
+    log = []
+    for t, (kind, sid) in enumerate(RESTORE_TRACE):
+        _, entry = step(kb, TraceEvent(t=t, kind=kind, id=sid))
+        log.append(entry)
+        # the sunk row is back at its estimate: the model is the unsunk belief's
+        assert [c.id for c in kb.controllers] == ["c0"]
+        assert_compiles_to(kb.model, rebuild_scg(kb.prior_scg, kb.counts, kb.estimator))
+    failed = [e.outcome for e in log if e.outcome]
+    assert [(o.success, o.avoided) for o in failed] == [(False, ["s0"])] * 2
+    assert kb.counts.row("s0") == {"f1": 1}  # so its estimate is no longer its prior row
+    # the verdicts and directives the knowledge base gave before it restored
+    # rows from their estimates
+    assert [(e.directive.kind, e.compliant) for e in log] == [
+        ("continue", True),
+        ("continue", None),
+        ("continue", None),
+        ("safe_stop", False),
+        ("continue", None),
+        ("safe_stop", False),
+    ]
+
+
 def test_a_loaded_prior_hands_its_model_to_the_knowledge_base_that_validates_it():
     prior = scg_from_dict(scg_to_dict(_belief(violating=True)))
     assert prior.compiled is not None

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from oddsafe import scg as scg_module
-from oddsafe.adapt import SynthesisConfig, synthesize_safe_controller
+from oddsafe.adapt import AdaptationOutcome, SynthesisConfig, synthesize_safe_controller
 from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
 from oddsafe.errors import InvalidOddError, ModelError, NotFoundError, SchemaError
 from oddsafe.experiments import TimelineConfig, VariantConfig
@@ -375,11 +375,14 @@ def test_state_spaces_stay_right_under_concurrent_misses():
     assert wrong == []
 
 
-def _records():
+def _synthesised():
     delta = {"s0": {"f1": 0.9, "s0": 0.1}, "s1": {"s0": 0.5, "s1": 0.5}, "s2": {"s2": 1.0}}
     prop = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
-    outcome = synthesize_safe_controller(make_scg(delta, 3), [prop], SynthesisConfig(2))
-    outcome = replace(outcome, final_report=None)  # as history records it
+    return synthesize_safe_controller(make_scg(delta, 3), [prop], SynthesisConfig(2))
+
+
+def _records():
+    outcome = replace(_synthesised(), final_report=None)  # as history records it
     return [
         TraceEvent(3, "situation_entered", "s0"),
         TraceEvent(4, "episode_reset"),
@@ -441,6 +444,10 @@ SCG = {
         (AugmentedScg, {**SCG, "sunk": [1]}, "$.sunk[0]"),
         (AugmentedScg, {**SCG, "delta": None}, "$.delta"),
         (AugmentedScg, {**SCG, "delta": {**SCG["delta"], "s1": [1.0]}}, "$.delta.s1"),
+        (AugmentedScg, {**SCG, "delta": {**SCG["delta"], "s1": {"s1": "1.0"}}}, "$.delta.s1.s1"),
+        (AugmentedScg, {**SCG, "delta": {**SCG["delta"], "s1": {"s1": True}}}, "$.delta.s1.s1"),
+        # a run-log outcome's report is written, and no reader takes it
+        (AdaptationOutcome, _synthesised().to_dict(), "$.final_report"),
     ],
 )
 def test_decode_names_the_path_of_a_value_of_another_type(kind, doc, path):
