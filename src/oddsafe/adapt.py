@@ -3,7 +3,6 @@ controller synthesis."""
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .dtmc import (
@@ -88,7 +87,7 @@ class AnalysisResult:
 
 def analyze(
     model: Dtmc,
-    sunk: Collection[str],
+    sunk: frozenset[str],
     current: str,
     properties: list[BoundedReachProperty],
 ) -> AnalysisResult:
@@ -162,8 +161,14 @@ def controller_from_outcome(
     controller_id: str,
     prior_avoided: tuple[str, ...] = (),
 ) -> Controller:
-    """Materialise the synthesised controller implied by an outcome: `base`
-    with its sinks, in one copy of the delta, and `prior_avoided` extended."""
-    avoided = tuple(prior_avoided) + tuple(s for s in outcome.avoided if s not in prior_avoided)
+    """Materialise the synthesised controller implied by an outcome."""
     scg = sink_situation(base, *outcome.avoided)
-    return Controller(id=controller_id, scg=scg, avoided=avoided, origin="synthesised")
+    avoided = tuple(prior_avoided) + tuple(
+        s for s in outcome.avoided if s not in prior_avoided
+    )
+    return Controller(
+        id=controller_id,
+        scg=scg,
+        avoided=avoided,
+        origin="synthesised",
+    )

@@ -106,7 +106,7 @@ class KnowledgeBase:
     """Everything the loop shares between stages and across restarts."""
 
     prior_scg: AugmentedScg  # pre-deployment belief; estimation prior; state ids
-    scg: AugmentedScg  # current belief with its sinks: synthesis's sunk set, controllers' copy
+    scg: AugmentedScg  # current belief, including sinks
     model: Dtmc  # compiled model of scg, the belief the loop checks; not persisted
     counts: TransitionCounts
     properties: list[BoundedReachProperty]
@@ -222,22 +222,22 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         raise TraceError(f"unknown situation id {sid!r}")
     _ingest(kb, sid)
 
-    sunk = kb.active_controller.avoided
-    if sid in sunk:
+    if sid in kb.scg.sunk:
         kb.prev = None
         directive = safe_stop(f"entered avoided situation {sid}")
         return kb, RunLogEntry(event.t, event.kind, sid, directive)
 
-    analysis = analyze(kb.model, sunk, sid, kb.properties)
+    analysis = analyze(kb.model, kb.scg.sunk, sid, kb.properties)
     if analysis.compliant or kb.baseline:
         kb.prev = sid
-        return kb, RunLogEntry(event.t, event.kind, sid, CONTINUE, compliant=analysis.compliant)
+        return kb, RunLogEntry(
+            event.t, event.kind, sid, CONTINUE, compliant=analysis.compliant
+        )
 
     outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis, kb.model)
     decision = replace(outcome, final_report=None)  # history keeps no ranking
-    if not outcome.success:  # each avoided row goes back to the estimate of its counts
-        rows = {s: estimate_row(kb.prior_scg, kb.counts, kb.estimator, s) for s in outcome.avoided}
-        write_rows(kb.model, rows)
+    if not outcome.success:
+        write_rows(kb.model, {s: kb.scg.delta[s] for s in outcome.avoided})
         kb.history.append(HistoryEntry(event.t, kb.active_controller.id, decision))
         kb.prev = None
         directive = safe_stop(
@@ -254,15 +254,16 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
     )
     kb.controllers.append(controller)
     kb.history.append(HistoryEntry(event.t, controller_id, decision))
-    kb.scg.delta.update({s: {s: 1.0} for s in outcome.avoided})  # the model holds them
-    kb.scg = replace(kb.scg, sunk=controller.avoided)
+    kb.scg = sink_situation(kb.scg, *outcome.avoided)
     if sid in controller.avoided:
         kb.prev = None
         directive = safe_stop(f"current situation {sid} is now avoided")
     else:
         kb.prev = sid
         directive = switch_controller(controller_id)
-    return kb, RunLogEntry(event.t, event.kind, sid, directive, compliant=False, outcome=outcome)
+    return kb, RunLogEntry(
+        event.t, event.kind, sid, directive, compliant=False, outcome=outcome
+    )
 
 
 def run(kb: KnowledgeBase, events: list[TraceEvent]) -> list[RunLogEntry]:
@@ -318,9 +319,9 @@ def load(doc: dict) -> KnowledgeBase:
     """The knowledge base of a snapshot; each defect is a SchemaError at its path.
 
     The belief is derived again from the prior, the counts and the active
-    controller's avoided set, which `prev` must be a prior situation outside.
-    The `scg` and `scg_version`, each controller's `scg`, each history
-    outcome's `final_report`, and the synthesis `rng_seed` and
+    controller's avoided set, so a snapshot stores neither it nor a
+    controller's SCG.  The `scg` and `scg_version`, each controller's `scg`,
+    each history outcome's `final_report`, and the synthesis `rng_seed` and
     `out_of_odd_horizon` that older snapshots carry are not read.  Nothing
     builds from the loaded prior, so it drops the model its load compiled.
     """
@@ -356,7 +357,7 @@ def load(doc: dict) -> KnowledgeBase:
     object.__setattr__(prior, "compiled", None)
     belief, model = _derive_belief(prior, record.counts, record.estimator, controllers[-1])
     prev = record.prev
-    if prev is not None and (not prior.is_situation(prev) or prev in controllers[-1].avoided):
+    if prev is not None and (not belief.is_situation(prev) or prev in belief.sunk):
         raise SchemaError("prev must be null or a situation not avoided", ["$.prev"])
     return KnowledgeBase(**{**vars(record), "properties": properties}, scg=belief, model=model)
 

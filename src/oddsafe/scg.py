@@ -401,16 +401,15 @@ def _decode_rows(rows: dict, path: str) -> dict[str, dict[str, float]]:
     warning, and the first bad row, value or sum an error."""
     delta: dict[str, dict[str, float]] = {}
     for sid, row in rows.items():
+        at = f"{path}.delta.{sid}"
         try:
             items = row.items()  # a row that is no JSON object fails here
         except AttributeError as exc:
-            raise SchemaError(
-                f"a delta row must map ids to numbers: {exc}", [f"{path}.delta.{sid}"]
-            ) from exc
+            raise SchemaError(f"a delta row must map ids to numbers: {exc}", [at]) from exc
         if countOf(map(type, row.values()), float) == len(row):
             row = dict(row)  # JSON numbers with a point decode as floats already
-        else:
-            row = {t: decode(float, p, f"{path}.delta.{sid}.{t}") for t, p in items}
+        else:  # decode reads the rest; a float, NaN or infinite, is the compile's
+            row = {t: p if type(p) is float else decode(float, p, f"{at}.{t}") for t, p in items}
         total = sum(row.values())
         off = abs(total - 1.0)
         if ROW_SUM_ATOL < off <= ROW_SUM_RENORM:

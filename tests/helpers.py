@@ -235,9 +235,12 @@ def reference_scg_from_dict(doc: dict) -> AugmentedScg:
 
 
 def _reference_probability(p, path: str) -> float:
-    """A probability written as a JSON number: an int or a finite float, never
-    text, a bool or null."""
-    if type(p) not in (int, float) or not abs(p) <= sys.float_info.max:
+    """A probability written as a JSON number: a float as it is (the compile
+    rejects one outside [0, 1], NaN included), or an int a float can hold;
+    never text, a bool or null."""
+    if type(p) is float:
+        return p
+    if type(p) is not int or not abs(p) <= sys.float_info.max:
         raise SchemaError(f"expected a finite number, not {reprlib.repr(p)}", [path])
     return float(p)
 

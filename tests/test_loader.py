@@ -327,6 +327,11 @@ ROW_LOOP_OUTCOMES = {
         (ModelError, "invalid augmented SCG: probability-range(s1)"),
         [],
     ),
+    "int-nan": (
+        _with_s1({"s1": math.nan, "s2": 0}),
+        (ModelError, "invalid augmented SCG: probability-range(s1)"),
+        [],
+    ),
     "renormalise": (
         _with_s1({"s1": 0.75, "s2": 0.2500005}),
         [("s1", float, 0.7499996250001875), ("s2", float, 0.2500003749998125)],

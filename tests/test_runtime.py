@@ -636,8 +636,7 @@ def test_a_failed_synthesis_restores_each_row_to_the_estimate_of_its_counts():
     failed = [e.outcome for e in log if e.outcome]
     assert [(o.success, o.avoided) for o in failed] == [(False, ["s0"])] * 2
     assert kb.counts.row("s0") == {"f1": 1}  # so its estimate is no longer its prior row
-    # the verdicts and directives the knowledge base gave before it restored
-    # rows from their estimates
+    # both syntheses fail on s0, and the knowledge base safe-stops each time
     assert [(e.directive.kind, e.compliant) for e in log] == [
         ("continue", True),
         ("continue", None),
