@@ -127,6 +127,9 @@ def _print_table(report) -> None:
 def cmd_check(args) -> int:
     scg = load_scg(args.scg)
     properties = _load_properties(args.properties)
+    sid = args.situation
+    if sid is not None and (not scg.is_situation(sid) or sid in scg.sunk):
+        raise OddsafeError(f"no record for situation {sid!r}")  # before any output
     report = rank_situations(scg, properties)
     stdout = [sys.stdout] if args.format == "json" else []
     if not stdout:
@@ -136,11 +139,8 @@ def cmd_check(args) -> int:
             _write_report(report, stdout + [fh])
     elif stdout:
         _write_report(report, stdout)
-    if args.situation:
-        try:
-            row = report.situations.index(args.situation)
-        except ValueError:
-            raise OddsafeError(f"no record for situation {args.situation!r}") from None
+    if sid is not None:
+        row = report.situations.index(sid)
         return 0 if report.compliant[row].all() else 1
     return 0 if report.all_compliant() else 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import ge, gt, le, lt
+from operator import ge, gt, itemgetter, le, lt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,12 +82,16 @@ def transition_matrix(scg: AugmentedScg, _document: bool = False) -> tuple[list[
     One flat fill, each row read once, gives row offsets, int32 columns and
     float64 values; their nonzeros pick the operator: dense, a scatter into
     np.zeros, above SPARSE_DENSITY_CUTOFF, otherwise CSR with int32 indices
-    and sorted columns, never O(n^2) memory.  A row that breaks the row rule
-    raises the ModelError of require_valid.  The fill checks each part of it:
-    a row lookup finds a missing row, a column lookup an unknown target, the
-    values' minimum and maximum the range, and _sums_ok the sums in one
-    vectorised pass.  Only an SCG holding a value other than a float sums each
-    row in Python; for scg_from_dict (`_document`) that is a defect too.
+    and sorted columns, never O(n^2) memory.  When every situation row is a
+    dict naming all n states, one itemgetter of the state ids reads each row
+    in state order instead: no columns, and the n * n values, the failures'
+    unit rows last, are the dense operator as they stand.  A row that breaks
+    the row rule raises the ModelError of require_valid.  The fill checks
+    each part of it: a row lookup finds a missing row, a column lookup or
+    the getter an unknown target, the values' minimum and maximum the range,
+    and _sums_ok the sums in one vectorised pass.  Only an SCG holding a
+    value other than a float sums each row in Python; for scg_from_dict
+    (`_document`) that is a defect too.
     """
     space = scg.space
     index = space.index
@@ -95,15 +99,22 @@ def transition_matrix(scg: AugmentedScg, _document: bool = False) -> tuple[list[
     try:
         rows = list(map(scg.delta.__getitem__, space.situation_ids))
         failures = range(len(rows), n)  # absorbing failure states
-        lengths = np.fromiter(chain(map(len, rows), repeat(1, len(failures))), np.int64, n)
-        indptr = np.cumsum(np.insert(lengths, 0, 0))
+        # n distinct ids, so a row of n keys holding each of them holds no other
+        if len(index) == n > 1 and all(type(row) is dict and len(row) == n for row in rows):
+            read, cols = itemgetter(*space.ids), None  # n > 1: the getter gives tuples
+            units = np.eye(len(failures), n, len(rows)).ravel().tolist()
+            indptr = np.arange(0, n * n + 1, n)
+        else:
+            lengths = np.fromiter(chain(map(len, rows), repeat(1, len(failures))), np.int64, n)
+            indptr = np.cumsum(np.insert(lengths, 0, 0))
+            cols = map(index.__getitem__, chain.from_iterable(rows))
+            cols = np.fromiter(chain(cols, failures), np.int32, int(indptr[-1]))
+            read, units = dict.values, [1.0] * len(failures)
         nnz = int(indptr[-1])  # filled straight from the rows, no per-entry list
-        cols = map(index.__getitem__, chain.from_iterable(rows))
-        cols = np.fromiter(chain(cols, failures), np.int32, nnz)
 
         def filled(check):
-            vals = chain.from_iterable(map(dict.values, rows))
-            vals = chain(map(check, vals) if check else vals, repeat(1.0, len(failures)))
+            vals = chain.from_iterable(map(read, rows))
+            vals = chain(map(check, vals) if check else vals, units)
             return np.fromiter(vals, np.float64, nnz)
 
         try:  # float.conjugate passes a float and raises on any other value
@@ -119,15 +130,19 @@ def transition_matrix(scg: AugmentedScg, _document: bool = False) -> tuple[list[
         valid = False
     if not valid:
         _reject(scg, _document)
-    if _is_dense(int(np.count_nonzero(data)), n):  # explicit zeros count out
-        mat = np.zeros((n, n))  # a delta row names each of its targets once
-        mat[np.repeat(np.arange(n, dtype=np.int32), lengths), cols] = data
-    else:
+    if not _is_dense(int(np.count_nonzero(data)), n):  # explicit zeros count out
         import scipy.sparse as sp  # deferred: dense-only runs never pay for it
 
+        if cols is None:  # values in state order
+            cols = np.tile(np.arange(n, dtype=np.int32), n)
         mat = sp.csr_matrix((data, cols, indptr), shape=(n, n))
         mat.sort_indices()  # delta rows are unordered
         mat.eliminate_zeros()  # a zero probability in delta is no transition
+    elif cols is None:
+        mat = data.reshape(n, n)
+    else:
+        mat = np.zeros((n, n))  # a delta row names each of its targets once
+        mat[np.repeat(np.arange(n, dtype=np.int32), lengths), cols] = data
     return list(space.ids), mat
 
 
@@ -147,15 +162,18 @@ def _rows_sum_to_one(rows: list[dict]) -> bool:
 def _sums_ok(rows: list[dict], indptr: np.ndarray, data: np.ndarray) -> bool:
     """Whether every row, all of whose values are floats (numpy's float64
     too), sums to 1 within ROW_SUM_ATOL by row_violations' Python sum; row
-    i's values are data[indptr[i]:indptr[i + 1]], in order.
+    i's values are data[indptr[i]:indptr[i + 1]], in its dict order or in
+    state order.
 
     One np.add.reduceat pass gives the totals.  Its order of additions is not
-    sum's (left to right up to Python 3.11, compensated from 3.12), but either
-    total errs by at most (length - 1) * eps / 2 times the sum of the values'
-    magnitudes, about 1 for a row near the tolerance with its values in
-    [0, 1]; so only a row whose total lies within (length + 1) * eps of the
-    tolerance is summed again with sum.  A value outside [0, 1] fails the
-    range rule whatever its row's sum.
+    sum's (left to right up to Python 3.11, compensated from 3.12), nor are
+    the values in it always in sum's order, but either total errs by at most
+    (length - 1) * eps / 2 times the sum of the values' magnitudes, in any
+    order, about 1 for a row near the tolerance with its values in [0, 1];
+    so only a row whose total lies within (length + 1) * eps of the
+    tolerance is summed again with sum, over the row's dict values in their
+    own order.  A value outside [0, 1] fails the range rule whatever its
+    row's sum.
     """
     lengths = np.diff(indptr)
     if not lengths.all():  # an empty row sums to 0; reduceat would not say so

@@ -57,12 +57,22 @@ def test_check_single_situation(fixtures):
     assert rc == 1
 
 
-def test_check_unknown_situation_is_usage_error(fixtures):
+@pytest.mark.parametrize("situation", ["s9", "s0", ""], ids=["unknown", "sunk", "empty"])
+def test_check_unknown_situation_is_usage_error(situation, fixtures, tmp_path, capsys):
+    # the id is checked before anything is ranked, printed or written
+    scg = fixtures["violating"]
+    if situation == "s0":
+        scg = tmp_path / "sunk.json"
+        save_scg(make_scg({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}}, 2, sunk={"s0"}), scg)
+    out = tmp_path / "report.json"
     rc = main(
-        ["check", str(fixtures["violating"]), str(fixtures["properties"]),
-         "--situation", "s9"]
+        ["--out", str(out), "check", str(scg), str(fixtures["properties"]),
+         "--situation", situation]
     )
     assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: no record for situation {situation!r}\n"
 
 
 def test_check_json_format_and_report_file(fixtures, tmp_path, capsys):

@@ -1,7 +1,8 @@
 import json
+import operator
 import random
 import subprocess
-from collections import Counter
+from collections import Counter, defaultdict
 import sys
 from pathlib import Path
 
@@ -73,6 +74,22 @@ BAD_ROWS = {
 }
 
 
+#: rows of s0 with exactly 4 keys, as many as the dense SCG has states, so the
+#: state-order fill reads every row of it; each breaks the row rule
+COMPLETE_BAD_ROWS = {
+    "unknown-target": {"s0": 0.5, "s1": 0.0, "f1": 0.5, "zz": 0.0},  # zz in place of f2
+    "nan": {"s0": float("nan"), "s1": 0.0, "f1": 1.0, "f2": 0.0},
+    "inf": {"f2": 0.0, "s0": float("inf"), "s1": 0.0, "f1": 0.0},
+    "negative": {"s0": 1.5, "s1": 0.0, "f1": -0.5, "f2": 0.0},
+    "above-one": {"f1": -1e-10, "s0": 1.0 + 1e-10, "s1": 0.0, "f2": 0.0},
+    "row-sum": {"s0": 0.5, "s1": 0.25, "f1": 0.0, "f2": 0.0},
+    "not-a-number": {"s0": "1.0", "s1": 0.0, "f1": 0.0, "f2": 0.0},
+    "text": {"s0": 0.5, "s1": 0.0, "f1": "half", "f2": 0.5},
+    "bool": {"s0": True, "s1": 0.5, "f1": 0.0, "f2": 0.0},  # sums to 1.5
+    "int": {"s0": 2, "s1": 0, "f1": -1, "f2": 0},  # sums to 1, out of range
+}
+
+
 def _scg_with_row(row, dense, drop=(), extra=None, **kw):
     """s0 takes `row`; the other rows spread over all 4 states of a 2-situation
     SCG, so its operator is dense, or self-loop in an 8-situation one (CSR)."""
@@ -87,8 +104,8 @@ def _scg_with_row(row, dense, drop=(), extra=None, **kw):
     return make_scg(delta, n, **kw)
 
 
-def _invalid_scgs(dense):
-    cases = {name: _scg_with_row(row, dense) for name, row in BAD_ROWS.items()}
+def _invalid_scgs(dense, bad_rows=BAD_ROWS):
+    cases = {name: _scg_with_row(row, dense) for name, row in bad_rows.items()}
     cases.update(
         {
             "missing-row": _scg_with_row({"s0": 1.0}, dense, drop=["s1"]),
@@ -103,10 +120,10 @@ def _invalid_scgs(dense):
 
 
 #: cases scg_from_dict settles before it compiles: "1.0" decodes as a number
-#: and "half" as none; sums beyond renormalisation and grids larger than delta
-#: are rejected first
+#: and "half" and True as none; sums beyond renormalisation and grids larger
+#: than delta are rejected first
 DECODED_FIRST = {
-    "not-a-number", "text", "row-sum", "empty", "inf", "missing-row", "missing-and-bad"
+    "not-a-number", "text", "bool", "row-sum", "empty", "inf", "missing-row", "missing-and-bad"
 }
 
 
@@ -114,23 +131,31 @@ def _load(scg):
     return scg_from_dict(scg_to_dict(scg))
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
-def test_build_model_rejects_as_require_valid_does(dense):
+@pytest.mark.parametrize(
+    "dense, bad_rows",
+    [(True, BAD_ROWS), (False, BAD_ROWS), (True, COMPLETE_BAD_ROWS)],
+    ids=["dense", "csr", "complete"],
+)
+def test_build_model_rejects_as_require_valid_does(dense, bad_rows, monkeypatch):
     _, mat = transition_matrix(_scg_with_row({"s0": 1.0}, dense))
     assert isinstance(mat, np.ndarray) == dense
-    for name, scg in _invalid_scgs(dense).items():
+    fills = _state_order_fills(monkeypatch)
+    for name, scg in _invalid_scgs(dense, bad_rows).items():
         with pytest.raises(ModelError) as expected:
             require_valid(scg)
-        if name in BAD_ROWS:
+        if name in bad_rows:
             with pytest.raises(ModelError):
-                require_valid_row(scg, "s0", BAD_ROWS[name])
+                require_valid_row(scg, "s0", bad_rows[name])
         for compile_ in (build_model, _load):
             if compile_ is _load and name in DECODED_FIRST:
                 continue
+            fills.clear()
             with pytest.raises(Exception) as got:
                 compile_(scg)
             expect = (type(expected.value), str(expected.value))
             assert (type(got.value), str(got.value)) == expect, (name, compile_.__name__)
+            # each complete bad row is read by the state-order fill
+            assert bool(fills) == (name in bad_rows and bad_rows is COMPLETE_BAD_ROWS), name
 
 
 def _coo_reference(scg):
@@ -248,6 +273,96 @@ def test_an_operator_at_or_below_the_cutoff_is_csr(nonzeros, zeros):
     for name in ("data", "indices", "indptr"):
         got, want = getattr(mat, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _state_order_fills(monkeypatch) -> list:
+    """Record each state-order fill, by the state ids its getter reads."""
+    fills = []
+
+    def getter(*ids):
+        fills.append(ids)
+        return operator.itemgetter(*ids)
+
+    monkeypatch.setattr(dtmc, "itemgetter", getter)
+    return fills
+
+
+def _complete_scg(m: int, seed: int, zeros: bool = False, ints: bool = False) -> AugmentedScg:
+    """m situations and 2 failures, each row naming all m + 2 states in its
+    own shuffled key order.  Rows are random and dense, every fifth value a
+    -0.0; with `zeros`, only self and next carry mass, 0.5 each, and every
+    other entry is an explicit 0.0 or -0.0; with `ints` too, those zeros are
+    the int 0 and each even row is the int 1 on self."""
+    rng = np.random.default_rng(seed)
+    ids = [f"s{i}" for i in range(m)] + ["f1", "f2"]
+    delta = {}
+    for i in range(m):
+        if zeros:
+            mass = {f"s{i}": 1} if ints and i % 2 == 0 else {f"s{i}": 0.5, f"s{(i + 1) % m}": 0.5}
+            zero = 0 if ints else 0.0
+            values = [mass.get(t, -zero if (i + k) % 2 else zero) for k, t in enumerate(ids)]
+        else:
+            values = rng.dirichlet(np.ones(len(ids))).tolist()
+            for k in range(i % 5, len(ids), 5):
+                values[(k + 1) % len(ids)] += values[k]
+                values[k] = -0.0
+        order = rng.permutation(len(ids)).tolist()
+        delta[f"s{i}"] = {ids[k]: values[k] for k in order}
+    return make_scg(delta, m)
+
+
+@pytest.mark.parametrize(
+    "scg, dense",
+    [
+        (_complete_scg(30, 1), True),
+        (_complete_scg(30, 2, zeros=True), False),
+        (_complete_scg(2, 3, zeros=True), True),  # 6 nonzeros of 16
+        (_complete_scg(30, 4, zeros=True, ints=True), False),
+        (_complete_scg(2, 5, zeros=True, ints=True), True),  # 5 nonzeros of 16
+        (make_scg({"s0": {"s0": 1.0}}, 1, failures=()), True),
+    ],
+    ids=["shuffled", "zeros-csr", "zeros-dense", "ints-csr", "ints-dense", "one-state"],
+)
+def test_complete_rows_compile_to_an_independent_build(scg, dense, monkeypatch):
+    fills = _state_order_fills(monkeypatch)
+    _, mat = transition_matrix(scg)
+    assert len(fills) == (len(scg.space.ids) > 1)  # one state: the getter would give no tuple
+    if dense:
+        ref = _dense_reference(scg)
+        assert isinstance(mat, np.ndarray) and mat.dtype == ref.dtype == np.float64
+        assert mat.shape == ref.shape and np.array_equal(mat, ref)
+        assert np.array_equal(np.signbit(mat), np.signbit(ref))  # -0.0 stays -0.0
+        assert mat.flags.c_contiguous and mat.flags.writeable  # write_rows writes into it
+        return
+    ref = _coo_reference(scg)
+    assert isinstance(mat, sp.csr_matrix) and mat.has_sorted_indices
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(mat, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert not np.signbit(mat.data).any()  # every explicit zero, -0.0 too, is dropped
+
+
+def test_a_row_of_another_mapping_type_keeps_the_scatter_fill(monkeypatch):
+    # a defaultdict would answer the getter's lookup of the state it lacks
+    row = defaultdict(float, COMPLETE_BAD_ROWS["unknown-target"])
+    fills = _state_order_fills(monkeypatch)
+    with pytest.raises(ModelError, match=r"unknown-target\(s0\)"):
+        build_model(_scg_with_row(row, True))
+    assert fills == [] and row == COMPLETE_BAD_ROWS["unknown-target"]
+
+
+def test_only_rows_naming_every_state_take_the_state_order_fill(monkeypatch):
+    from oddsafe.marsim import ScenarioConfig, generate_scenario
+
+    fills = _state_order_fills(monkeypatch)
+    for scg in (scg_from_dict(_check_dense_doc()), random_dense_scg(40, seed=0)):
+        build_model(scg)
+        assert fills == [scg.space.ids]
+        fills.clear()
+    _, belief = generate_scenario(ScenarioConfig(seed=7))
+    for scg in (scg_from_dict(grid_doc()), scg_from_dict(_cutoff_doc(99)), belief):
+        build_model(scg)
+        assert fills == []
 
 
 def _counted(calls, name, fn):
