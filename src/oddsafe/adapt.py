@@ -17,7 +17,7 @@ from .dtmc import (
     write_rows,
 )
 from .errors import ModelError, NotFoundError
-from .scg import AugmentedScg, sink_situation
+from .scg import AugmentedScg, Record, sink_situation
 
 DEFAULT_MAX_REMOVALS = 4
 
@@ -29,7 +29,7 @@ class Controller:
     which the loop never reads and a snapshot does not store."""
 
     id: str
-    scg: AugmentedScg | None = None
+    scg: AugmentedScg | None = field(default=None, metadata={"unwritten": True})
     avoided: tuple[str, ...] = ()
     origin: str = "pre-deployment"  # "pre-deployment" | "synthesised"
 
@@ -49,7 +49,7 @@ class SynthesisConfig:
 
 
 @dataclass
-class AdaptationOutcome:
+class AdaptationOutcome(Record):
     """Result record of one synthesis run (one table row per variant).
 
     Synthesis keeps its last ranking as `final_report`, which the run log
@@ -62,18 +62,6 @@ class AdaptationOutcome:
     initial_violations: list[str]
     worst_initial_score: float
     final_report: CriticalityReport | None = field(default=None, metadata={"written_only": True})
-
-    def to_dict(self) -> dict:
-        doc = {
-            "success": self.success,
-            "avoided": list(self.avoided),
-            "iterations": self.iterations,
-            "initial_violations": list(self.initial_violations),
-            "worst_initial_score": self.worst_initial_score,
-        }
-        if self.final_report is not None:
-            doc["final_report"] = self.final_report.to_dict()
-        return doc
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .errors import OddsafeError
 from .dtmc import rank_situations, require_checkable
 from .prism import export_model, export_properties
 from .proplang import parse_properties_file
-from .scg import decode, load_scg, read_json
+from .scg import decode, load_scg, read_json, write_json_lines
 
 
 def _load_properties(path: str):
@@ -179,19 +179,13 @@ def cmd_experiment_rq1(args) -> int:
     return 0
 
 
-def _log_to_jsonl(log, path: Path) -> None:
-    with open(path, "w") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry.to_dict()) + "\n")
-
-
 def cmd_experiment_rq2(args) -> int:
     config = _load_config(experiments.TimelineConfig, args)
     result = experiments.run_timeline(config)
     out_dir = Path(args.out or "rq2-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _log_to_jsonl(result.baseline_log, out_dir / "baseline.jsonl")
-    _log_to_jsonl(result.adaptive_log, out_dir / "adaptive.jsonl")
+    write_json_lines(result.baseline_log, out_dir / "baseline.jsonl")
+    write_json_lines(result.adaptive_log, out_dir / "adaptive.jsonl")
     baseline_failures = result.baseline_failures()
     adaptations = result.adaptation_entries()
     print(f"baseline failures: {len(baseline_failures)}"

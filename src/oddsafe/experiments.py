@@ -29,7 +29,7 @@ from .runtime import (
     new_knowledge_base,
     step,
 )
-from .scg import AugmentedScg, OddAttribute, sink_situation, state_space
+from .scg import AugmentedScg, OddAttribute, Record, sink_situation, state_space
 
 
 def default_properties() -> list[BoundedReachProperty]:
@@ -74,7 +74,7 @@ class VariantConfig:
 
 
 @dataclass
-class ExperimentRecord:
+class ExperimentRecord(Record):
     """One variant row: which properties broke and how adaptation fared."""
 
     id: int
@@ -83,16 +83,7 @@ class ExperimentRecord:
     save_success: bool
     critical_situations_avoided: list[str]
     # in-memory only, for post-hoc re-checking
-    drifted_scg: AugmentedScg | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "properties_violated": list(self.properties_violated),
-            "worst_criticality_score": self.worst_criticality_score,
-            "save_success": self.save_success,
-            "critical_situations_avoided": list(self.critical_situations_avoided),
-        }
+    drifted_scg: AugmentedScg | None = field(default=None, metadata={"unwritten": True})
 
     def to_csv_row(self) -> list[str]:
         return [

@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ModelError, TraceError
-from .scg import AugmentedScg
+from .scg import AugmentedScg, Record
 
 DEFAULT_ALPHA = 0.0
 DEFAULT_KAPPA = 20.0
 
 
 @dataclass
-class TransitionCounts:
+class TransitionCounts(Record):
     """Observed (situation -> state) transition counts."""
 
     failure_ids: frozenset[str] = frozenset()
@@ -26,12 +26,6 @@ class TransitionCounts:
 
     def row(self, sid: str) -> dict[str, int]:
         return dict(self.counts.get(sid, {}))
-
-    def to_dict(self) -> dict:
-        return {
-            "failure_ids": sorted(self.failure_ids),
-            "counts": {s: dict(row) for s, row in self.counts.items()},
-        }
 
 
 @dataclass(frozen=True)

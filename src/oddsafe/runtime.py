@@ -12,7 +12,7 @@ triggers a crash stop.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .adapt import (
     AdaptationOutcome,
@@ -28,21 +28,24 @@ from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebu
 from .proplang import PropertyEntry, format_property, parse_entries
 from .scg import (
     AugmentedScg,
+    Record,
     decode,
+    encode,
     read_json,
     require_valid_row,
-    scg_to_dict,
     sink_situation,
+    write_json,
+    write_json_lines,
 )
 
 EVENT_KINDS = ("situation_entered", "failure_observed", "episode_reset")
 
 
 @dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Record):
     t: int
     kind: str
-    id: str | None = None
+    id: str | None = field(default=None, metadata={"omit_none": True})
 
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
@@ -50,28 +53,14 @@ class TraceEvent:
         if self.kind in ("situation_entered", "failure_observed") and not self.id:
             raise TraceError(f"{self.kind} event needs an id")
 
-    def to_dict(self) -> dict:
-        doc = {"t": self.t, "kind": self.kind}
-        if self.id is not None:
-            doc["id"] = self.id
-        return doc
-
 
 @dataclass(frozen=True)
-class Directive:
+class Directive(Record):
     """Execution instruction handed to the managed system."""
 
     kind: str  # "continue" | "switch_controller" | "safe_stop"
-    controller_id: str | None = None
-    reason: str | None = None
-
-    def to_dict(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.controller_id is not None:
-            doc["controller_id"] = self.controller_id
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        return doc
+    controller_id: str | None = field(default=None, metadata={"omit_none": True})
+    reason: str | None = field(default=None, metadata={"omit_none": True})
 
 
 CONTINUE = Directive("continue")
@@ -86,19 +75,12 @@ def safe_stop(reason: str) -> Directive:
 
 
 @dataclass
-class HistoryEntry:
+class HistoryEntry(Record):
     """One knowledge-base adaptation record (the initial controller included)."""
 
     t: int
     controller_id: str
     outcome: AdaptationOutcome | None = None  # None for the initial entry
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "controller_id": self.controller_id,
-            "outcome": self.outcome.to_dict() if self.outcome else None,
-        }
 
 
 @dataclass
@@ -163,23 +145,13 @@ def _derive_belief(
 
 
 @dataclass
-class RunLogEntry:
+class RunLogEntry(Record):
     t: int
     kind: str
     id: str | None
     directive: Directive
     compliant: bool | None = None  # current-situation verdict, when analysed
     outcome: AdaptationOutcome | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "kind": self.kind,
-            "id": self.id,
-            "directive": self.directive.to_dict(),
-            "compliant": self.compliant,
-            "outcome": self.outcome.to_dict() if self.outcome else None,
-        }
 
 
 def _ingest(kb: KnowledgeBase, to: str) -> None:
@@ -279,26 +251,6 @@ def run(kb: KnowledgeBase, events: list[TraceEvent]) -> list[RunLogEntry]:
 # knowledge-base persistence
 
 
-def snapshot(kb: KnowledgeBase) -> dict:
-    return {
-        "prior_scg": scg_to_dict(kb.prior_scg),
-        "counts": kb.counts.to_dict(),
-        "properties": [
-            {"name": p.name, "expression": format_property(p)} for p in kb.properties
-        ],
-        "controllers": [
-            {"id": c.id, "avoided": list(c.avoided), "origin": c.origin}
-            for c in kb.controllers
-        ],
-        "history": [h.to_dict() for h in kb.history],
-        "estimator": asdict(kb.estimator),
-        "synthesis": asdict(kb.synthesis),
-        "baseline": kb.baseline,
-        "prev": kb.prev,
-        "last_t": kb.last_t,
-    }
-
-
 @dataclass(frozen=True)
 class _Snapshot:
     """What a snapshot stores of a knowledge base, as load reads it."""
@@ -313,6 +265,16 @@ class _Snapshot:
     baseline: bool = False
     prev: str | None = None
     last_t: int = -1
+
+
+def _stored(kb: KnowledgeBase) -> _Snapshot:
+    kept = {f.name: getattr(kb, f.name) for f in fields(_Snapshot)}
+    entries = [PropertyEntry(p.name, format_property(p)) for p in kb.properties]
+    return _Snapshot(**{**kept, "properties": entries})
+
+
+def snapshot(kb: KnowledgeBase) -> dict:
+    return encode(_stored(kb))
 
 
 def load(doc: dict) -> KnowledgeBase:
@@ -347,8 +309,11 @@ def load(doc: dict) -> KnowledgeBase:
         origin = "synthesised" if i else "pre-deployment"  # the origins they give
         if c.origin != origin:
             raise SchemaError(f"controller {i} must be {origin}", [f"$.controllers[{i}].origin"])
-        if not all(map(prior.is_situation, c.avoided)):
-            raise SchemaError("avoided ids must be situations", [f"$.controllers[{i}].avoided"])
+        held, avoided = set(controllers[i - 1].avoided) if i else prior.sunk, set(c.avoided)
+        if len(avoided) < len(c.avoided) or not held <= avoided <= prior.space.situation_set:
+            whose = f"c{i - 1} avoids" if i else "the prior sinks"
+            message = f"avoided ids must be distinct situations, among them all {whose}"
+            raise SchemaError(message, [f"$.controllers[{i}].avoided"])
     _check_counts(prior, record.counts)
     named = {c.id for c in controllers}
     for i, entry in enumerate(record.history):
@@ -389,9 +354,7 @@ def _check_counts(prior: AugmentedScg, counts: TransitionCounts) -> None:
 
 
 def save_snapshot(kb: KnowledgeBase, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(snapshot(kb), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_stored(kb), path)
 
 
 def load_snapshot(path) -> KnowledgeBase:
@@ -419,6 +382,4 @@ def read_trace(path) -> list[TraceEvent]:
 
 
 def write_trace(events: list[TraceEvent], path) -> None:
-    with open(path, "w") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_dict()) + "\n")
+    write_json_lines(events, path)

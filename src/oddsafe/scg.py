@@ -432,9 +432,7 @@ def _compiled(scg: AugmentedScg, document: bool = False) -> AugmentedScg:
 
 
 def save_scg(scg: AugmentedScg, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scg_to_dict(scg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(scg, path)
 
 
 def read_json(path):
@@ -447,6 +445,31 @@ def read_json(path):
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not text: {exc}") from exc
+
+
+def write_json(value, path) -> None:
+    """Write `value` as encode does, indented with keys sorted, to a temporary
+    file that then replaces the one at `path`: a failed write leaves that as it was."""
+    import os  # deferred to the first write, as the module's import needs none
+
+    tmp = f"{path}.{os.getpid()}.tmp"  # in the same directory, for os.replace
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(value, fh, indent=2, sort_keys=True, default=_written)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before os.replace moved it
+            os.remove(tmp)
+
+
+def write_json_lines(records, path) -> None:
+    """Write each record as encode does, one line of JSON each."""
+    # records nest as trees: json need not look for cycles
+    line = json.JSONEncoder(check_circular=False, default=_written).encode
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(line(record) + "\n")
 
 
 def load_scg(path) -> AugmentedScg:
@@ -499,3 +522,51 @@ def decode(kind, doc, path: str = "$"):
         return kind(**values)
     except (ValueError, OddsafeError) as exc:  # its __post_init__ rejects it
         raise SchemaError(str(exc), [path]) from exc
+
+
+#: per record type written so far: the attributes it drops, the fields it omits when None
+_plans: dict[type, tuple[list[str], list[str]]] = {}
+
+
+def encode(value):
+    """`value` as the JSON value decode reads it from: the value of the text
+    the writers write of it (see _written)."""
+    return json.loads(json.dumps(value, check_circular=False, default=_written))
+
+
+def _written(value):
+    """What the JSON writers write of a value json has no rule for: a record as
+    the object of its init fields in field order, less those marked `unwritten`
+    and those marked `omit_none` or `written_only` that are None; a frozenset as
+    a sorted array; an AugmentedScg as scg_to_dict, and a type with its own
+    to_dict (CriticalityReport) as that, writes it."""
+    try:  # a record type written before, the common case, first
+        dropped, omit_none = _plans[type(value)]
+    except KeyError:
+        kind = type(value)
+        if kind is frozenset:
+            return sorted(value)
+        if kind is AugmentedScg:
+            return scg_to_dict(value)
+        if "to_dict" in vars(kind):
+            return value.to_dict()
+        dropped, omit_none = _plans[kind] = (
+            [f.name for f in fields(kind) if not f.init or f.metadata.get("unwritten")],
+            [f.name for f in fields(kind) if f.metadata.keys() & {"omit_none", "written_only"}],
+        )
+    if not dropped and not omit_none:  # json only reads it: no copy
+        return value.__dict__
+    doc = value.__dict__.copy()  # a dataclass's fields, in field order
+    for name in dropped:
+        doc.pop(name, None)
+    for name in omit_none:
+        if doc[name] is None:
+            del doc[name]
+    return doc
+
+
+class Record:
+    """A record type whose to_dict is what encode writes of it."""
+
+    def to_dict(self) -> dict:
+        return encode(self)

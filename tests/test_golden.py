@@ -13,8 +13,9 @@ import pytest
 
 from oddsafe.cli import main
 from oddsafe.experiments import random_dense_scg
-from oddsafe.runtime import save_snapshot
-from oddsafe.scg import scg_to_dict, sink_situation
+from oddsafe.marsim import ScenarioConfig, generate_scenario, simulate
+from oddsafe.runtime import save_snapshot, write_trace
+from oddsafe.scg import save_scg, scg_to_dict, sink_situation
 
 from helpers import grid_doc, rq2_adaptive_run
 
@@ -42,6 +43,24 @@ def test_the_rq2_adaptive_snapshot_matches_its_golden_digest(tmp_path):
     _, kb = rq2_adaptive_run()
     save_snapshot(kb, tmp_path / "kb.json")
     assert hashlib.md5((tmp_path / "kb.json").read_bytes()).hexdigest() == RQ2_SNAPSHOT_MD5
+
+
+#: the files the two remaining writers write of the seed-7 maritime scenario:
+#: its 500-event simulated trace (26,035 bytes) and its prior (12,029 bytes)
+WRITER_GOLDEN = {
+    "trace.jsonl": "f333f73b018aa4cc61c4ab1b942b9d9b",
+    "prior.json": "a14b797a84d6cf2a70d2c2aad91b80cd",
+}
+
+
+def test_the_trace_and_scg_writers_match_their_golden_digests(tmp_path):
+    truth, prior = generate_scenario(ScenarioConfig(seed=7))
+    write_trace(simulate(truth, 500, seed=7), tmp_path / "trace.jsonl")
+    save_scg(prior, tmp_path / "prior.json")
+    digests = {
+        name: hashlib.md5((tmp_path / name).read_bytes()).hexdigest() for name in WRITER_GOLDEN
+    }
+    assert digests == WRITER_GOLDEN
 
 
 CHECK_PROPERTIES = [

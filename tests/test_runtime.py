@@ -290,6 +290,21 @@ def test_snapshot_file_round_trip(tmp_path):
         load_snapshot(path)
 
 
+def test_a_snapshot_write_that_fails_midway_leaves_the_old_file_alone(tmp_path):
+    kb = _kb(violating=False)
+    path = tmp_path / "kb.json"
+    save_snapshot(kb, path)
+    old = path.read_bytes()
+    step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
+    # a count that is no number fails the write after the controllers are
+    # written, and before the prior is
+    kb.counts.counts["s1"] = {"s1": object()}
+    with pytest.raises(TypeError):
+        save_snapshot(kb, path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_load_reports_missing_sections():
     with pytest.raises(SchemaError) as exc:
         load({"scg": {}})
@@ -448,6 +463,33 @@ def test_load_rejects_an_avoided_id_that_names_no_situation(failure):
     with pytest.raises(SchemaError) as exc:
         load(doc)
     assert exc.value.paths == ["$.controllers[0].avoided"]
+
+
+def _sunk_s1_snapshot() -> dict:
+    """A snapshot of a fresh knowledge base over the seed-7 prior with s1 sunk."""
+    _, belief = generate_scenario(ScenarioConfig(seed=7))
+    return snapshot(new_knowledge_base(sink_situation(belief, "s1"), [PROP]))
+
+
+@pytest.mark.parametrize(
+    "avoided",
+    [[[]], [["s2"]], [["s1", "s1"]], [["s1"], ["s3"]], [["s1"], ["s3", "s3", "s1"]]],
+    ids=["c0-drops-the-prior-sink", "c0-other-sink", "c0-repeats", "c1-drops-c0s", "c1-repeats"],
+)
+def test_load_rejects_avoided_sets_new_knowledge_base_and_step_do_not_write(avoided):
+    # c0 avoids the prior's sunk situations, each later controller its
+    # predecessor's and more, each once
+    doc = _sunk_s1_snapshot()
+    origins = ["pre-deployment"] + ["synthesised"] * (len(avoided) - 1)
+    doc["controllers"] = [
+        {"id": f"c{i}", "avoided": ids, "origin": origin}
+        for i, (ids, origin) in enumerate(zip(avoided, origins))
+    ]
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == [f"$.controllers[{len(avoided) - 1}].avoided"]
+    doc["controllers"][-1]["avoided"] = doc["controllers"][0]["avoided"] = ["s1", "s3"]
+    assert [c.avoided for c in load(doc).controllers] == [("s1", "s3")] * len(avoided)
 
 
 @pytest.mark.parametrize(

@@ -2,24 +2,37 @@ import copy
 import json
 import sys
 import threading
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 
 from oddsafe import scg as scg_module
-from oddsafe.adapt import AdaptationOutcome, SynthesisConfig, synthesize_safe_controller
+from oddsafe.adapt import AdaptationOutcome, Controller, SynthesisConfig, synthesize_safe_controller
 from oddsafe.dtmc import BoundedReachProperty, build_model, rank_situations
 from oddsafe.errors import InvalidOddError, ModelError, NotFoundError, SchemaError
-from oddsafe.experiments import TimelineConfig, VariantConfig
+from oddsafe.experiments import ExperimentRecord, TimelineConfig, VariantConfig, default_properties
 from oddsafe.learn import EstimatorConfig, TransitionCounts
-from oddsafe.marsim import ScenarioConfig
-from oddsafe.runtime import HistoryEntry, TraceEvent
+from oddsafe.marsim import ScenarioConfig, generate_scenario
+from oddsafe.runtime import (
+    CONTINUE,
+    Directive,
+    HistoryEntry,
+    RunLogEntry,
+    TraceEvent,
+    _Snapshot,
+    _stored,
+    new_knowledge_base,
+    run,
+    safe_stop,
+    switch_controller,
+)
 from oddsafe.scg import (
     AugmentedScg,
     FailureMode,
     OddAttribute,
     decode,
     describe_situation,
+    encode,
     enumerate_situations,
     load_scg,
     require_valid,
@@ -381,26 +394,53 @@ def _synthesised():
     return synthesize_safe_controller(make_scg(delta, 3), [prop], SynthesisConfig(2))
 
 
+def _maritime_record() -> _Snapshot:
+    """What a snapshot stores of a seed-7 maritime knowledge base after two
+    steps: a count, a history and a controller with no SCG."""
+    _, belief = generate_scenario(ScenarioConfig(seed=7))
+    kb = new_knowledge_base(sink_situation(belief, "s1"), default_properties())
+    run(kb, [TraceEvent(0, "situation_entered", "s0"), TraceEvent(1, "situation_entered", "s2")])
+    return _stored(kb)
+
+
 def _records():
+    """(record, what decode reads back of it): the record itself, unless a
+    field is never written."""
     outcome = replace(_synthesised(), final_report=None)  # as history records it
+    sunk = sink_situation(make_scg({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}}, 2), "s0")
+    controller = Controller("c1", sunk, ("s0",), "synthesised")
+    variant = ExperimentRecord(2, ["phi"], 0.25, True, ["s0"], drifted_scg=sunk)
     return [
         TraceEvent(3, "situation_entered", "s0"),
         TraceEvent(4, "episode_reset"),
         HistoryEntry(0, "c0"),
         HistoryEntry(2, "c1", outcome),
+        RunLogEntry(5, "situation_entered", "s0", CONTINUE, compliant=True),
+        RunLogEntry(6, "situation_entered", "s1", switch_controller("c1"), False, outcome),
+        CONTINUE,
+        switch_controller("c1"),
+        safe_stop("entered avoided situation s0"),
+        Directive("switch_controller", "c1", "a reason too"),
         TransitionCounts(frozenset({"f1"}), {"s0": {"s1": 2, "f1": 1}}),
         outcome,
         EstimatorConfig(mode="frequentist", smoothing_alpha=0.5),
         SynthesisConfig(max_removals=2),
         VariantConfig(seed=3, scenario=ScenarioConfig(failure_bias={"f1": 2.0})),
         TimelineConfig(steps=10, prior_strength_kappa=0.25),
+        (controller, replace(controller, scg=None)),
+        (variant, replace(variant, drifted_scg=None)),
+        _maritime_record(),
     ]
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize(
+    "record", _records(), ids=lambda r: type(r[0] if type(r) is tuple else r).__name__
+)
 def test_decode_gives_back_every_record_it_is_written_from(record):
-    doc = record.to_dict() if hasattr(record, "to_dict") else asdict(record)
-    assert decode(type(record), json.loads(json.dumps(doc))) == record
+    record, read = record if type(record) is tuple else (record, record)
+    doc = encode(record)
+    assert json.loads(json.dumps(doc)) == doc  # a JSON value as it is
+    assert decode(type(record), doc) == read
 
 
 #: a two-situation SCG document

@@ -44,6 +44,19 @@ def test_a_library_module_uses_every_name_it_imports(path):
     assert unused == []
 
 
+def test_only_the_report_and_the_record_base_define_to_dict():
+    # every other record's JSON form is what encode writes of its fields
+    paths = sorted(Path(oddsafe.__file__).parent.glob("*.py"))
+    writers = [
+        f"{path.name}:{node.name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body)
+    ]
+    assert writers == ["dtmc.py:CriticalityReport", "scg.py:Record"]
+
+
 def _add_checkout_to_path():
     if str(CHECKOUT) not in sys.path:
         sys.path.insert(0, str(CHECKOUT))
