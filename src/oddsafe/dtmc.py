@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import ge, gt, itemgetter, le, lt
+from operator import ge, gt, itemgetter, le, lt, pos
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -89,9 +89,10 @@ def transition_matrix(scg: AugmentedScg, _document: bool = False) -> tuple[list[
     the row rule raises the ModelError of require_valid.  The fill checks
     each part of it: a row lookup finds a missing row, a column lookup or
     the getter an unknown target, the values' minimum and maximum the range,
-    and _sums_ok the sums in one vectorised pass.  Only an SCG holding a
-    value other than a float sums each row in Python; for scg_from_dict
-    (`_document`) that is a defect too.
+    and _sums_ok the sums in one vectorised pass.  Every SCG takes this one
+    fill: each value of a document (`_document`, scg_from_dict's) must be a
+    float, and one of an SCG built in memory any number, read as its float;
+    text, None, a complex or an int too large for a float is a defect.
     """
     space = scg.space
     index = space.index
@@ -110,23 +111,14 @@ def transition_matrix(scg: AugmentedScg, _document: bool = False) -> tuple[list[
             cols = map(index.__getitem__, chain.from_iterable(rows))
             cols = np.fromiter(chain(cols, failures), np.int32, int(indptr[-1]))
             read, units = dict.values, [1.0] * len(failures)
-        nnz = int(indptr[-1])  # filled straight from the rows, no per-entry list
-
-        def filled(check):
-            vals = chain.from_iterable(map(read, rows))
-            vals = chain(map(check, vals) if check else vals, units)
-            return np.fromiter(vals, np.float64, nnz)
-
-        try:  # float.conjugate passes a float and raises on any other value
-            data = filled(float.conjugate)
-        except TypeError:  # an int or a bool, or text np.fromiter would parse
-            if _document:
-                raise
-            data, sums = filled(None), _rows_sum_to_one(rows)
-        else:
-            sums = _sums_ok(rows, indptr[: len(rows) + 1], data)
+        # float.conjugate passes a float alone, pos any number and no text
+        vals = chain.from_iterable(map(read, rows))
+        vals = chain(map(float.conjugate if _document else pos, vals), units)
+        data = np.fromiter(vals, np.float64, int(indptr[-1]))
+        sums = _sums_ok(rows, indptr[: len(rows) + 1], data)
         valid = sums and 0.0 <= data.min() and data.max() <= 1.0
-    except (KeyError, TypeError, ValueError):  # a missing row, unknown target or non-number
+    # a missing row, unknown target, non-number or an int too large for a float
+    except (KeyError, TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
         _reject(scg, _document)
@@ -153,17 +145,10 @@ def _reject(scg: AugmentedScg, document: bool) -> None:
     raise ModelError("invalid augmented SCG: its operator breaks the row rule")
 
 
-def _rows_sum_to_one(rows: list[dict]) -> bool:
-    """row_violations' sum rule, row by row, which a NaN fails before the
-    range check's min and max see it."""
-    return all(abs(sum(row.values()) - 1.0) <= ROW_SUM_ATOL for row in rows)
-
-
 def _sums_ok(rows: list[dict], indptr: np.ndarray, data: np.ndarray) -> bool:
-    """Whether every row, all of whose values are floats (numpy's float64
-    too), sums to 1 within ROW_SUM_ATOL by row_violations' Python sum; row
-    i's values are data[indptr[i]:indptr[i + 1]], in its dict order or in
-    state order.
+    """Whether every row sums to 1 within ROW_SUM_ATOL by row_violations'
+    Python sum; row i's values, each as its float, are
+    data[indptr[i]:indptr[i + 1]], in its dict order or in state order.
 
     One np.add.reduceat pass gives the totals.  Its order of additions is not
     sum's (left to right up to Python 3.11, compensated from 3.12), nor are
@@ -172,8 +157,9 @@ def _sums_ok(rows: list[dict], indptr: np.ndarray, data: np.ndarray) -> bool:
     order, about 1 for a row near the tolerance with its values in [0, 1];
     so only a row whose total lies within (length + 1) * eps of the
     tolerance is summed again with sum, over the row's dict values in their
-    own order.  A value outside [0, 1] fails the range rule whatever its
-    row's sum.
+    own order; an int, a Fraction or a Decimal rounds to its float by at
+    most eps / 2 of its magnitude, inside that margin too.  A value outside [0, 1] fails
+    the range rule whatever its row's sum.
     """
     lengths = np.diff(indptr)
     if not lengths.all():  # an empty row sums to 0; reduceat would not say so
@@ -182,7 +168,7 @@ def _sums_ok(rows: list[dict], indptr: np.ndarray, data: np.ndarray) -> bool:
         off = np.abs(np.add.reduceat(data[: indptr[-1]], indptr[:-1]) - 1.0)
     near = np.abs(off - ROW_SUM_ATOL) <= (lengths + 1) * np.finfo(float).eps
     for i in np.flatnonzero(near).tolist():
-        off[i] = abs(sum(rows[i].values()) - 1.0)
+        off[i] = abs(float(sum(rows[i].values())) - 1.0)  # row_violations' sum
     return bool((off <= ROW_SUM_ATOL).all())
 
 
@@ -206,48 +192,41 @@ def build_model(scg: AugmentedScg, _document: bool = False) -> Dtmc:
     return Dtmc(space, mat, labels)
 
 
-def _splice_rows(mat: sp.csr_matrix, rows: dict[str, dict[str, float]], index) -> None:
-    """Replace whole rows of a CSR operator in place, in the layout
-    transition_matrix builds: sorted columns, zeros dropped, dtypes kept."""
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    lengths = np.diff(indptr)
-    index_parts, data_parts = [], []
-    start = 0
-    for sid in sorted(rows, key=index.__getitem__):
-        row, i = rows[sid], index[sid]
-        cols = np.fromiter(map(index.__getitem__, row), indices.dtype, len(row))
-        vals = np.fromiter(row.values(), np.float64, len(row))
-        order = np.argsort(cols)
-        order = order[vals[order] != 0.0]  # a zero probability is no transition
-        index_parts += [indices[start : indptr[i]], cols[order]]
-        data_parts += [data[start : indptr[i]], vals[order]]
-        lengths[i] = len(order)
-        start = indptr[i + 1]
-    mat.indices = np.concatenate(index_parts + [indices[start : indptr[-1]]])
-    mat.data = np.concatenate(data_parts + [data[start : indptr[-1]]])
-    indptr[1:] = np.cumsum(lengths)
+def _splice_row(mat: sp.csr_matrix, i: int, cols: np.ndarray, vals: np.ndarray) -> None:
+    """Replace row i of a CSR operator in place by `vals` at `cols`, in the
+    layout transition_matrix builds: sorted columns, zeros dropped, dtypes kept."""
+    order = np.argsort(cols)
+    order = order[vals[order] != 0.0]  # a zero probability is no transition
+    indptr = mat.indptr
+    start, end = indptr[i], indptr[i + 1]
+    mat.indices = np.concatenate((mat.indices[:start], cols[order], mat.indices[end:]))
+    mat.data = np.concatenate((mat.data[:start], vals[order], mat.data[end:]))
+    indptr[i + 1 :] += len(order) - (end - start)
 
 
 def write_rows(model: Dtmc, rows: dict[str, dict[str, float]]) -> None:
-    """Write whole rows into the operator of `model` in place, dense or CSR.
+    """Write whole rows into the operator of `model` in place, dense or CSR;
+    a CSR operator has each row spliced in on its own.
 
     When that moves its density across SPARSE_DENSITY_CUTOFF the operator is
-    converted to the other kind, so it always equals, in values, dtypes and
-    layout, what transition_matrix builds from a delta holding the written
-    rows.  Nothing is validated: the caller checked the rows.
+    converted to the other kind, once, after all rows, so it always equals,
+    in values, dtypes and layout, what transition_matrix builds from a delta
+    holding the written rows.  Nothing is validated: the caller checked the
+    rows.
     """
     mat = model.matrix
     dense = isinstance(mat, np.ndarray)
     index = model.space.index
-    if dense:
-        for sid, row in rows.items():
-            i = index[sid]
+    for sid, row in rows.items():
+        i = index[sid]
+        cols = np.fromiter(map(index.__getitem__, row), np.int32, len(row))
+        vals = np.fromiter(row.values(), np.float64, len(row))
+        if dense:
             mat[i] = 0.0
-            mat[i, list(map(index.__getitem__, row))] = list(row.values())
-        nnz = int(np.count_nonzero(mat))
-    else:
-        _splice_rows(mat, rows, index)
-        nnz = mat.nnz
+            mat[i, cols] = vals
+        else:
+            _splice_row(mat, i, cols, vals)
+    nnz = int(np.count_nonzero(mat)) if dense else mat.nnz
     if _is_dense(nnz, mat.shape[0]) != dense:
         import scipy.sparse as sp  # deferred: dense-only runs never pay for it
 

@@ -71,6 +71,13 @@ class VariantConfig:
         if self.variants < 1:
             raise ValueError("variants must be >= 1")
         _check_shared_ranges(self)
+        for key in ("seed", "drift_magnitude", "drift_time"):  # run_variants sets these
+            if getattr(self.scenario, key) != getattr(ScenarioConfig, key):
+                raise ValueError(
+                    f"scenario.{key} is not read by rq1, which seeds variant i with the"
+                    " top-level seed + 1000 * i and drifts its belief before synthesis"
+                    " by the top-level drift_magnitude"
+                )
 
 
 @dataclass

@@ -342,14 +342,15 @@ def _without_report(entry):
 
 def _check_counts(prior: AugmentedScg, counts: TransitionCounts) -> None:
     """SchemaError unless the counts are over the prior's failures, from its
-    situations to its states, and each >= 0."""
+    situations to its states, and each >= 0 and below 2**53, where a float64,
+    which the estimators compute in, holds every count exactly."""
     if counts.failure_ids != prior.space.failure_set:
         raise SchemaError("counts must name the prior's failures", ["$.counts.failure_ids"])
     states = prior.space.index.keys()
     for sid, row in counts.counts.items():
         known = prior.is_situation(sid) and row.keys() <= states
-        if not known or min(row.values(), default=0) < 0:
-            message = "counts run from a situation to states of the prior, each >= 0"
+        if not known or min(row.values(), default=0) < 0 or max(row.values(), default=0) >= 2**53:
+            message = "counts run from a situation to states of the prior, each in [0, 2**53)"
             raise SchemaError(message, [f"$.counts.counts.{sid}"])
 
 

@@ -292,9 +292,10 @@ def row_violations(
             out.append(Violation("probability-range", sid, f"{sid!r} -> {target!r} = {p}"))
     try:
         total = sum(row.values())
-    except TypeError:  # the non-number reported above has no sum
+        off = abs(float(total) - 1.0)  # float(): a Decimal minus a float is a TypeError
+    except (TypeError, OverflowError):  # a non-number, or an int past float, reported above
         return out
-    if abs(total - 1.0) > ROW_SUM_ATOL:
+    if off > ROW_SUM_ATOL:
         out.append(Violation("row-sum", sid, f"row {sid!r} sums to {total!r}"))
     return out
 
@@ -447,29 +448,34 @@ def read_json(path):
             raise SchemaError(f"{path}: not text: {exc}") from exc
 
 
-def write_json(value, path) -> None:
-    """Write `value` as encode does, indented with keys sorted, to a temporary
-    file that then replaces the one at `path`: a failed write leaves that as it was."""
+def _write_text(path, chunks) -> None:
+    """Write the strings of `chunks` to `<path>.tmp`, which then replaces the
+    file at `path`: a failed write leaves that as it was.  The name is the
+    same for each write to `path`, so the next one replaces a temporary file
+    a killed process left; this takes one writer per path at a time."""
     import os  # deferred to the first write, as the module's import needs none
 
-    tmp = f"{path}.{os.getpid()}.tmp"  # in the same directory, for os.replace
+    tmp = f"{path}.tmp"  # in the same directory, for os.replace
     try:
         with open(tmp, "w") as fh:
-            json.dump(value, fh, indent=2, sort_keys=True, default=_written)
-            fh.write("\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write failed before os.replace moved it
             os.remove(tmp)
 
 
+def write_json(value, path) -> None:
+    """Write `value` as encode does, indented with keys sorted."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_written)
+    _write_text(path, itertools.chain(encoder.iterencode(value), ["\n"]))
+
+
 def write_json_lines(records, path) -> None:
     """Write each record as encode does, one line of JSON each."""
     # records nest as trees: json need not look for cycles
     line = json.JSONEncoder(check_circular=False, default=_written).encode
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(line(record) + "\n")
+    _write_text(path, (line(record) + "\n" for record in records))
 
 
 def load_scg(path) -> AugmentedScg:

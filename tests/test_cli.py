@@ -367,6 +367,21 @@ def test_bad_experiment_config_is_usage_error(command, config, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("seed", 123), ("drift_magnitude", 0.7), ("drift_time", 999)]
+)
+def test_rq1_rejects_a_scenario_key_it_does_not_read(key, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"variants": 1, "scenario": {key: value}}))
+    assert main(["--out", str(tmp_path / "out"), "experiment-rq1", str(path)]) == 2
+    assert f"error: scenario.{key} is not read by rq1, which " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # its default, written out, is what rq1 runs with
+    defaults = {"seed": 0, "drift_magnitude": 0.0, "drift_time": 0}
+    path.write_text(json.dumps({"variants": 1, "scenario": {key: defaults[key]}}))
+    assert main(["--out", str(tmp_path / "out"), "experiment-rq1", str(path)]) == 0
+
+
 @pytest.mark.parametrize("weight", [100, 1e308])
 def test_a_failure_bias_that_fills_a_truth_row_is_an_input_error(weight, tmp_path, capsys):
     path = tmp_path / "config.json"

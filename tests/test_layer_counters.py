@@ -14,8 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 
-from oddsafe import adapt, experiments, proplang, runtime, scg
+from oddsafe import adapt, dtmc, experiments, proplang, runtime, scg
 
 CHECKOUT = Path(__file__).resolve().parents[1]
 if str(CHECKOUT) not in sys.path:
@@ -57,6 +58,11 @@ def test_traced_repair_op_counts_what_synthesis_did():
     # compile, and copies no SCG
     assert by_name["dtmc.transition_matrix"][0] == 1
     assert "scg.sink_situation" not in by_name
+    # the operator the one compile returned, as perfbench reads its result[1]
+    _, fresh = dtmc.transition_matrix(scg.scg_from_dict(doc))
+    assert isinstance(fresh, sp.csr_matrix)
+    fresh_bytes = fresh.data.nbytes + fresh.indices.nbytes + fresh.indptr.nbytes
+    assert counts["dtmc.transition_matrix.bytes"] == fresh_bytes
 
 
 @functools.cache  # load does not change its input

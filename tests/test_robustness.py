@@ -11,6 +11,8 @@ import copy
 import math
 import warnings
 from dataclasses import asdict
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -226,6 +228,10 @@ def _compiles(row, dense: bool) -> bool:
         ({"s0": 0.5, "zz": 0.5}, False),
         ({"s0": 1, "s1": 0}, True),
         ({"s0": True}, True),
+        ({"s0": 10**400}, False),  # an int too large for a float
+        ({"s0": Fraction(1, 2), "s1": Fraction(1, 2)}, True),  # any number, read as its float
+        ({"s0": Decimal("0.5"), "s1": Decimal("0.5")}, True),
+        ({"s0": Decimal("0.5"), "s1": Decimal("0.25")}, False),
     ],
 )
 def test_compile_agrees_with_row_violations_on_edges(row, valid):

@@ -305,6 +305,27 @@ def test_a_snapshot_write_that_fails_midway_leaves_the_old_file_alone(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_a_snapshot_write_replaces_the_temporary_file_a_killed_write_left(tmp_path):
+    kb = _kb(violating=False)
+    path = tmp_path / "kb.json"
+    (tmp_path / "kb.json.tmp").write_text('{"prior_scg": ')  # the part a kill left
+    save_snapshot(kb, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert snapshot(load_snapshot(path)) == snapshot(kb)
+
+
+def test_a_trace_write_that_fails_midway_leaves_the_old_file_alone(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_trace([TraceEvent(t=0, kind="situation_entered", id="s0")], path)
+    old = path.read_bytes()
+    # the second event's time is no number: it fails after the first is written
+    events = [TraceEvent(t=1, kind="episode_reset"), TraceEvent(t=object(), kind="episode_reset")]
+    with pytest.raises(TypeError):
+        write_trace(events, path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_load_reports_missing_sections():
     with pytest.raises(SchemaError) as exc:
         load({"scg": {}})
@@ -409,6 +430,8 @@ MARITIME_SNAPSHOT = _maritime_snapshot()
         (("counts", "counts", "f1"), {"s1": 1}, "$.counts.counts.f1"),
         (("counts", "counts", "s0"), {"zz": 1}, "$.counts.counts.s0"),
         (("counts", "counts", "s0", "s1"), -1, "$.counts.counts.s0"),
+        (("counts", "counts", "s0", "s1"), 2**53, "$.counts.counts.s0"),
+        (("counts", "counts", "s0", "s1"), 10**400, "$.counts.counts.s0"),
         (("counts", "counts", "s0", "s1"), "3", "$.counts.counts.s0.s1"),
         (("counts", "counts", "s0", "s1"), 2.7, "$.counts.counts.s0.s1"),
         (("counts", "counts", "s0", "s1"), True, "$.counts.counts.s0.s1"),
@@ -612,10 +635,11 @@ def test_incremental_belief_equals_full_rebuild(estimator, monkeypatch):
         assert result.adaptation_entries()
 
 
-def _two_trap_kb(kind: str):
+def _two_trap_kb(kind: str, max_removals: int = 1):
     """A knowledge base whose belief holds more traps than synthesis may sink,
-    dense or a loaded CSR grid, and a situation that breaks a property."""
-    synthesis = SynthesisConfig(max_removals=1)
+    dense or a loaded CSR grid of three traps, and a situation that breaks a
+    property."""
+    synthesis = SynthesisConfig(max_removals=max_removals)
     if kind == "dense":  # s0 and s1 each feed f1; s2 leaks into both
         delta = {
             "s0": {"s0": 0.1, "f1": 0.9},
@@ -633,14 +657,18 @@ def _two_trap_kb(kind: str):
     return new_knowledge_base(scg_from_dict(doc), properties, synthesis=synthesis), traps[0]
 
 
-@pytest.mark.parametrize("kind, operator", [("dense", np.ndarray), ("csr", sp.csr_matrix)])
-def test_a_failed_synthesis_leaves_the_model_of_the_unchanged_belief(kind, operator):
-    kb, current = _two_trap_kb(kind)
+@pytest.mark.parametrize(
+    "kind, operator, max_removals",
+    [("dense", np.ndarray, 1), ("csr", sp.csr_matrix, 1), ("csr", sp.csr_matrix, 2)],
+)
+def test_a_failed_synthesis_leaves_the_model_of_the_unchanged_belief(kind, operator, max_removals):
+    kb, current = _two_trap_kb(kind, max_removals)
     belief = copy.deepcopy(kb.scg)
     assert isinstance(kb.model.matrix, operator)
     _, entry = step(kb, TraceEvent(t=0, kind="situation_entered", id=current))
     assert entry.directive.kind == "safe_stop" and not entry.outcome.success
-    assert len(entry.outcome.avoided) == 1  # synthesis sank one trap into the model
+    # synthesis sank that many traps into the model, whose rows the failure writes back
+    assert len(entry.outcome.avoided) == max_removals
     assert kb.scg == belief and [c.id for c in kb.controllers] == ["c0"]
     assert_compiles_to(kb.model, kb.scg)
 
