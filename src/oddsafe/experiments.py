@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -102,13 +102,7 @@ class ExperimentRecord(Record):
         ]
 
 
-CSV_HEADER = [
-    "id",
-    "properties_violated",
-    "worst_criticality_score",
-    "save_success",
-    "critical_situations_avoided",
-]
+CSV_HEADER = [f.name for f in fields(ExperimentRecord) if not f.metadata.get("unwritten")]
 
 
 def run_variants(

@@ -10,8 +10,9 @@ The monitor alone mutates an SCG: it replaces rows in its own belief's delta.
 The situations of an SCG are the full grid of its ODD's attributes, with ids
 "s0".."s{n-1}" in enumeration order; adaptation sinks situations but never adds
 or renames one.  So a process builds one StateSpace per (attributes, failure
-ids) value (state_space), shared by every SCG over them however it was made,
-and the Situation objects of a grid (situation_grid) only when they are read.
+ids) value (state_space), shared by every SCG over them however it was made.
+The Situation objects of a grid are built at each read (enumerate_situations),
+and describe_situation reads a situation's attribute values off its id.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import warnings
 from collections.abc import Container
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache, lru_cache
-from operator import attrgetter, countOf
+from operator import attrgetter, countOf, pos
 from types import NoneType, UnionType
 from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
@@ -38,7 +39,7 @@ if TYPE_CHECKING:
 ROW_SUM_ATOL = 1e-9
 #: rows off by up to this much are renormalised (with a warning) on load
 ROW_SUM_RENORM = 1e-6
-#: how many situation grids, and state spaces over them, a process keeps
+#: how many state spaces a process keeps
 GRID_CACHE_SIZE = 4
 
 
@@ -87,7 +88,7 @@ class AugmentedScg:
     """An ODD's situation grid plus failures with a sparse row-stochastic
     transition map.
 
-    The situations are the grid of `attributes` (see situation_grid), and
+    The situations are the grid of `attributes` (see enumerate_situations), and
     `space` (see state_space) their states followed by the failures'; both
     are derived by value, not passed, and `replace` derives them again.
     `delta` maps each situation id to a sparse distribution over situation
@@ -115,8 +116,8 @@ class AugmentedScg:
 
     @property
     def situations(self) -> tuple[Situation, ...]:
-        """The situation grid of the ODD, built at its first read."""
-        return situation_grid(self.attributes)
+        """The situation grid of the ODD, built at each read."""
+        return tuple(enumerate_situations(self.attributes))
 
     @property
     def situation_ids(self) -> list[str]:
@@ -173,27 +174,15 @@ def state_space(
     return StateSpace(math.prod(len(a.values) for a in attributes), failure_ids)
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def situation_grid(attributes: tuple[OddAttribute, ...]) -> tuple[Situation, ...]:
-    """The situation grid of an ODD, built once per attribute tuple and shared
-    by every SCG over it (see enumerate_situations for its order)."""
+def enumerate_situations(attributes: list[OddAttribute]) -> list[Situation]:
+    """Enumerate the full situation grid in lexicographic index order, the
+    first attribute slowest; ids are "s0", "s1", ... following that order."""
     _check_attributes(attributes)
     ranges = [range(len(a.values)) for a in attributes]
-    return tuple(
-        [  # a list comprehension: faster than a generator on a 10^5 grid
-            Situation(id=f"s{i}", assignment=combo)
-            for i, combo in enumerate(itertools.product(*ranges))
-        ]
-    )
-
-
-def enumerate_situations(attributes: list[OddAttribute]) -> list[Situation]:
-    """Enumerate the full situation grid in lexicographic index order.
-
-    Ids are assigned "s0", "s1", ... following that order.  The list is the
-    caller's own; the grid behind it is situation_grid's.
-    """
-    return list(situation_grid(tuple(attributes)))
+    return [
+        Situation(id=f"s{i}", assignment=combo)
+        for i, combo in enumerate(itertools.product(*ranges))
+    ]
 
 
 def _check_attributes(attributes: list[OddAttribute]) -> None:
@@ -212,12 +201,13 @@ def _check_attributes(attributes: list[OddAttribute]) -> None:
 
 def describe_situation(scg: AugmentedScg, sid: str) -> str:
     """Render a situation as its attribute-value tuple, e.g. "(none,low,short)"."""
-    space = scg.space
-    if not space.is_situation(sid):
+    if not scg.is_situation(sid):
         raise NotFoundError(f"unknown situation {sid!r}")
-    s = scg.situations[space.situation_ids.index(sid)]
-    labels = [a.values[v] for a, v in zip(scg.attributes, s.assignment)]
-    return "(" + ",".join(labels) + ")"
+    i, labels = int(sid[1:]), []  # the number of the id "s{i}" state_space gives
+    for attr in reversed(scg.attributes):  # the last attribute varies fastest
+        i, v = divmod(i, len(attr.values))
+        labels.append(attr.values[v])
+    return "(" + ",".join(reversed(labels)) + ")"
 
 
 def validate_scg(scg: AugmentedScg) -> list[Violation]:
@@ -276,8 +266,8 @@ def _violations(scg: AugmentedScg, rows: bool) -> list[Violation]:
 def row_violations(
     sid: str, row: dict[str, float], state_ids: Container[str]
 ) -> list[Violation]:
-    """The row rule: known targets, each probability a number in [0, 1], sum 1
-    within ROW_SUM_ATOL."""
+    """The row rule: known targets, each probability a number in [0, 1] (read
+    through pos, as transition_matrix reads it), sum 1 within ROW_SUM_ATOL."""
     out = []
     for target, p in row.items():
         if target not in state_ids:
@@ -285,7 +275,7 @@ def row_violations(
                 Violation("unknown-target", sid, f"{sid!r} -> unknown state {target!r}")
             )
         try:
-            in_range = 0.0 <= p <= 1.0
+            in_range = 0.0 <= pos(p) <= 1.0
         except TypeError:  # a non-number
             in_range = False
         if not in_range:
@@ -339,6 +329,9 @@ def sink_situation(scg: AugmentedScg, *targets: str) -> AugmentedScg:
 
 
 def scg_to_dict(scg: AugmentedScg) -> dict:
+    """The JSON form of `scg` that the writers write, built directly: each row
+    is a dict() copy that keeps the row's own key objects, where encode would
+    give the keys of the JSON text."""
     return {
         "attributes": [
             {"name": a.name, "values": list(a.values)} for a in scg.attributes
@@ -544,16 +537,13 @@ def _written(value):
     """What the JSON writers write of a value json has no rule for: a record as
     the object of its init fields in field order, less those marked `unwritten`
     and those marked `omit_none` or `written_only` that are None; a frozenset as
-    a sorted array; an AugmentedScg as scg_to_dict, and a type with its own
-    to_dict (CriticalityReport) as that, writes it."""
+    a sorted array; a type with its own to_dict (CriticalityReport) as that."""
     try:  # a record type written before, the common case, first
         dropped, omit_none = _plans[type(value)]
     except KeyError:
         kind = type(value)
         if kind is frozenset:
             return sorted(value)
-        if kind is AugmentedScg:
-            return scg_to_dict(value)
         if "to_dict" in vars(kind):
             return value.to_dict()
         dropped, omit_none = _plans[kind] = (

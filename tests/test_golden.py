@@ -23,6 +23,7 @@ GOLDEN = {
     "rq2/adaptive.jsonl": "25d7a87702ad42d7b2b8eadabade2cc5",
     "rq2/baseline.jsonl": "66ff030b4fddd121812cc491d011f6b7",
     "rq1/variants.json": "3fdf0a951c1a8736ae70f4d844de2cb2",
+    "rq1/variants.csv": "1bff03a3feb979790a2f1a397248d700",
 }
 
 

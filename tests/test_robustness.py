@@ -228,6 +228,7 @@ def _compiles(row, dense: bool) -> bool:
         ({"s0": 0.5, "zz": 0.5}, False),
         ({"s0": 1, "s1": 0}, True),
         ({"s0": True}, True),
+        ({"s0": np.True_}, False),  # a numpy bool is no number to the compile
         ({"s0": 10**400}, False),  # an int too large for a float
         ({"s0": Fraction(1, 2), "s1": Fraction(1, 2)}, True),  # any number, read as its float
         ({"s0": Decimal("0.5"), "s1": Decimal("0.5")}, True),

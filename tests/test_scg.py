@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,8 @@ from oddsafe.scg import (
 
 from helpers import make_scg
 
+CHECKOUT = Path(__file__).resolve().parents[1]
+
 
 def test_enumeration_is_lexicographic():
     attrs = [OddAttribute("a", ("x", "y")), OddAttribute("b", ("p", "q", "r"))]
@@ -84,6 +87,33 @@ def test_describe_situation():
     assert describe_situation(scg, "s1") == "(v1)"
     with pytest.raises(NotFoundError):
         describe_situation(scg, "s9")
+
+
+def test_describe_situation_names_each_enumerated_assignment():
+    attrs = (
+        OddAttribute("a", ("x", "y")),
+        OddAttribute("b", ("p", "q", "r")),
+        OddAttribute("c", ("only",)),
+    )
+    scg = AugmentedScg(attrs, (FailureMode("f1", "f1"),), {f"s{i}": {"f1": 1.0} for i in range(6)})
+    for s in enumerate_situations(list(attrs)):
+        labels = [a.values[v] for a, v in zip(attrs, s.assignment)]
+        assert describe_situation(scg, s.id) == "(" + ",".join(labels) + ")"
+
+
+def _no_situation(*args, **kwargs):
+    raise AssertionError("built a Situation")
+
+
+def test_describe_situation_on_a_large_grid_builds_no_situation(monkeypatch):
+    if str(CHECKOUT) not in sys.path:
+        sys.path.insert(0, str(CHECKOUT))
+    from perfbench import gen
+
+    scg = scg_from_dict(gen.grid_doc(1, 4, 10))  # 10^4 situations
+    monkeypatch.setattr(scg_module, "Situation", _no_situation)
+    described = [describe_situation(scg, sid) for sid in ("s0", "s5555", "s9999")]
+    assert described == ["(v0,v0,v0,v0)", "(v5,v5,v5,v5)", "(v9,v9,v9,v9)"]
 
 
 def _codes(scg):
@@ -243,7 +273,7 @@ def test_from_dict_rejects_a_grid_larger_than_delta_before_enumerating(monkeypat
     def build_nothing(*args):
         raise AssertionError("built a grid that delta cannot cover")
 
-    monkeypatch.setattr(scg_module, "situation_grid", build_nothing)
+    monkeypatch.setattr(scg_module, "enumerate_situations", build_nothing)
     monkeypatch.setattr(scg_module, "state_space", build_nothing)
     doc = {
         "attributes": [{"name": a, "values": list("0123456789")} for a in "abcdefghi"],
@@ -287,10 +317,9 @@ def _grid_doc():
     return scg_to_dict(make_scg({"s0": {"s1": 0.5, "f1": 0.5}, "s1": {"s1": 1.0}}, 2))
 
 
-def test_loads_of_one_odd_share_its_grid_and_state_space():
+def test_loads_of_one_odd_share_its_state_space():
     doc = _grid_doc()
     first, second = scg_from_dict(doc), scg_from_dict(json.loads(json.dumps(doc)))
-    assert first.situations is second.situations
     assert first.space is second.space
     assert build_model(first).space.index is build_model(second).space.index is first.space.index
 
@@ -298,7 +327,6 @@ def test_loads_of_one_odd_share_its_grid_and_state_space():
 def test_sinking_and_replacing_keep_the_state_space():
     loaded = scg_from_dict(_grid_doc())
     for derived in (sink_situation(loaded, "s1"), replace(loaded, delta=dict(loaded.delta))):
-        assert derived.situations is loaded.situations
         assert derived.space is loaded.space
 
 
@@ -309,16 +337,14 @@ def test_a_failure_description_does_not_key_the_state_space():
     assert replace(loaded, failures=failures).space.ids == ("s0", "s1", "f1", "f2")
 
 
-def test_loading_ranking_and_repairing_build_no_situation():
-    # an ODD no other test uses, so its grid is not cached yet
-    doc = _grid_doc()
-    doc["attributes"] = [{"name": "never-enumerated", "values": ["v0", "v1"]}]
+def test_loading_ranking_and_repairing_build_no_situation(monkeypatch):
     prop = BoundedReachProperty("phi", "f1", 50, "<", 0.1)
-    before = scg_module.situation_grid.cache_info()
-    loaded = scg_from_dict(doc)
-    assert not rank_situations(loaded, [prop]).all_compliant()
-    assert synthesize_safe_controller(loaded, [prop], SynthesisConfig()).avoided == ["s0"]
-    assert scg_module.situation_grid.cache_info() == before
+    with monkeypatch.context() as patch:
+        patch.setattr(scg_module, "Situation", _no_situation)
+        loaded = scg_from_dict(_grid_doc())
+        assert not rank_situations(loaded, [prop]).all_compliant()
+        assert describe_situation(loaded, "s1") == "(v1)"
+        assert synthesize_safe_controller(loaded, [prop], SynthesisConfig()).avoided == ["s0"]
     assert [s.assignment for s in loaded.situations] == [(0,), (1,)]
 
 
