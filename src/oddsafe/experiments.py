@@ -3,6 +3,7 @@ baseline-vs-adaptive timeline, and the criticality-scoring benchmark."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -16,19 +17,13 @@ from .marsim import (
     MARITIME_FAILURES,
     GroundTruth,
     ScenarioConfig,
-    TruthSampler,
     check_seed,
     generate_scenario,
     inject_drift,
+    walk,
 )
 from .proplang import parse_property
-from .runtime import (
-    KnowledgeBase,
-    RunLogEntry,
-    TraceEvent,
-    new_knowledge_base,
-    step,
-)
+from .runtime import KnowledgeBase, RunLogEntry, new_knowledge_base, step
 from .scg import AugmentedScg, OddAttribute, Record, sink_situation, state_space
 
 
@@ -204,28 +199,11 @@ class TimelineResult:
 def _closed_loop(
     truth: GroundTruth, kb: KnowledgeBase, steps: int, sampler_seed: int
 ) -> list[RunLogEntry]:
-    """Drive the loop against the truth sampler, honouring crash stops."""
-    sampler = TruthSampler(truth, sampler_seed)
+    """Step the walk until timestep `steps`; a safe stop ends an episode."""
     log: list[RunLogEntry] = []
-    t = 0
-    current: str | None = None
-    while t < steps:
-        sampler.apply_drift(t)
-        if current is None:
-            event = TraceEvent(t=t, kind="situation_entered", id=sampler.initial_situation())
-        else:
-            nxt = sampler.next_state(current)
-            kind = "failure_observed" if sampler.is_failure(nxt) else "situation_entered"
-            event = TraceEvent(t=t, kind=kind, id=nxt)
-        _, entry = step(kb, event)
-        log.append(entry)
-        if event.kind == "failure_observed" or entry.directive.kind == "safe_stop":
-            _, reset_entry = step(kb, TraceEvent(t=t, kind="episode_reset"))
-            log.append(reset_entry)
-            current = None
-        else:
-            current = event.id
-        t += 1
+    events = walk(truth, sampler_seed, ended=lambda: log[-1].directive.kind == "safe_stop")
+    for event in itertools.takewhile(lambda e: e.t < steps, events):
+        log.append(step(kb, event)[1])
     return log
 
 

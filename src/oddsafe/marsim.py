@@ -9,7 +9,9 @@ seeded perturbation of the matrix, bounded in per-row total variation.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,27 +238,33 @@ class TruthSampler:
         return state in self.truth.failures
 
 
-def simulate(truth: GroundTruth, steps: int, seed: int) -> list[TraceEvent]:
-    """Sample a trace of `steps` state events (failures end episodes)."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+def walk(truth: GroundTruth, seed: int, ended=lambda: False) -> Iterator[TraceEvent]:
+    """The sampled event stream, one timestep at a time, without end.
+
+    Each timestep applies due drift, then enters an initial situation at an
+    episode start, or samples the next state after that.  A failure ends the
+    episode; so does a situation event for which `ended()` is true.  `ended`
+    is called when the consumer asks for the event after a situation event,
+    so it can read how that event was handled.  An episode end is an
+    `episode_reset` at the same timestep.
+    """
     sampler = TruthSampler(truth, seed)
-    events: list[TraceEvent] = []
-    t = 0
     current: str | None = None
-    while len(events) < steps:
+    for t in itertools.count():
         sampler.apply_drift(t)
         if current is None:
-            current = sampler.initial_situation()
-            events.append(TraceEvent(t=t, kind="situation_entered", id=current))
+            current, kind = sampler.initial_situation(), "situation_entered"
         else:
-            nxt = sampler.next_state(current)
-            if sampler.is_failure(nxt):
-                events.append(TraceEvent(t=t, kind="failure_observed", id=nxt))
-                events.append(TraceEvent(t=t, kind="episode_reset"))
-                current = None
-            else:
-                events.append(TraceEvent(t=t, kind="situation_entered", id=nxt))
-                current = nxt
-        t += 1
-    return events[:steps]
+            current = sampler.next_state(current)
+            kind = "failure_observed" if sampler.is_failure(current) else "situation_entered"
+        yield TraceEvent(t=t, kind=kind, id=current)
+        if kind == "failure_observed" or ended():
+            yield TraceEvent(t=t, kind="episode_reset")
+            current = None
+
+
+def simulate(truth: GroundTruth, steps: int, seed: int) -> list[TraceEvent]:
+    """Sample a trace of `steps` events: the first `steps` of `walk`."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    return list(itertools.islice(walk(truth, seed), steps))

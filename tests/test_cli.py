@@ -257,6 +257,15 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["4", "6"]
 
 
+def test_bench_at_a_given_density_writes_csv(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["--out", str(out), "bench", "--n", "4", "--density", "0.5"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # each of the 4 rows fills round(0.5 * 6 states) = 3 targets
+    assert rows[1][:3] == ["4", "6", "12"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -400,3 +409,10 @@ def test_seed_option_overrides_the_config_file(tmp_path):
         assert main(["--out", str(out), *argv, "experiment-rq1", str(config)]) == 0
         outputs.append((out / "variants.json").read_text())
     assert outputs[0] == outputs[1]
+
+
+def test_experiment_rq2_that_never_adapts_says_so(tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "rq2"), "--seed", "1", "experiment-rq2"]) == 0
+    out = capsys.readouterr().out
+    assert "no adaptation triggered\n" in out
+    assert out.endswith("failures after adaptation within its episode: 0\n")

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from oddsafe.adapt import AdaptationOutcome
 from oddsafe.experiments import (
     BENCH_CSV_HEADER,
     CSV_HEADER,
     ExperimentRecord,
     TimelineConfig,
+    TimelineResult,
     VariantConfig,
     default_properties,
     drift_scg,
@@ -16,6 +18,7 @@ from oddsafe.experiments import (
     run_variants,
 )
 from oddsafe.marsim import ScenarioConfig, generate_scenario
+from oddsafe.runtime import CONTINUE, RunLogEntry, switch_controller
 from oddsafe.scg import sink_situation, validate_scg
 
 
@@ -116,3 +119,30 @@ def test_experiment_record_csv_row():
 def test_timeline_config_rejects_a_prior_strength_kappa_that_is_not_finite(value):
     with pytest.raises(ValueError, match="prior_strength_kappa"):
         TimelineConfig(prior_strength_kappa=value)
+
+
+def _entry(t, kind, sid=None, directive=CONTINUE, success=None):
+    outcome = None if success is None else AdaptationOutcome(success, [sid], 1, ["phi1"], 0.1)
+    return RunLogEntry(t, kind, sid, directive, outcome=outcome)
+
+
+#: an adaptation at t=1 that switches controllers and keeps the episode going
+SWITCH = _entry(1, "situation_entered", "s1", switch_controller("c1"), success=True)
+
+
+@pytest.mark.parametrize(
+    "log, counted",
+    [
+        ([_entry(0, "situation_entered", "s0"), _entry(1, "failure_observed", "f1"),
+          _entry(1, "episode_reset")], []),
+        ([_entry(0, "situation_entered", "s0"), SWITCH, _entry(2, "situation_entered", "s2"),
+          _entry(3, "failure_observed", "f2"), _entry(3, "episode_reset"),
+          _entry(4, "situation_entered", "s0")], [3]),
+        ([_entry(0, "situation_entered", "s0"), SWITCH, _entry(1, "episode_reset"),
+          _entry(2, "situation_entered", "s2"), _entry(3, "failure_observed", "f1")], []),
+    ],
+    ids=["no-adaptation", "failure-before-the-reset", "failure-after-the-reset"],
+)
+def test_failures_after_adaptation_are_those_before_its_episode_reset(log, counted):
+    result = TimelineResult(baseline_log=[], adaptive_log=log)
+    assert [e.t for e in result.failures_after_adaptation_in_episode()] == counted

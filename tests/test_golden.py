@@ -11,11 +11,20 @@ import json
 
 import pytest
 
+from oddsafe.adapt import SynthesisConfig
 from oddsafe.cli import main
-from oddsafe.experiments import random_dense_scg
+from oddsafe.experiments import TimelineConfig, default_properties, random_dense_scg, run_timeline
+from oddsafe.learn import EstimatorConfig
 from oddsafe.marsim import ScenarioConfig, generate_scenario, simulate
-from oddsafe.runtime import save_snapshot, write_trace
-from oddsafe.scg import save_scg, scg_to_dict, sink_situation
+from oddsafe.runtime import (
+    TraceEvent,
+    new_knowledge_base,
+    read_trace,
+    run,
+    save_snapshot,
+    write_trace,
+)
+from oddsafe.scg import save_scg, scg_to_dict, sink_situation, write_json_lines
 
 from helpers import grid_doc, rq2_adaptive_run
 
@@ -34,6 +43,30 @@ def test_experiment_outputs_match_golden_digests(tmp_path, capsys):
         name: hashlib.md5((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+
+
+@pytest.fixture(scope="module")
+def rq2_timeline():
+    return run_timeline(TimelineConfig(seed=7))
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["adaptive", "baseline"])
+def test_an_rq2_log_replayed_as_a_trace_matches_its_golden_digest(
+    baseline, rq2_timeline, tmp_path
+):
+    # the closed loop's events, written as a trace and folded through the
+    # runtime on a fresh knowledge base, give the closed loop's own log
+    log = rq2_timeline.baseline_log if baseline else rq2_timeline.adaptive_log
+    write_trace([TraceEvent(e.t, e.kind, e.id) for e in log], tmp_path / "trace.jsonl")
+    _, prior = generate_scenario(ScenarioConfig(seed=7, drift_magnitude=1.0, drift_time=60))
+    kb = new_knowledge_base(
+        prior, default_properties(),
+        estimator=EstimatorConfig(mode="bayesian", prior_strength_kappa=1.0),
+        synthesis=SynthesisConfig(max_removals=4), baseline=baseline,
+    )
+    write_json_lines(run(kb, read_trace(tmp_path / "trace.jsonl")), tmp_path / "log.jsonl")
+    name = "rq2/baseline.jsonl" if baseline else "rq2/adaptive.jsonl"
+    assert hashlib.md5((tmp_path / "log.jsonl").read_bytes()).hexdigest() == GOLDEN[name]
 
 
 #: the seed-7 rq2 adaptive knowledge base's snapshot file, 18,137 bytes
@@ -140,3 +173,5 @@ def test_check_reports_match_golden_digests(name, tmp_path, capsys):
     assert _md5(capsys.readouterr().out) == json_digest
     assert main(["--format", "table", "check", str(scg), str(props)]) == code
     assert _md5(capsys.readouterr().out) == table_digest
+    assert main(["--format", "json", "check", str(scg), str(props)]) == code  # stdout alone
+    assert _md5(capsys.readouterr().out) == json_digest

@@ -57,6 +57,27 @@ def test_only_the_report_and_the_record_base_define_to_dict():
     assert writers == ["dtmc.py:CriticalityReport", "scg.py:Record"]
 
 
+def _scopes_calling(node, name: str, scope: str):
+    """The innermost function or class around each call of `name` under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            if name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                yield scope
+        named = isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
+        yield from _scopes_calling(child, name, child.name if named else scope)
+
+
+def test_only_the_walk_builds_a_truth_sampler():
+    # simulate and the rq2 loop draw their events from marsim.walk, so both
+    # call the sampler in one order; a second loop over it would drift apart
+    callers = [
+        f"{path.stem}.{scope}"
+        for path in sorted(Path(oddsafe.__file__).parent.glob("*.py"))
+        for scope in _scopes_calling(ast.parse(path.read_text(), str(path)), "TruthSampler", "")
+    ]
+    assert callers == ["marsim.walk"]
+
+
 def _add_checkout_to_path():
     if str(CHECKOUT) not in sys.path:
         sys.path.insert(0, str(CHECKOUT))
