@@ -323,7 +323,8 @@ class CriticalityReport:
 
     @property
     def worst_situation(self) -> str | None:
-        """The situation with the highest score, the smallest id on ties."""
+        """The situation with the highest score; on ties the least id as text,
+        so "s10" before "s9".  Synthesis sinks situations in this order."""
         return min(self.situations[i] for i in self._ties()) if self.situations else None
 
     def violated_properties(self) -> list[str]:

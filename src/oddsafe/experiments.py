@@ -35,10 +35,8 @@ def default_properties() -> list[BoundedReachProperty]:
 
 
 def drift_scg(scg: AugmentedScg, magnitude: float, seed: int) -> AugmentedScg:
-    """Apply the truth-matrix drift perturbation directly to an SCG belief."""
-    truth = GroundTruth(tuple(scg.situation_ids), tuple(scg.failure_ids), scg.delta)
-    drifted = inject_drift(truth, magnitude, seed)  # a copy; scg is untouched
-    return sink_situation(replace(scg, delta=drifted.rows), *scg.sunk)
+    """Drift a belief as inject_drift drifts the truth; its sunk situations stay sunk."""
+    return sink_situation(inject_drift(scg, magnitude, seed), *scg.sunk)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Seeded maritime scenario generator and situation-level trace simulator.
 
-The simulator works at the situation-transition abstraction: a hidden
-row-stochastic ground-truth matrix over the 18-situation maritime grid plus
-the two failure states drives Markov sampling.  Vessel kinematics exist only
-inside the seeded generator that shapes the matrix.  Out-of-ODD drift is a
-seeded perturbation of the matrix, bounded in per-row total variation.
+The simulator works at the situation-transition abstraction: the hidden
+ground truth is an augmented SCG over the 18-situation maritime grid and the
+two failure states, sharing its StateSpace with the belief learnt about it,
+and its delta drives Markov sampling.  Vessel kinematics exist only inside
+the seeded generator that shapes the rows.  Out-of-ODD drift is a seeded
+perturbation of any SCG's rows, bounded in per-row total variation.
 """
 
 from __future__ import annotations
@@ -46,17 +47,11 @@ _DRIFT_FAILURE_SHARE_RANGE = (0.55, 0.8)
 _DRIFT_BACKGROUND = 0.1
 
 
-@dataclass
-class GroundTruth:
-    """Hidden truth matrix (sparse rows) plus the scheduled drift events."""
+@dataclass(frozen=True)
+class GroundTruth(AugmentedScg):
+    """The hidden truth: an augmented SCG plus its scheduled drift events."""
 
-    situations: tuple[str, ...]
-    failures: tuple[str, ...]
-    rows: dict[str, dict[str, float]]
     drift_schedule: list[tuple[int, float, int]] = field(default_factory=list)
-
-    def copy(self) -> "GroundTruth":
-        return replace(self, rows={s: dict(r) for s, r in self.rows.items()})
 
 
 def check_seed(seed: int) -> None:
@@ -79,6 +74,8 @@ class ScenarioConfig:
             raise ValueError("episodes and episode_length must be >= 1")
         if self.episodes * self.episode_length > np.iinfo(np.int64).max:  # multinomial's n
             raise ValueError("episodes * episode_length must be at most 2**63 - 1")
+        if self.drift_time < 0:
+            raise ValueError("drift_time must be >= 0")
         if not (0.0 <= self.drift_magnitude <= 1.0):
             raise ValueError("drift_magnitude must be in [0, 1]")
         bias, ids = self.failure_bias, {f.id for f in MARITIME_FAILURES}
@@ -137,9 +134,9 @@ def generate_scenario(config: ScenarioConfig) -> tuple[GroundTruth, AugmentedScg
     situations = enumerate_situations(list(MARITIME_ATTRIBUTES))
     rows = _sample_truth_rows(rng, situations, config.failure_bias)
     truth = GroundTruth(
-        situations=tuple(s.id for s in situations),
-        failures=tuple(f.id for f in MARITIME_FAILURES),
-        rows=rows,
+        MARITIME_ATTRIBUTES,
+        MARITIME_FAILURES,
+        rows,
         drift_schedule=(
             [(config.drift_time, config.drift_magnitude, config.seed + 1)]
             if config.drift_magnitude > 0
@@ -167,41 +164,37 @@ def _mix_row(
     return out
 
 
-def inject_drift(truth: GroundTruth, magnitude: float, seed: int) -> GroundTruth:
-    """Perturb the truth matrix; a few seeded rows gain failure-directed mass.
+def inject_drift(truth: AugmentedScg, magnitude: float, seed: int) -> AugmentedScg:
+    """Perturb an SCG's rows; a few seeded rows gain failure-directed mass.
 
-    Every row moves at most `magnitude` in total variation and stays
-    stochastic; magnitude 0 is the identity.
+    Returns a new SCG of the same type, `truth` untouched.  Every row moves at
+    most `magnitude` in total variation and stays stochastic, a sunk row too
+    (drift_scg sinks it again); magnitude 0 returns an equal copy.
     """
     if not (0.0 <= magnitude <= 1.0):
         raise ValueError("magnitude must be in [0, 1]")
-    out = truth.copy()
     if magnitude == 0.0:
-        return out
+        return replace(truth, delta=dict(truth.delta))
     rng = np.random.default_rng(seed)
-    sids = list(truth.situations)
+    sids, fids = truth.space.situation_ids, truth.failure_ids
     n_hot = int(rng.integers(1, min(4, len(sids)) + 1))
     hot = set(rng.choice(sids, size=n_hot, replace=False).tolist())
+    rows = {}
     for sid in sids:
-        row = out.rows[sid]
         if sid in hot:
             # one failure mode dominates (sparse Dirichlet split) and the
             # remainder self-loops: the situation becomes a trap that feeds
             # its dominant failure
             fail_share = float(rng.uniform(*_DRIFT_FAILURE_SHARE_RANGE))
-            fail_split = rng.dirichlet(np.full(len(truth.failures), 0.15))
-            noise = {
-                fid: float(fail_share * w)
-                for fid, w in zip(truth.failures, fail_split)
-                if w > 0.0
-            }
+            fail_split = rng.dirichlet(np.full(len(fids), 0.15))
+            noise = {fid: float(fail_share * w) for fid, w in zip(fids, fail_split) if w > 0.0}
             noise[sid] = noise.get(sid, 0.0) + (1.0 - fail_share)
-            out.rows[sid] = _mix_row(row, noise, magnitude)
+            rows[sid] = _mix_row(truth.delta[sid], noise, magnitude)
         else:
             spill = rng.dirichlet(np.ones(len(sids)))
             noise = {t: float(w) for t, w in zip(sids, spill) if w > 0.0}
-            out.rows[sid] = _mix_row(row, noise, magnitude * _DRIFT_BACKGROUND)
-    return out
+            rows[sid] = _mix_row(truth.delta[sid], noise, magnitude * _DRIFT_BACKGROUND)
+    return replace(truth, delta=rows)
 
 
 class TruthSampler:
@@ -212,7 +205,7 @@ class TruthSampler:
     """
 
     def __init__(self, truth: GroundTruth, seed: int):
-        self.truth = truth.copy()
+        self.truth = truth
         self.rng = np.random.default_rng(seed)
         self._scheduled_drift = sorted(truth.drift_schedule)
 
@@ -225,17 +218,17 @@ class TruthSampler:
         return fired
 
     def initial_situation(self) -> str:
-        return str(self.rng.choice(list(self.truth.situations)))
+        return str(self.rng.choice(self.truth.space.situation_ids))
 
     def next_state(self, current: str) -> str:
-        row = self.truth.rows[current]
+        row = self.truth.delta[current]
         targets = list(row)
         probs = np.array([row[t] for t in targets])
         probs = probs / probs.sum()
         return str(self.rng.choice(targets, p=probs))
 
     def is_failure(self, state: str) -> bool:
-        return state in self.truth.failures
+        return self.truth.is_failure(state)
 
 
 def walk(truth: GroundTruth, seed: int, ended=lambda: False) -> Iterator[TraceEvent]:

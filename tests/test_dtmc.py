@@ -14,6 +14,7 @@ from oddsafe import dtmc
 from oddsafe import scg as scg_module
 from oddsafe.dtmc import (
     BoundedReachProperty,
+    CriticalityReport,
     Dtmc,
     bounded_reach_vector,
     build_model,
@@ -668,6 +669,17 @@ def test_scorer_ties_and_first_seen_violations():
         scg = sink_situation(scg, sid)
     empty = _assert_scores_match_the_loop(scg, model, {"a": va, "b": vb}, [upper, lower])
     assert empty.all_compliant() and empty.worst_situation is None
+
+
+def test_worst_situation_breaks_a_tie_by_the_least_id_as_text():
+    # not by situation number: "s10" < "s9", so synthesis sinks s10 first
+    situations = [f"s{i}" for i in range(11)]
+    values = np.zeros((11, 1))
+    values[[9, 10], 0] = 0.75
+    scores = values - 0.5
+    report = CriticalityReport(situations, ["a"], values, scores, scores <= 0.0, scores[:, 0])
+    assert report.worst_situation == "s10"
+    assert report.worst_score() == 0.25
 
 
 def test_scorer_keeps_the_first_of_equal_zero_scores():

@@ -15,6 +15,7 @@ from oddsafe.experiments import (
     random_dense_scg,
     rescue_rate,
     run_bench,
+    run_timeline,
     run_variants,
 )
 from oddsafe.marsim import ScenarioConfig, generate_scenario
@@ -146,3 +147,19 @@ SWITCH = _entry(1, "situation_entered", "s1", switch_controller("c1"), success=T
 def test_failures_after_adaptation_are_those_before_its_episode_reset(log, counted):
     result = TimelineResult(baseline_log=[], adaptive_log=log)
     assert [e.t for e in result.failures_after_adaptation_in_episode()] == counted
+
+
+def test_an_rq2_adaptation_that_switches_and_continues_counts_the_failure_after_it():
+    # seed 15 is the one seed in 0-40 whose adaptation switches controllers and
+    # keeps the episode going; sinking s7 leaves s14 within phi2's P < 0.95 bound,
+    # so the f2 three steps later is a failure the adapted controller allows
+    result = run_timeline(TimelineConfig(seed=15))
+    [adaptation] = result.adaptation_entries()
+    assert (adaptation.t, adaptation.id) == (858, "s14")
+    assert adaptation.directive == switch_controller("c1")
+    outcome = adaptation.outcome
+    assert outcome.initial_violations == ["phi2"] and outcome.avoided == ["s7"]
+    assert outcome.worst_initial_score == pytest.approx(8.3e-4, rel=0.01)
+    assert outcome.final_report.records["s14"]["phi2"].compliant
+    failures = result.failures_after_adaptation_in_episode()
+    assert [(e.t, e.id) for e in failures] == [(861, "f2")]
