@@ -105,15 +105,22 @@ def synthesize_safe_controller(
     `scg` is compiled once unless `model`, its compiled model, is given.
     Each sink writes the self-loop row of its situation into that model,
     which ends sinking `avoided`; `scg` itself is left as it is.  The outcome
-    keeps the last ranking as its final report.
+    keeps the last ranking, exact, as its final report.
 
-    Reach vectors are kept across sinks.  After sinking `t`, only the
-    properties whose vector is non-zero at `t` are swept again, unless the
-    sink changed the operator between dense and CSR, which sum a row in
-    different orders.  The kept vectors are exact: value iteration never
-    lowers a value, so a vector that is 0.0 at `t` was 0.0 there at every
-    sweep, row `t` fed 0.0 into every other row before the sink as after it,
-    and a fresh sweep would return the same vector bit for bit.
+    Reach vectors are kept across sinks.  A vector 0.0 at the sunk `t` stays
+    exact: value iteration never lowers a value, so row `t` fed 0.0 into
+    every other row at every sweep.  The others turn pending: a sink only
+    lowers values and rounded sums of nonnegative terms are monotone, so each
+    bounds its fresh sweep from above.  A sink sweeps at once only when it
+    changed the operator between dense and CSR (which sum a row in different
+    orders); otherwise it sweeps nothing, and its ranking is the last one
+    less the sunk row.  Pending properties are swept before the final report
+    and before a sink that is not settled: one whose situation `w` ranks
+    worst with a score above 0, so it violates, leads only to itself and to
+    failures, and finds every pending property an upper bound.  Then `w`'s
+    values are exact bit for bit on any operator of one kind holding its
+    row, every other score can only fall when swept, and a situation tied
+    with `w` after a sweep was tied before: the sweep would sink `w` too.
     """
     model = model or build_model(scg)
     sunk = set(scg.sunk)
@@ -122,17 +129,28 @@ def synthesize_safe_controller(
     initial_violations = report.violated_properties()
     worst_initial_score = report.worst_score()
     avoided: list[str] = []
-    while not report.all_compliant() and len(avoided) < config.max_removals:
+    pending: list[BoundedReachProperty] = []
+    while True:
+        done = report.all_compliant() or len(avoided) >= config.max_removals
+        if pending and (done or not _settled(model, report, pending)):
+            vectors.update(reach_vectors(model, pending))
+            pending = []
+            report = score_situations(model, sunk, vectors, properties)
+            continue
+        if done:
+            break
         target = report.worst_situation
         kind = type(model.matrix)
         write_rows(model, {target: {target: 1.0}})
         sunk.add(target)
         avoided.append(target)
-        converted, t = type(model.matrix) is not kind, model.space.index[target]
-        stale = [p for p in properties if converted or vectors[p.name][t] != 0.0]
-        if stale:
-            vectors.update(reach_vectors(model, stale))
-        report = score_situations(model, sunk, vectors, properties)
+        if type(model.matrix) is not kind:
+            vectors, pending = reach_vectors(model, properties), []
+            report = score_situations(model, sunk, vectors, properties)
+        else:  # no vector moved, so the ranking loses the sunk row alone
+            t = model.space.index[target]
+            pending = [p for p in properties if p in pending or vectors[p.name][t] != 0.0]
+            report = report.without(target)
     return AdaptationOutcome(
         success=report.all_compliant(),
         avoided=avoided,
@@ -140,6 +158,18 @@ def synthesize_safe_controller(
         initial_violations=initial_violations,
         worst_initial_score=worst_initial_score,
         final_report=report,
+    )
+
+
+def _settled(model: Dtmc, report: CriticalityReport, pending: list) -> bool:
+    """Whether the worst situation may be sunk with `pending` unswept."""
+    w = report.worst_situation
+    i = model.space.index[w]
+    cols = model.matrix[i].nonzero()[-1]  # of a dense row or a 1 x n CSR matrix
+    return (
+        all(p.is_upper_bound for p in pending)
+        and report.worst_score() > 0.0  # so w violates
+        and bool(((cols == i) | (cols >= len(model.space.situation_ids))).all())
     )
 
 

@@ -245,6 +245,21 @@ def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndar
     return x
 
 
+def _unentered(matrix: Operator, targets: set[int]) -> bool:
+    """Whether each target column of a CSR operator holds nonzeros of target
+    rows alone.  A dense one is not scanned: small dense beliefs enter their
+    failures from many rows, and the scan would cost every check."""
+    if isinstance(matrix, np.ndarray):
+        return False
+    ptr = matrix.indptr
+    for t in targets:
+        hits = matrix.indices == t
+        inside = sum(np.count_nonzero(hits[ptr[r] : ptr[r + 1]]) for r in targets)
+        if np.count_nonzero(hits) != inside:
+            return False
+    return True
+
+
 def require_checkable(labels, properties: list[BoundedReachProperty]) -> None:
     """Raise PropertyError on an empty list, which would report every
     situation compliant, and at the first repeated property name: vectors and
@@ -266,13 +281,21 @@ def reach_vectors(
 ) -> dict[str, np.ndarray]:
     """Property name -> reach vector of its target label at its horizon.
 
+    On a CSR operator a target set that no other state enters is its
+    indicator, unswept: each other row sums only products with +0.0.
+
     Values outside [0, 1] (beyond rounding) raise ModelError, never a verdict;
     an empty list or a repeated property name raises PropertyError.
     """
     require_checkable(model.labels, properties)
     out: dict[str, np.ndarray] = {}
     for prop in properties:
-        x = bounded_reach_vector(model.matrix, model.labels[prop.target_label], prop.horizon)
+        targets = model.labels[prop.target_label]
+        if _unentered(model.matrix, targets):
+            x = np.zeros(model.matrix.shape[0])
+            x[list(targets)] = 1.0
+        else:
+            x = bounded_reach_vector(model.matrix, targets, prop.horizon)
         if not (-1e-9 <= x.min() and x.max() <= 1.0 + 1e-9):
             raise ModelError(f"{prop.name}: reach values {x.min()}..{x.max()} escape [0, 1]")
         out[prop.name] = x
@@ -326,6 +349,13 @@ class CriticalityReport:
         """The situation with the highest score; on ties the least id as text,
         so "s10" before "s9".  Synthesis sinks situations in this order."""
         return min(self.situations[i] for i in self._ties()) if self.situations else None
+
+    def without(self, sid: str) -> CriticalityReport:
+        """This report less the row of `sid`: what score_situations gives from
+        the same vectors with `sid` sunk too."""
+        i = self.situations.index(sid)
+        rows = (np.delete(a, i, 0) for a in (self.values, self.scores, self.compliant, self.worst))
+        return CriticalityReport(self.situations[:i] + self.situations[i + 1 :], self.names, *rows)
 
     def violated_properties(self) -> list[str]:
         """Property names violated by at least one situation, first-seen order."""

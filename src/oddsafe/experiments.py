@@ -34,11 +34,6 @@ def default_properties() -> list[BoundedReachProperty]:
     ]
 
 
-def drift_scg(scg: AugmentedScg, magnitude: float, seed: int) -> AugmentedScg:
-    """Drift a belief as inject_drift drifts the truth; its sunk situations stay sunk."""
-    return sink_situation(inject_drift(scg, magnitude, seed), *scg.sunk)
-
-
 # ---------------------------------------------------------------------------
 # drift-variant synthesis experiment (effectiveness)
 
@@ -108,7 +103,7 @@ def run_variants(
         variant_seed = config.seed + 1000 * i
         scenario = replace(config.scenario, seed=variant_seed)
         _, belief = generate_scenario(scenario)
-        drifted = drift_scg(belief, config.drift_magnitude, variant_seed + 1)
+        drifted = inject_drift(belief, config.drift_magnitude, variant_seed + 1)
         # a compliant variant ends synthesis at its first ranking, sinking nothing
         outcome = synthesize_safe_controller(
             drifted,

@@ -168,20 +168,24 @@ def inject_drift(truth: AugmentedScg, magnitude: float, seed: int) -> AugmentedS
     """Perturb an SCG's rows; a few seeded rows gain failure-directed mass.
 
     Returns a new SCG of the same type, `truth` untouched.  Every row moves at
-    most `magnitude` in total variation and stays stochastic, a sunk row too
-    (drift_scg sinks it again); magnitude 0 returns an equal copy.
+    most `magnitude` in total variation and stays stochastic; sunk rows stay
+    as they are, and hot rows are drawn among the others.  Magnitude 0, or
+    every situation sunk, returns an equal copy.
     """
     if not (0.0 <= magnitude <= 1.0):
         raise ValueError("magnitude must be in [0, 1]")
-    if magnitude == 0.0:
+    sids, fids = truth.space.situation_ids, truth.failure_ids
+    free = [sid for sid in sids if sid not in truth.sunk]
+    if magnitude == 0.0 or not free:
         return replace(truth, delta=dict(truth.delta))
     rng = np.random.default_rng(seed)
-    sids, fids = truth.space.situation_ids, truth.failure_ids
-    n_hot = int(rng.integers(1, min(4, len(sids)) + 1))
-    hot = set(rng.choice(sids, size=n_hot, replace=False).tolist())
+    n_hot = int(rng.integers(1, min(4, len(free)) + 1))
+    hot = set(rng.choice(free, size=n_hot, replace=False).tolist())
     rows = {}
     for sid in sids:
-        if sid in hot:
+        if sid in truth.sunk:
+            rows[sid] = truth.delta[sid]
+        elif sid in hot:
             # one failure mode dominates (sparse Dirichlet split) and the
             # remainder self-loops: the situation becomes a trap that feeds
             # its dominant failure

@@ -1,6 +1,6 @@
 """Shared test fixtures: the path-enumeration oracle, random model builders, a
-structured sparse grid document, and reference copies of the SCG loader and the
-property parser.
+structured sparse grid document, a plain reach sweep, and reference copies of
+the SCG loader and the property parser.
 
 The oracle deliberately enumerates every path of length <= k instead of doing
 value iteration, so it stays independent of the checker it validates.
@@ -114,6 +114,19 @@ def random_scg(
         total = sum(weights.values())
         delta[s] = {t: w / total for t, w in weights.items()}
     return make_scg(delta, n_situations, failures)
+
+
+def plain_reach_vector(matrix, targets: set[int], k: int) -> np.ndarray:
+    """k sweeps of x <- matrix @ x with the targets held at 1.0, from their
+    indicator: the reach kernel with no shortcut, the reference the checker's
+    and synthesis' shortcuts are compared against."""
+    targets = sorted(targets)
+    x = np.zeros(matrix.shape[0])
+    x[targets] = 1.0
+    for _ in range(k):
+        x = matrix @ x
+        x[targets] = 1.0
+    return x
 
 
 def assert_compiles_to(model: Dtmc, scg: AugmentedScg) -> None:

@@ -37,7 +37,14 @@ from oddsafe.scg import (
     sink_situation,
 )
 
-from helpers import grid_doc, make_scg, random_scg, reach_by_paths, scg_rows_with_sinks
+from helpers import (
+    grid_doc,
+    make_scg,
+    plain_reach_vector,
+    random_scg,
+    reach_by_paths,
+    scg_rows_with_sinks,
+)
 
 CHECKOUT = Path(__file__).resolve().parents[1]
 
@@ -444,6 +451,49 @@ def test_reach_vectors_reject_values_outside_unit_interval():
     assert within["p"].tolist() == [1.0, 1.0]
 
 
+def test_an_unentered_target_is_its_indicator_without_a_sweep(monkeypatch):
+    # f1 is fed by no situation row, or by one alone, a non-target row that
+    # must still be swept; "mix" holds s0 and f1, and s0 may feed f1 from
+    # inside the target set
+    rng = random.Random(31)
+    calls = []
+    kernel = dtmc.bounded_reach_vector
+
+    def counted(matrix, targets, k):
+        calls.append(k)
+        return kernel(matrix, targets, k)
+
+    monkeypatch.setattr(dtmc, "bounded_reach_vector", counted)
+    seen = Counter()
+    for _ in range(60):
+        delta = dict(random_scg(rng, n_situations=rng.randint(20, 40), failures=("f2",)).delta)
+        if rng.random() < 0.5:
+            sid = rng.choice(sorted(delta))
+            share = rng.uniform(0.01, 0.5)
+            delta[sid] = {**{t: p * (1.0 - share) for t, p in delta[sid].items()}, "f1": share}
+        model = build_model(make_scg(delta, len(delta)))
+        assert isinstance(model.matrix, sp.csr_matrix)
+        index = model.space.index
+        model.labels["mix"] = {index["s0"], index["f1"]}
+        dense = model.matrix.toarray()
+        for label, targets in model.labels.items():
+            others = np.ones(len(dense), bool)
+            others[sorted(targets)] = False
+            entered = bool(dense[others][:, sorted(targets)].any())
+            seen[entered] += 1
+            for k in (1, 2, 5, 50):
+                calls.clear()
+                x = reach_vectors(model, [BoundedReachProperty("p", label, k, "<", 0.5)])["p"]
+                assert x.tobytes() == plain_reach_vector(model.matrix, targets, k).tobytes()
+                assert calls == [k] * entered
+            # a dense operator is swept whatever enters its targets
+            calls.clear()
+            as_dense = Dtmc(model.space, dense, model.labels)
+            reach_vectors(as_dense, [BoundedReachProperty("p", label, 3, "<", 0.5)])
+            assert calls == [3]
+    assert min(seen[True], seen[False]) >= 30, seen
+
+
 def test_property_validation():
     with pytest.raises(ValueError):
         BoundedReachProperty("p", "f1", 50, "==", 0.5)
@@ -648,6 +698,15 @@ def test_scorer_equals_a_score_value_loop(seed):
     _assert_scores_match_the_loop(scg, model, vectors, properties)
     real = reach_vectors(model, properties)
     _assert_scores_match_the_loop(scg, model, real, properties)
+    # a report less one row is the report scored with that row sunk too
+    report = score_situations(model, scg.sunk, vectors, properties)
+    sid = rng.choice(report.situations)
+    fewer = report.without(sid)
+    scored = score_situations(model, scg.sunk | {sid}, vectors, properties)
+    assert fewer.situations == scored.situations and fewer.names == scored.names
+    for name in ("values", "scores", "compliant", "worst"):
+        ours, theirs = getattr(fewer, name), getattr(scored, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 def test_scorer_ties_and_first_seen_violations():

@@ -11,16 +11,14 @@ from oddsafe.experiments import (
     TimelineResult,
     VariantConfig,
     default_properties,
-    drift_scg,
     random_dense_scg,
     rescue_rate,
     run_bench,
     run_timeline,
     run_variants,
 )
-from oddsafe.marsim import ScenarioConfig, generate_scenario
 from oddsafe.runtime import CONTINUE, RunLogEntry, switch_controller
-from oddsafe.scg import sink_situation, validate_scg
+from oddsafe.scg import validate_scg
 
 
 def test_default_properties():
@@ -30,16 +28,6 @@ def test_default_properties():
         ("f1", 0.99, 50),
         ("f2", 0.95, 50),
     ]
-
-
-def test_drift_scg_preserves_sunk_rows():
-    _, belief = generate_scenario(ScenarioConfig(seed=0))
-    belief = sink_situation(belief, "s3")
-    drifted = drift_scg(belief, 0.9, seed=1)
-    assert drifted.delta["s3"] == {"s3": 1.0}
-    assert drifted.sunk == {"s3"}
-    assert validate_scg(drifted) == []
-    assert drifted.delta != belief.delta
 
 
 def test_random_dense_scg_shape():

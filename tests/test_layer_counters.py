@@ -46,8 +46,14 @@ def test_traced_repair_op_counts_what_synthesis_did():
     by_name, _ = tracer.summary()
     counts = tracer.counts
     assert sorted(outcome.avoided) == sorted(traps)
-    # each trap feeds one failure mode, so each sink sweeps one property again
-    calls = len(properties) + len(traps)
+    # the traps are s9 -> f1, s46 -> f2 and s62 -> f2.  The first ranking
+    # sweeps both properties.  Each trap's row leads only to itself and its
+    # failure, so every sink after the first is settled and sweeps nothing.
+    # The final report sweeps the two pending properties: phi1's target f1 is
+    # entered by no situation once s9 is sunk, so it takes no kernel call, and
+    # phi2's f2 is still entered by every cell's leak, so it takes one.
+    assert [doc["delta"][t].keys() - {t} for t in traps] == [{"f1"}, {"f2"}, {"f2"}]
+    calls = len(properties) + 1
     (horizon,) = {p.horizon for p in properties}
     assert by_name["dtmc.bounded_reach_vector"][0] == calls
     assert counts["dtmc.kernel.calls"] == calls

@@ -12,7 +12,7 @@ from oddsafe.marsim import (
     GroundTruth,
     simulate,
 )
-from oddsafe.scg import AugmentedScg, validate_scg
+from oddsafe.scg import AugmentedScg, sink_situation, validate_scg
 
 
 def _tv(row_a, row_b):
@@ -101,6 +101,19 @@ def test_inject_drift_leaves_its_input_unchanged(which):
     assert type(drifted) is type(scg) and drifted.space is scg.space
     assert getattr(drifted, "drift_schedule", None) == getattr(scg, "drift_schedule", None)
     assert list(drifted.delta) == list(scg.space.situation_ids)
+
+
+def test_inject_drift_leaves_sunk_rows_and_a_valid_scg():
+    _, belief = generate_scenario(ScenarioConfig(seed=0))
+    belief = sink_situation(belief, "s3")
+    drifted = inject_drift(belief, 0.9, 1)
+    assert drifted.delta["s3"] == {"s3": 1.0}
+    assert drifted.sunk == {"s3"}
+    assert validate_scg(drifted) == []
+    assert drifted.delta != belief.delta
+    # with every situation sunk there is nothing to drift
+    everything = sink_situation(belief, *belief.space.situation_ids)
+    assert inject_drift(everything, 0.9, 1) == everything
 
 
 def test_inject_drift_respects_tv_bound():

@@ -1,38 +1,46 @@
-"""Synthesis keeps reach vectors across sinks.
+"""Synthesis keeps reach vectors across sinks and sweeps only what a decision reads.
 
-After sinking `t` it sweeps again only the properties whose vector is
-non-zero at `t`, or every property when the operator changed between dense
-and CSR.  Its outcomes must equal, byte for byte, those of a loop that sweeps
-every property again after each sink.
+After sinking `t`, a property whose vector is 0.0 at `t` keeps it as it is;
+every other property is pending, and is swept at once when the operator
+changed between dense and CSR, before the final report, and before any sink
+that is not settled (see synthesize_safe_controller).  On a CSR operator a
+target that no other state enters takes no sweep at all.  Outcomes must
+equal, byte for byte, those of a loop that sweeps every property in full
+after each sink.
 """
 
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from oddsafe import dtmc
+from oddsafe import adapt, dtmc
 from oddsafe.adapt import AdaptationOutcome, SynthesisConfig, synthesize_safe_controller
-from oddsafe.dtmc import (
-    BoundedReachProperty,
-    build_model,
-    reach_vectors,
-    score_situations,
-    write_rows,
-)
+from oddsafe.dtmc import BoundedReachProperty, build_model, score_situations, write_rows
 from oddsafe.scg import sink_situation
 
-from helpers import make_scg, random_scg
+from helpers import make_scg, plain_reach_vector, random_scg
 
 FAILURES = ("f1", "f2")
+#: a failure mode that no situation row feeds
+UNFED = "f3"
+
+
+def _sweep_all(model, properties):
+    return {
+        p.name: plain_reach_vector(model.matrix, model.labels[p.target_label], p.horizon)
+        for p in properties
+    }
 
 
 def resweep_everything(scg, properties, config):
-    """The sink loop that sweeps every property after each sink, and per sink
-    whether the operator changed kind and whether some kept vector was 0.0
-    at the sunk row (the reuse rule's two branches)."""
+    """The sink loop that sweeps every property in full after each sink, and
+    per sink whether the operator changed kind and whether some kept vector
+    was 0.0 at the sunk row (the two branches of the rule for kept vectors)."""
     model = build_model(scg)
-    vectors = reach_vectors(model, properties)
+    vectors = _sweep_all(model, properties)
     report = score_situations(model, scg.sunk, vectors, properties)
     initial_violations = report.violated_properties()
     worst_initial_score = report.worst_score()
@@ -45,7 +53,7 @@ def resweep_everything(scg, properties, config):
         avoided.append(target)
         t = model.space.index[target]
         sinks.append((type(model.matrix) is not kind, any(v[t] == 0.0 for v in vectors.values())))
-        vectors = reach_vectors(model, properties)
+        vectors = _sweep_all(model, properties)
         report = score_situations(model, scg.sunk, vectors, properties)
     outcome = AdaptationOutcome(
         success=report.all_compliant(),
@@ -58,17 +66,63 @@ def resweep_everything(scg, properties, config):
     return outcome, sinks
 
 
+def _watch_synthesis(monkeypatch) -> Counter:
+    """Counts, over synthesis runs, the sinks decided on vectors a full sweep
+    would change ("deferred"), and the properties it checks on a CSR operator
+    whose target no other state enters ("unentered")."""
+    seen = Counter(deferred=0, unentered=0)
+    held = {}  # the vectors synthesis last scored, which it updates in place
+    score, write, sweep = adapt.score_situations, adapt.write_rows, adapt.reach_vectors
+
+    def scored(model, sunk, vectors, properties):
+        held.update(vectors=vectors, properties=properties)
+        return score(model, sunk, vectors, properties)
+
+    def written(model, rows):
+        fresh = _sweep_all(model, held["properties"])
+        seen["deferred"] += any(not np.array_equal(held["vectors"][k], v) for k, v in fresh.items())
+        write(model, rows)
+
+    def swept(model, properties):
+        if not isinstance(model.matrix, np.ndarray):
+            entries = model.matrix.toarray() != 0.0
+            for p in properties:
+                targets = sorted(model.labels[p.target_label])
+                others = np.ones(len(entries), bool)
+                others[targets] = False
+                seen["unentered"] += not entries[others][:, targets].any()
+        return sweep(model, properties)
+
+    monkeypatch.setattr(adapt, "score_situations", scored)
+    monkeypatch.setattr(adapt, "write_rows", written)
+    monkeypatch.setattr(adapt, "reach_vectors", swept)
+    return seen
+
+
 def _trap_row(rng, sid):
     """A self-loop plus one failure mode."""
     share = rng.uniform(0.3, 0.9)
     return {sid: 1.0 - share, rng.choice(FAILURES): share}
 
 
+def _closed_row(rng, sid):
+    """A row that leads only to failure modes and, most often, to itself."""
+    targets = rng.sample(FAILURES, rng.randint(1, len(FAILURES)))
+    if rng.random() < 0.8:
+        targets.append(sid)
+    weights = {t: rng.random() + 1e-3 for t in targets}
+    total = sum(weights.values())
+    return {t: w / total for t, w in weights.items()}
+
+
 def _sparse_or_dense(rng):
-    delta = dict(random_scg(rng, n_situations=rng.randint(3, 14)).delta)
+    """Random rows, some closed; in half the models f1 is fed by closed rows
+    alone, and f3 by none."""
+    fed = rng.choice([FAILURES, ("f2",)])
+    delta = dict(random_scg(rng, n_situations=rng.randint(3, 14), failures=fed).delta)
     for sid in rng.sample(sorted(delta), rng.randint(0, 3)):
-        delta[sid] = _trap_row(rng, sid)
-    return make_scg(delta, len(delta))
+        delta[sid] = _closed_row(rng, sid)
+    return make_scg(delta, len(delta), FAILURES + (UNFED,))
 
 
 def _at_the_cutoff(rng):
@@ -91,11 +145,11 @@ def _at_the_cutoff(rng):
     return make_scg(delta, n)
 
 
-def _properties(rng):
+def _properties(rng, labels):
     return [
         BoundedReachProperty(
             f"p{j}",
-            rng.choice(FAILURES),
+            rng.choice(labels),
             rng.randint(1, 30),
             rng.choice(["<", "<=", ">", ">="]),
             rng.choice([0.0, 0.05, 0.3, 0.5, 0.9, 1.0, round(rng.random(), 3)]),
@@ -104,12 +158,13 @@ def _properties(rng):
     ]
 
 
-def test_synthesis_equals_the_full_resweep_reference():
+def test_synthesis_equals_the_full_resweep_reference(monkeypatch):
     rng = random.Random(2026)
-    seen = {"kept": 0, "crossed with a kept vector": 0, "gave up": 0, "lower bound sunk": 0}
+    seen = _watch_synthesis(monkeypatch)
+    seen.update({"kept": 0, "crossed with a kept vector": 0, "gave up": 0, "lower bound sunk": 0})
     for case in range(400):
         scg = _at_the_cutoff(rng) if case % 4 == 0 else _sparse_or_dense(rng)
-        properties = _properties(rng)
+        properties = _properties(rng, [f.label for f in scg.failures])
         config = SynthesisConfig(max_removals=rng.randint(0, 4))
         expected, sinks = resweep_everything(scg, properties, config)
         outcome = synthesize_safe_controller(scg, properties, config)
@@ -118,8 +173,31 @@ def test_synthesis_equals_the_full_resweep_reference():
         seen["crossed with a kept vector"] += sum(zero and crossed for crossed, zero in sinks)
         seen["gave up"] += not outcome.success and config.max_removals > 0
         seen["lower bound sunk"] += bool(sinks) and any(not p.is_upper_bound for p in properties)
-    # every branch of the rule ran, on enough cases to mean something
+    # every branch of the rules ran, on enough cases to mean something
     assert min(seen.values()) >= 10, seen
+
+
+def test_a_compliant_worst_situation_is_not_sunk_on_pending_vectors():
+    # s2 is a trap feeding f1 and s1 reaches f1 only through it; s0 and the
+    # rest absorb, which keeps the operator CSR.  phi's bound is s1's value,
+    # so once s2 is sunk s1's kept phi value sits on the bound, a violation
+    # scored 0, until a sweep drops it to 0.0.  psi scores every situation 0,
+    # so s0, compliant and closed, ranks first.
+    delta = {f"s{i}": {f"s{i}": 1.0} for i in range(8)}
+    delta.update(s1={"s1": 0.5, "s2": 0.5}, s2={"s2": 0.3, "f1": 0.7})
+    scg = make_scg(delta, 8)
+    model = build_model(scg)
+    assert not isinstance(model.matrix, np.ndarray)
+    bound = plain_reach_vector(model.matrix, model.labels["f1"], 5)[1]
+    properties = [
+        BoundedReachProperty("phi", "f1", 5, "<", float(bound)),
+        BoundedReachProperty("psi", "f2", 5, "<=", 0.0),
+    ]
+    config = SynthesisConfig()
+    expected, _ = resweep_everything(scg, properties, config)
+    outcome = synthesize_safe_controller(scg, properties, config)
+    assert outcome.success and outcome.avoided == ["s2"]
+    assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
 
 
 def _counted_kernel(monkeypatch) -> list:
@@ -145,7 +223,7 @@ def _ring_with_traps(n, traps):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_each_single_failure_trap_costs_one_sweep(monkeypatch, k):
+def test_settled_sinks_cost_no_sweep(monkeypatch, k):
     traps = [5 + 10 * j for j in range(k)]
     scg = _ring_with_traps(40, traps)
     properties = [
@@ -156,5 +234,10 @@ def test_each_single_failure_trap_costs_one_sweep(monkeypatch, k):
     outcome = synthesize_safe_controller(scg, properties, SynthesisConfig(max_removals=4))
     assert outcome.success
     assert sorted(outcome.avoided) == sorted(f"s{i}" for i in traps)
-    assert len(calls) == 2 + k
-
+    # The first ranking sweeps phi1 and phi2.  Each trap's row leads only to
+    # itself and its failure, so every sink after the first is settled and
+    # sweeps nothing.  The final report sweeps what is pending: phi1 takes no
+    # kernel call, since no situation enters f1 once its traps are sunk, and
+    # phi2, pending once an f2 trap is sunk (k >= 2), takes one, since every
+    # ring cell leaks into f2.
+    assert len(calls) == 2 + (k >= 2)
