@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dtmc import (
     BoundedReachProperty,
     CriticalityReport,
@@ -54,6 +56,8 @@ class AdaptationOutcome(Record):
 
     Synthesis keeps its last ranking as `final_report`, which the run log
     writes and no reader takes; history records the decision without it.
+    Its pending sweeps run at its first read, on the operator as synthesis
+    left it.
     """
 
     success: bool
@@ -105,7 +109,8 @@ def synthesize_safe_controller(
     `scg` is compiled once unless `model`, its compiled model, is given.
     Each sink writes the self-loop row of its situation into that model,
     which ends sinking `avoided`; `scg` itself is left as it is.  The outcome
-    keeps the last ranking, exact, as its final report.
+    keeps the last ranking, exact, as its final report, swept at its first
+    read on a copy of the operator as synthesis left it.
 
     Reach vectors are kept across sinks.  A vector 0.0 at the sunk `t` stays
     exact: value iteration never lowers a value, so row `t` fed 0.0 into
@@ -114,9 +119,12 @@ def synthesize_safe_controller(
     bounds its fresh sweep from above.  A sink sweeps at once only when it
     changed the operator between dense and CSR (which sum a row in different
     orders); otherwise it sweeps nothing, and its ranking is the last one
-    less the sunk row.  Pending properties are swept before the final report
-    and before a sink that is not settled: one whose situation `w` ranks
-    worst with a score above 0, so it violates, leads only to itself and to
+    less the sunk row.  Synthesis stops unswept when its ranking is compliant
+    and every pending property an upper bound: a sweep only lowers those
+    values, so it keeps every verdict, and the final report runs it at its
+    first read.  Pending properties are swept before any other stop and
+    before a sink that is not settled: one whose situation `w` ranks worst
+    with a score above 0, so it violates, leads only to itself and to
     failures, and finds every pending property an upper bound.  Then `w`'s
     values are exact bit for bit on any operator of one kind holding its
     row, every other score can only fall when swept, and a situation tied
@@ -131,7 +139,11 @@ def synthesize_safe_controller(
     avoided: list[str] = []
     pending: list[BoundedReachProperty] = []
     while True:
-        done = report.all_compliant() or len(avoided) >= config.max_removals
+        compliant = report.all_compliant()
+        if pending and compliant and all(p.is_upper_bound for p in pending):
+            report = _deferred_report(model, sunk, vectors, pending, properties)
+            break
+        done = compliant or len(avoided) >= config.max_removals
         if pending and (done or not _settled(model, report, pending)):
             vectors.update(reach_vectors(model, pending))
             pending = []
@@ -152,7 +164,7 @@ def synthesize_safe_controller(
             pending = [p for p in properties if p in pending or vectors[p.name][t] != 0.0]
             report = report.without(target)
     return AdaptationOutcome(
-        success=report.all_compliant(),
+        success=compliant,
         avoided=avoided,
         iterations=len(avoided) + 1,
         initial_violations=initial_violations,
@@ -161,11 +173,28 @@ def synthesize_safe_controller(
     )
 
 
+def _deferred_report(
+    model: Dtmc, sunk: set, vectors: dict, pending: list, properties: list
+) -> CriticalityReport:
+    """The final ranking, its `pending` properties swept at its first read on
+    a copy of the operator: the caller may write rows into `model` after."""
+    frozen = Dtmc(model.space, model.matrix.copy(), model.labels)
+    return CriticalityReport.deferred(
+        lambda: score_situations(
+            frozen, sunk, {**vectors, **reach_vectors(frozen, pending)}, properties
+        )
+    )
+
+
 def _settled(model: Dtmc, report: CriticalityReport, pending: list) -> bool:
     """Whether the worst situation may be sunk with `pending` unswept."""
     w = report.worst_situation
     i = model.space.index[w]
-    cols = model.matrix[i].nonzero()[-1]  # of a dense row or a 1 x n CSR matrix
+    mat = model.matrix
+    if isinstance(mat, np.ndarray):
+        cols = np.flatnonzero(mat[i])
+    else:  # the operator stores no zeros
+        cols = mat.indices[mat.indptr[i] : mat.indptr[i + 1]]
     return (
         all(p.is_upper_bound for p in pending)
         and report.worst_score() > 0.0  # so w violates

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import ge, gt, itemgetter, le, lt, pos
 from typing import TYPE_CHECKING
 
@@ -20,7 +20,7 @@ from .errors import ModelError, NotFoundError, PropertyError
 from .scg import ROW_SUM_ATOL, AugmentedScg, StateSpace, require_valid, structural_violations
 
 if TYPE_CHECKING:
-    from collections.abc import Collection
+    from collections.abc import Callable, Collection
 
     import scipy.sparse as sp
 
@@ -324,7 +324,8 @@ class CriticalityReport:
     property, by the same arithmetic as score_value.
 
     The per-situation dicts of `records` are built at their first read and
-    kept; to_dict reads the arrays.
+    kept; to_dict reads the arrays.  A `deferred` report is scored at the
+    first read of any of its fields.
     """
 
     situations: list[str]  # non-sunk situation ids, in situation order
@@ -333,6 +334,22 @@ class CriticalityReport:
     scores: np.ndarray  # (situation, property) signed scores
     compliant: np.ndarray  # (situation, property) verdicts
     worst: np.ndarray  # per situation, its highest score
+
+    @classmethod
+    def deferred(cls, score: Callable[[], CriticalityReport]) -> CriticalityReport:
+        """The report `score()` gives, scored when one of its fields is first read."""
+        report = cls.__new__(cls)
+        report._score = score
+        return report
+
+    def __getattr__(self, name):
+        # reached only for an attribute not yet set: a deferred report's field
+        score = self.__dict__.get("_score")
+        if score is None:
+            raise AttributeError(name)
+        self.__dict__.update(vars(score()))
+        del self.__dict__["_score"]
+        return getattr(self, name)
 
     def all_compliant(self) -> bool:
         return bool(self.compliant.all())
@@ -404,9 +421,12 @@ def score_situations(
     """Score every situation not in `sunk` from the model's reach vectors."""
     by_name = {p.name: p for p in properties}
     ids = model.space.situation_ids  # situation i is row i of the model
+    drop = sorted({model.space.index[s] for s in sunk}, reverse=True)
+    situations = list(ids)
+    for i in drop:  # from the last, so each index still points at its id
+        del situations[i]
     keep = np.ones(len(ids), bool)
-    keep[[model.space.index[s] for s in sunk]] = False
-    situations = list(compress(ids, keep.tolist()))
+    keep[drop] = False
     rows = np.flatnonzero(keep)
     values = np.stack([vectors[name][rows] for name in by_name], axis=1)
     scores = np.empty_like(values)

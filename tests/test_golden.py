@@ -8,6 +8,8 @@ these bytes unchanged (or log and justify the drift).
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +177,22 @@ def test_check_reports_match_golden_digests(name, tmp_path, capsys):
     assert _md5(capsys.readouterr().out) == table_digest
     assert main(["--format", "json", "check", str(scg), str(props)]) == code  # stdout alone
     assert _md5(capsys.readouterr().out) == json_digest
+
+
+#: every synthesis outcome, final report included, of the first 20 repair-grid
+#: benchmark inputs at seeds 7 and 3, each as json.dumps writes it, in order
+REPAIR_GRID_MD5 = "5d034caa69f06987cb34a88715ce9fd8"
+
+
+def test_repair_grid_outcomes_match_their_golden_digest():
+    checkout = Path(__file__).resolve().parents[1]
+    if str(checkout) not in sys.path:
+        sys.path.insert(0, str(checkout))
+    from perfbench import workloads
+
+    properties = workloads.setup("repair-grid")
+    text = []
+    for seed in (7, 3):
+        work = workloads.make_workload("repair-grid", seed, workloads.SCALES["full"], properties)
+        text += [json.dumps(work.op(work.make_input(i)).to_dict()) for i in range(20)]
+    assert _md5("".join(text)) == REPAIR_GRID_MD5

@@ -2,9 +2,12 @@
 
 After sinking `t`, a property whose vector is 0.0 at `t` keeps it as it is;
 every other property is pending, and is swept at once when the operator
-changed between dense and CSR, before the final report, and before any sink
-that is not settled (see synthesize_safe_controller).  On a CSR operator a
-target that no other state enters takes no sweep at all.  Outcomes must
+changed between dense and CSR, before any sink that is not settled, and
+before a stop that the pending values do not decide (see
+synthesize_safe_controller).  A compliant ranking whose pending properties
+are all upper bounds decides success unswept; the final report is then swept
+at its first read, on the operator as synthesis left it.  On a CSR operator
+a target that no other state enters takes no sweep at all.  Outcomes must
 equal, byte for byte, those of a loop that sweeps every property in full
 after each sink.
 """
@@ -177,22 +180,24 @@ def test_synthesis_equals_the_full_resweep_reference(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
-def test_a_compliant_worst_situation_is_not_sunk_on_pending_vectors():
-    # s2 is a trap feeding f1 and s1 reaches f1 only through it; s0 and the
-    # rest absorb, which keeps the operator CSR.  phi's bound is s1's value,
-    # so once s2 is sunk s1's kept phi value sits on the bound, a violation
-    # scored 0, until a sweep drops it to 0.0.  psi scores every situation 0,
-    # so s0, compliant and closed, ranks first.
+def _on_the_bound():
+    """s2 is a trap feeding f1 and s1 reaches f1 only through it; s0 and the
+    rest absorb, which keeps the operator CSR.  phi's bound is s1's value,
+    so once s2 is sunk s1's kept phi value sits on the bound, a violation
+    scored 0, until a sweep drops it to 0.0."""
     delta = {f"s{i}": {f"s{i}": 1.0} for i in range(8)}
     delta.update(s1={"s1": 0.5, "s2": 0.5}, s2={"s2": 0.3, "f1": 0.7})
     scg = make_scg(delta, 8)
     model = build_model(scg)
     assert not isinstance(model.matrix, np.ndarray)
     bound = plain_reach_vector(model.matrix, model.labels["f1"], 5)[1]
-    properties = [
-        BoundedReachProperty("phi", "f1", 5, "<", float(bound)),
-        BoundedReachProperty("psi", "f2", 5, "<=", 0.0),
-    ]
+    return scg, [BoundedReachProperty("phi", "f1", 5, "<", float(bound))]
+
+
+def test_a_compliant_worst_situation_is_not_sunk_on_pending_vectors():
+    # psi scores every situation 0, so s0, compliant and closed, ranks first
+    scg, properties = _on_the_bound()
+    properties.append(BoundedReachProperty("psi", "f2", 5, "<=", 0.0))
     config = SynthesisConfig()
     expected, _ = resweep_everything(scg, properties, config)
     outcome = synthesize_safe_controller(scg, properties, config)
@@ -236,8 +241,77 @@ def test_settled_sinks_cost_no_sweep(monkeypatch, k):
     assert sorted(outcome.avoided) == sorted(f"s{i}" for i in traps)
     # The first ranking sweeps phi1 and phi2.  Each trap's row leads only to
     # itself and its failure, so every sink after the first is settled and
-    # sweeps nothing.  The final report sweeps what is pending: phi1 takes no
-    # kernel call, since no situation enters f1 once its traps are sunk, and
-    # phi2, pending once an f2 trap is sunk (k >= 2), takes one, since every
-    # ring cell leaks into f2.
+    # sweeps nothing, and the last ranking, compliant on upper bounds, decides
+    # success unswept.
+    assert len(calls) == 2
+    # Its first read sweeps what is pending: phi1 takes no kernel call, since
+    # no situation enters f1 once its traps are sunk, and phi2, pending once
+    # an f2 trap is sunk (k >= 2), takes one, since every ring cell leaks
+    # into f2.
+    outcome.final_report.to_dict()
     assert len(calls) == 2 + (k >= 2)
+
+
+def _two_trap_ring_properties(comparator="<="):
+    # on _ring_with_traps(40, [5, 15]): s5 feeds f1 and s15 feeds f2, and only
+    # s15 violates phi; psi, at its bound 0 or 1, never violates
+    return [
+        BoundedReachProperty("phi", "f2", 50, "<", 0.95),
+        BoundedReachProperty("psi", "f2", 50, comparator, {">=": 0.0, "<=": 1.0}[comparator]),
+    ]
+
+
+def test_a_deferred_final_report_reads_the_operator_synthesis_left(monkeypatch):
+    # the runtime keeps writing re-estimated rows into the model it gave
+    # synthesis; the final report, swept at its first read, must not see them
+    scg = _ring_with_traps(40, [5, 15])
+    properties = _two_trap_ring_properties()
+    expected, _ = resweep_everything(scg, properties, SynthesisConfig())
+    model = build_model(scg)
+    calls = _counted_kernel(monkeypatch)
+    outcome = synthesize_safe_controller(scg, properties, SynthesisConfig(), model)
+    assert outcome.success and outcome.avoided == ["s15"]
+    assert len(calls) == 2  # the first ranking alone: the last one is unswept
+    write_rows(model, {f"s{i}": {"f2": 1.0} for i in range(0, 40, 3) if i != 15})
+    assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("comparator", [">=", "<="])
+def test_a_pending_lower_bound_property_is_swept_before_success(monkeypatch, comparator):
+    # after s15 is sunk phi and psi are pending; a pending ">=" value bounds
+    # its sweep from above, which decides nothing, so both are swept at once,
+    # while a pending "<=" waits with phi for the final report's first read
+    scg = _ring_with_traps(40, [5, 15])
+    properties = _two_trap_ring_properties(comparator)
+    expected, _ = resweep_everything(scg, properties, SynthesisConfig())
+    calls = _counted_kernel(monkeypatch)
+    outcome = synthesize_safe_controller(scg, properties, SynthesisConfig())
+    assert outcome.success and outcome.avoided == ["s15"]
+    assert len(calls) == (4 if comparator == ">=" else 2)
+    assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
+    assert len(calls) == 4
+
+
+def _two_f2_traps():
+    # s15 and s35 feed f2, so one sink leaves phi violated
+    return _ring_with_traps(40, [5, 15, 25, 35]), _two_trap_ring_properties()
+
+
+@pytest.mark.parametrize(
+    "make, success",
+    [(_on_the_bound, True), (_two_f2_traps, False)],
+    ids=["compliant-when-swept", "violating-when-swept"],
+)
+def test_a_stop_at_max_removals_decides_on_swept_values(monkeypatch, make, success):
+    # one sink, then max_removals stops synthesis on a ranking that is not
+    # compliant; the pending values are swept before success is decided
+    scg, properties = make()
+    config = SynthesisConfig(max_removals=1)
+    expected, _ = resweep_everything(scg, properties, config)
+    calls = _counted_kernel(monkeypatch)
+    outcome = synthesize_safe_controller(scg, properties, config)
+    assert outcome.success == expected.success == success and len(outcome.avoided) == 1
+    swept = len(calls)
+    assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
+    assert len(calls) == swept  # the final report was swept before the stop
