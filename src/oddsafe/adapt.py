@@ -89,6 +89,8 @@ def analyze(
         raise NotFoundError(f"unknown situation {current!r}")
     if current in sunk:
         raise ModelError(f"current situation {current!r} is sunk")
+    if unknown := [sid for sid in sunk if not model.space.is_situation(sid)]:
+        raise NotFoundError(f"sunk id {unknown[0]!r} names no situation")
     vectors = reach_vectors(model, properties)
     i = model.space.index[current]
     results = {p.name: score_value(float(vectors[p.name][i]), p) for p in properties}
@@ -118,8 +120,8 @@ def synthesize_safe_controller(
     lowers values and rounded sums of nonnegative terms are monotone, so each
     bounds its fresh sweep from above.  A sink sweeps at once only when it
     changed the operator between dense and CSR (which sum a row in different
-    orders); otherwise it sweeps nothing, and its ranking is the last one
-    less the sunk row.  Synthesis stops unswept when its ranking is compliant
+    orders); otherwise it sweeps nothing, and its ranking rescores the kept
+    vectors.  Synthesis stops unswept when its ranking is compliant
     and every pending property an upper bound: a sweep only lowers those
     values, so it keeps every verdict, and the final report runs it at its
     first read.  Pending properties are swept before any other stop and
@@ -158,11 +160,10 @@ def synthesize_safe_controller(
         avoided.append(target)
         if type(model.matrix) is not kind:
             vectors, pending = reach_vectors(model, properties), []
-            report = score_situations(model, sunk, vectors, properties)
-        else:  # no vector moved, so the ranking loses the sunk row alone
+        else:  # the kept vectors, each exact or an upper bound
             t = model.space.index[target]
             pending = [p for p in properties if p in pending or vectors[p.name][t] != 0.0]
-            report = report.without(target)
+        report = score_situations(model, sunk, vectors, properties)
     return AdaptationOutcome(
         success=compliant,
         avoided=avoided,

@@ -325,7 +325,7 @@ class CriticalityReport:
 
     The per-situation dicts of `records` are built at their first read and
     kept; to_dict reads the arrays.  A `deferred` report is scored at the
-    first read of any of its fields.
+    first read of any of its fields, or when it is pickled or copied.
     """
 
     situations: list[str]  # non-sunk situation ids, in situation order
@@ -351,6 +351,10 @@ class CriticalityReport:
         del self.__dict__["_score"]
         return getattr(self, name)
 
+    def __getstate__(self) -> dict:
+        _ = self.names  # scores a deferred report: its scorer, a closure, does not pickle
+        return vars(self)
+
     def all_compliant(self) -> bool:
         return bool(self.compliant.all())
 
@@ -366,13 +370,6 @@ class CriticalityReport:
         """The situation with the highest score; on ties the least id as text,
         so "s10" before "s9".  Synthesis sinks situations in this order."""
         return min(self.situations[i] for i in self._ties()) if self.situations else None
-
-    def without(self, sid: str) -> CriticalityReport:
-        """This report less the row of `sid`: what score_situations gives from
-        the same vectors with `sid` sunk too."""
-        i = self.situations.index(sid)
-        rows = (np.delete(a, i, 0) for a in (self.values, self.scores, self.compliant, self.worst))
-        return CriticalityReport(self.situations[:i] + self.situations[i + 1 :], self.names, *rows)
 
     def violated_properties(self) -> list[str]:
         """Property names violated by at least one situation, first-seen order."""

@@ -5,6 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from oddsafe import adapt
 from oddsafe.adapt import (
     AdaptationOutcome,
     Controller,
@@ -15,7 +16,8 @@ from oddsafe.adapt import (
 )
 from oddsafe.dtmc import BoundedReachProperty, CriticalityReport, build_model, rank_situations
 from oddsafe.errors import ModelError, NotFoundError, OddsafeError, PropertyError, SchemaError
-from oddsafe.marsim import ScenarioConfig, generate_scenario
+from oddsafe.experiments import default_properties
+from oddsafe.marsim import ScenarioConfig, generate_scenario, inject_drift
 from oddsafe.proplang import parse_property
 from oddsafe.runtime import new_knowledge_base
 from oddsafe.scg import decode, scg_from_dict, scg_to_dict, sink_situation
@@ -87,6 +89,18 @@ def test_analyze_errors():
         _analyze(make_scg({"s0": {"s0": 0.5}}, 1), "s0", [PROP])
     with pytest.raises(ModelError):
         _analyze(sink_situation(scg, "s1"), "s1", [PROP])
+
+
+@pytest.mark.parametrize("sunk", ["f1", "zz"], ids=["failure", "unknown"])
+@pytest.mark.parametrize("current, compliant", [("s1", False), ("s0", True)])
+def test_analyze_rejects_a_sunk_id_that_names_no_situation(monkeypatch, sunk, current, compliant):
+    # whatever the verdict, and before any sweep
+    model = build_model(inject_drift(generate_scenario(ScenarioConfig(seed=7))[1], 1.0, 3))
+    props = default_properties()
+    assert analyze(model, frozenset(), current, props).compliant is compliant
+    monkeypatch.setattr(adapt, "reach_vectors", None)  # a sweep would raise TypeError
+    with pytest.raises(NotFoundError, match=repr(sunk)):
+        analyze(model, frozenset({"s2", sunk}), current, props)
 
 
 def _maritime_belief():

@@ -698,15 +698,6 @@ def test_scorer_equals_a_score_value_loop(seed):
     _assert_scores_match_the_loop(scg, model, vectors, properties)
     real = reach_vectors(model, properties)
     _assert_scores_match_the_loop(scg, model, real, properties)
-    # a report less one row is the report scored with that row sunk too
-    report = score_situations(model, scg.sunk, vectors, properties)
-    sid = rng.choice(report.situations)
-    fewer = report.without(sid)
-    scored = score_situations(model, scg.sunk | {sid}, vectors, properties)
-    assert fewer.situations == scored.situations and fewer.names == scored.names
-    for name in ("values", "scores", "compliant", "worst"):
-        ours, theirs = getattr(fewer, name), getattr(scored, name)
-        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 def test_scorer_ties_and_first_seen_violations():
@@ -739,6 +730,20 @@ def test_worst_situation_breaks_a_tie_by_the_least_id_as_text():
     report = CriticalityReport(situations, ["a"], values, scores, scores <= 0.0, scores[:, 0])
     assert report.worst_situation == "s10"
     assert report.worst_score() == 0.25
+
+
+def test_an_unknown_report_attribute_is_missing_and_scores_a_deferred_report_once():
+    scg = make_scg({"s0": {"s0": 0.5, "f1": 0.5}, "s1": {"s0": 0.5, "s1": 0.5}}, 2)
+    report = rank_situations(scg, [BoundedReachProperty("phi", "f1", 3, "<", 0.5)])
+    fields = dict(vars(report))
+    assert getattr(report, "nope", None) is None
+    assert vars(report).keys() == fields.keys()
+    assert all(vars(report)[name] is value for name, value in fields.items())
+    calls = []
+    deferred = CriticalityReport.deferred(lambda: calls.append(1) or report)
+    for _ in range(2):
+        assert getattr(deferred, "nope", None) is None and calls == [1]
+    assert deferred == report
 
 
 def test_scorer_keeps_the_first_of_equal_zero_scores():

@@ -66,6 +66,13 @@ def test_bayesian_falls_back_to_prior():
     assert estimate_bayesian(prior, {}, 0.0, ["a", "b"]) == prior
 
 
+@pytest.mark.parametrize("estimate", [estimate_frequentist, estimate_bayesian])
+def test_an_estimator_rejects_an_empty_support(estimate):
+    # with nothing to spread it over, the mass of a row would vanish
+    with pytest.raises(ValueError, match="empty support"):
+        estimate({"s0": 1.0}, {"s0": 3}, 1.0, [])
+
+
 def test_estimators_agree_without_smoothing():
     rng = random.Random(3)
     support = ["a", "b", "c", "d"]

@@ -278,6 +278,16 @@ def test_an_older_snapshot_with_ranked_history_loads_to_the_new_text(report):
     assert exc.value.paths == ["$.history[1].outcome.bogus"]
 
 
+def test_a_history_entry_without_an_outcome_key_loads_as_one_without_an_outcome():
+    # the writer gives such an entry "outcome": null; a document may leave it out
+    kb, _ = _adapted(4)
+    doc = json.loads(_text(snapshot(kb)))
+    assert doc["history"][0]["outcome"] is None
+    del doc["history"][0]["outcome"]
+    assert load(doc).history == kb.history
+    assert _text(snapshot(load(doc))) == _text(snapshot(kb))
+
+
 def test_snapshot_file_round_trip(tmp_path):
     kb = _kb(violating=False)
     step(kb, TraceEvent(t=0, kind="situation_entered", id="s1"))
@@ -578,6 +588,18 @@ def test_trace_file_round_trip(tmp_path):
     ]
     path = tmp_path / "trace.jsonl"
     write_trace(events, path)
+    assert read_trace(path) == events
+
+
+def test_a_trace_file_reads_past_blank_lines(tmp_path):
+    events = [
+        TraceEvent(t=0, kind="situation_entered", id="s0"),
+        TraceEvent(t=1, kind="episode_reset"),
+    ]
+    path = tmp_path / "trace.jsonl"
+    write_trace(events, path)
+    first, second = path.read_text().splitlines()
+    path.write_text(f"\n{first}\n  \n\t\n{second}\n\n")
     assert read_trace(path) == events
 
 

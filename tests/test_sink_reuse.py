@@ -12,7 +12,9 @@ equal, byte for byte, those of a loop that sweeps every property in full
 after each sink.
 """
 
+import copy
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -275,6 +277,22 @@ def test_a_deferred_final_report_reads_the_operator_synthesis_left(monkeypatch):
     write_rows(model, {f"s{i}": {"f2": 1.0} for i in range(0, 40, 3) if i != 15})
     assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "copier", [copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))], ids=["deepcopy", "pickle"]
+)
+def test_a_copy_of_an_outcome_with_a_deferred_report_equals_it(copier):
+    # the scorer of a deferred report is a closure, so it is scored first
+    scg = _ring_with_traps(40, [5, 15])
+    properties = _two_trap_ring_properties()
+    expected, _ = resweep_everything(scg, properties, SynthesisConfig())
+    outcome = synthesize_safe_controller(scg, properties, SynthesisConfig())
+    assert "_score" in vars(outcome.final_report)
+    again = copier(outcome)
+    assert "_score" not in vars(again.final_report)
+    assert again == outcome == expected
+    assert json.dumps(again.to_dict()) == json.dumps(expected.to_dict())
 
 
 @pytest.mark.parametrize("comparator", [">=", "<="])

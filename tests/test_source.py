@@ -78,6 +78,17 @@ def test_only_the_walk_builds_a_truth_sampler():
     assert callers == ["marsim.walk"]
 
 
+def test_only_the_scorer_builds_a_criticality_report():
+    # every ranking, synthesis's after each sink included, is scored by one
+    # function; a deferred report is made through cls.__new__ and scored by it
+    callers = [
+        f"{path.stem}.{scope}"
+        for path in sorted(Path(oddsafe.__file__).parent.glob("*.py"))
+        for scope in _scopes_calling(ast.parse(path.read_text()), "CriticalityReport", "")
+    ]
+    assert callers == ["dtmc.score_situations"]
+
+
 def _add_checkout_to_path():
     if str(CHECKOUT) not in sys.path:
         sys.path.insert(0, str(CHECKOUT))
