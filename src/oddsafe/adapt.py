@@ -54,10 +54,9 @@ class SynthesisConfig:
 class AdaptationOutcome(Record):
     """Result record of one synthesis run (one table row per variant).
 
-    Synthesis keeps its last ranking as `final_report`, which the run log
-    writes and no reader takes; history records the decision without it.
-    Its pending sweeps run at its first read, on the operator as synthesis
-    left it.
+    Synthesis and history hold the decision alone.  Only the run log's copy
+    carries `final_report`: the ranking of the belief with `avoided` sunk,
+    which the log writes and no reader takes.
     """
 
     success: bool
@@ -111,8 +110,8 @@ def synthesize_safe_controller(
     `scg` is compiled once unless `model`, its compiled model, is given.
     Each sink writes the self-loop row of its situation into that model,
     which ends sinking `avoided`; `scg` itself is left as it is.  The outcome
-    keeps the last ranking, exact, as its final report, swept at its first
-    read on a copy of the operator as synthesis left it.
+    is the decision alone, with no final report: the final ranking is
+    rank_situations of `scg` with `avoided` sunk.
 
     Reach vectors are kept across sinks.  A vector 0.0 at the sunk `t` stays
     exact: value iteration never lowers a value, so row `t` fed 0.0 into
@@ -121,12 +120,11 @@ def synthesize_safe_controller(
     bounds its fresh sweep from above.  A sink sweeps at once only when it
     changed the operator between dense and CSR (which sum a row in different
     orders); otherwise it sweeps nothing, and its ranking rescores the kept
-    vectors.  Synthesis stops unswept when its ranking is compliant
-    and every pending property an upper bound: a sweep only lowers those
-    values, so it keeps every verdict, and the final report runs it at its
-    first read.  Pending properties are swept before any other stop and
-    before a sink that is not settled: one whose situation `w` ranks worst
-    with a score above 0, so it violates, leads only to itself and to
+    vectors.  Synthesis stops unswept when its ranking is compliant and every
+    pending property an upper bound: a sweep only lowers those values, so it
+    keeps every verdict.  Pending properties are swept before any other stop
+    and before a sink that is not settled: one whose situation `w` ranks
+    worst with a score above 0, so it violates, leads only to itself and to
     failures, and finds every pending property an upper bound.  Then `w`'s
     values are exact bit for bit on any operator of one kind holding its
     row, every other score can only fall when swept, and a situation tied
@@ -143,7 +141,6 @@ def synthesize_safe_controller(
     while True:
         compliant = report.all_compliant()
         if pending and compliant and all(p.is_upper_bound for p in pending):
-            report = _deferred_report(model, sunk, vectors, pending, properties)
             break
         done = compliant or len(avoided) >= config.max_removals
         if pending and (done or not _settled(model, report, pending)):
@@ -170,20 +167,6 @@ def synthesize_safe_controller(
         iterations=len(avoided) + 1,
         initial_violations=initial_violations,
         worst_initial_score=worst_initial_score,
-        final_report=report,
-    )
-
-
-def _deferred_report(
-    model: Dtmc, sunk: set, vectors: dict, pending: list, properties: list
-) -> CriticalityReport:
-    """The final ranking, its `pending` properties swept at its first read on
-    a copy of the operator: the caller may write rows into `model` after."""
-    frozen = Dtmc(model.space, model.matrix.copy(), model.labels)
-    return CriticalityReport.deferred(
-        lambda: score_situations(
-            frozen, sunk, {**vectors, **reach_vectors(frozen, pending)}, properties
-        )
     )
 
 

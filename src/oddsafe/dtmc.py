@@ -20,7 +20,7 @@ from .errors import ModelError, NotFoundError, PropertyError
 from .scg import ROW_SUM_ATOL, AugmentedScg, StateSpace, require_valid, structural_violations
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Collection
+    from collections.abc import Collection
 
     import scipy.sparse as sp
 
@@ -324,8 +324,7 @@ class CriticalityReport:
     property, by the same arithmetic as score_value.
 
     The per-situation dicts of `records` are built at their first read and
-    kept; to_dict reads the arrays.  A `deferred` report is scored at the
-    first read of any of its fields, or when it is pickled or copied.
+    kept; to_dict reads the arrays.
     """
 
     situations: list[str]  # non-sunk situation ids, in situation order
@@ -334,26 +333,6 @@ class CriticalityReport:
     scores: np.ndarray  # (situation, property) signed scores
     compliant: np.ndarray  # (situation, property) verdicts
     worst: np.ndarray  # per situation, its highest score
-
-    @classmethod
-    def deferred(cls, score: Callable[[], CriticalityReport]) -> CriticalityReport:
-        """The report `score()` gives, scored when one of its fields is first read."""
-        report = cls.__new__(cls)
-        report._score = score
-        return report
-
-    def __getattr__(self, name):
-        # reached only for an attribute not yet set: a deferred report's field
-        score = self.__dict__.get("_score")
-        if score is None:
-            raise AttributeError(name)
-        self.__dict__.update(vars(score()))
-        del self.__dict__["_score"]
-        return getattr(self, name)
-
-    def __getstate__(self) -> dict:
-        _ = self.names  # scores a deferred report: its scorer, a closure, does not pickle
-        return vars(self)
 
     def all_compliant(self) -> bool:
         return bool(self.compliant.all())

@@ -22,7 +22,15 @@ from .adapt import (
     controller_from_outcome,
     synthesize_safe_controller,
 )
-from .dtmc import BoundedReachProperty, Dtmc, build_model, require_checkable, write_rows
+from .dtmc import (
+    BoundedReachProperty,
+    Dtmc,
+    build_model,
+    reach_vectors,
+    require_checkable,
+    score_situations,
+    write_rows,
+)
 from .errors import SchemaError, TraceError
 from .learn import EstimatorConfig, TransitionCounts, estimate_row, ingest, rebuild_scg
 from .proplang import PropertyEntry, format_property, parse_entries
@@ -50,6 +58,10 @@ class TraceEvent(Record):
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise TraceError(f"unknown event kind {self.kind!r}")
+        if self.t < 0:
+            raise TraceError(f"negative timestep {self.t}")
+        if self.kind == "episode_reset" and self.id is not None:
+            raise TraceError("an episode_reset event carries no id")
         if self.kind in ("situation_entered", "failure_observed") and not self.id:
             raise TraceError(f"{self.kind} event needs an id")
 
@@ -207,35 +219,32 @@ def step(kb: KnowledgeBase, event: TraceEvent) -> tuple[KnowledgeBase, RunLogEnt
         )
 
     outcome = synthesize_safe_controller(kb.scg, kb.properties, kb.synthesis, kb.model)
-    decision = replace(outcome, final_report=None)  # history keeps no ranking
+    vectors = reach_vectors(kb.model, kb.properties)  # the log alone ranks the repaired belief
+    report = score_situations(kb.model, kb.scg.sunk | set(outcome.avoided), vectors, kb.properties)
     if not outcome.success:
         write_rows(kb.model, {s: kb.scg.delta[s] for s in outcome.avoided})
-        kb.history.append(HistoryEntry(event.t, kb.active_controller.id, decision))
+        kb.history.append(HistoryEntry(event.t, kb.active_controller.id, outcome))
         kb.prev = None
         directive = safe_stop(
             f"synthesis failed after sinking {outcome.avoided} "
             f"(max_removals={kb.synthesis.max_removals})"
         )
-        return kb, RunLogEntry(
-            event.t, event.kind, sid, directive, compliant=False, outcome=outcome
-        )
-
-    controller_id = f"c{len(kb.controllers)}"
-    controller = controller_from_outcome(
-        kb.scg, outcome, controller_id, prior_avoided=kb.active_controller.avoided
-    )
-    kb.controllers.append(controller)
-    kb.history.append(HistoryEntry(event.t, controller_id, decision))
-    kb.scg = sink_situation(kb.scg, *outcome.avoided)
-    if sid in controller.avoided:
-        kb.prev = None
-        directive = safe_stop(f"current situation {sid} is now avoided")
     else:
-        kb.prev = sid
-        directive = switch_controller(controller_id)
-    return kb, RunLogEntry(
-        event.t, event.kind, sid, directive, compliant=False, outcome=outcome
-    )
+        controller_id = f"c{len(kb.controllers)}"
+        controller = controller_from_outcome(
+            kb.scg, outcome, controller_id, prior_avoided=kb.active_controller.avoided
+        )
+        kb.controllers.append(controller)
+        kb.history.append(HistoryEntry(event.t, controller_id, outcome))
+        kb.scg = sink_situation(kb.scg, *outcome.avoided)
+        if sid in controller.avoided:
+            kb.prev = None
+            directive = safe_stop(f"current situation {sid} is now avoided")
+        else:
+            kb.prev = sid
+            directive = switch_controller(controller_id)
+    logged = replace(outcome, final_report=report)
+    return kb, RunLogEntry(event.t, event.kind, sid, directive, compliant=False, outcome=logged)
 
 
 def run(kb: KnowledgeBase, events: list[TraceEvent]) -> list[RunLogEntry]:
@@ -319,6 +328,12 @@ def load(doc: dict) -> KnowledgeBase:
     for i, entry in enumerate(record.history):
         if entry.controller_id not in named:
             raise SchemaError("history names no controller", [f"$.history[{i}].controller_id"])
+    history, ts = record.history, [entry.t for entry in record.history]
+    outcomes = all(entry.outcome is not None for entry in history[1:])  # one per adaptation
+    if history[:1] != [HistoryEntry(0, "c0")] or not outcomes or ts != sorted(ts):
+        raise SchemaError("history must be c0 at t 0, then outcomes in time order", ["$.history"])
+    if record.last_t < -1:
+        raise SchemaError("last_t must be -1 or a timestep", ["$.last_t"])
     object.__setattr__(prior, "compiled", None)
     belief, model = _derive_belief(prior, record.counts, record.estimator, controllers[-1])
     prev = record.prev

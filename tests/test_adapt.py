@@ -155,7 +155,10 @@ def test_synthesis_sinks_the_trap():
     assert outcome.avoided == ["s0"]
     assert outcome.initial_violations == ["phi"]
     assert outcome.worst_initial_score > 0
-    assert outcome.final_report.all_compliant()
+    # the outcome is the decision alone; the repaired SCG ranks compliant
+    assert outcome.final_report is None
+    repaired = sink_situation(_violating_scg(), *outcome.avoided)
+    assert rank_situations(repaired, [PROP]).all_compliant()
 
 
 def test_synthesis_leaves_a_loaded_scg_as_loaded():
@@ -214,17 +217,15 @@ def test_rankings_build_their_records_only_when_read(monkeypatch, make, dense):
     assert not analysis.compliant
     outcome = synthesize_safe_controller(scg, [PROP], SynthesisConfig(max_removals=4))
     assert outcome.success and outcome.avoided == ["s0"]
-    for report in (ranked, analysis.full_report, outcome.final_report):
+    repaired = rank_situations(sink_situation(scg, *outcome.avoided), [PROP])
+    logged = replace(outcome, final_report=repaired)  # as the run log holds it
+    for report in (ranked, analysis.full_report, repaired):
         report.to_dict()
-    outcome.to_dict()
+    logged.to_dict()
     assert calls == []
-    records = outcome.final_report.records
-    assert calls == [outcome.final_report]
-    assert outcome.final_report.records is records and len(calls) == 1
-    sunk = scg
-    for sid in outcome.avoided:
-        sunk = sink_situation(sunk, sid)
-    assert outcome.to_dict()["final_report"] == rank_situations(sunk, [PROP]).to_dict()
+    records = repaired.records
+    assert calls == [repaired]
+    assert repaired.records is records and len(calls) == 1
 
 
 @pytest.mark.parametrize("make", [_violating_scg, _trapped_chain], ids=["dense", "csr"])
@@ -240,30 +241,38 @@ def test_synthesis_leaves_its_input_scg_unchanged(make, given_model):
     assert outcome.success and outcome.avoided == ["s0"]
     assert scg.delta == delta and scg.sunk == {"s2"}
     assert all(scg.delta[sid] is row for sid, row in rows.items())
-    # its ranking leaves out the situations sunk before it and by it
+    # the ranking of the repaired SCG leaves out the situations sunk before
+    # synthesis and by it, and is compliant
     repaired = sink_situation(scg, *outcome.avoided)
-    assert outcome.final_report == rank_situations(repaired, [PROP])
-    assert {"s0", "s2"}.isdisjoint(outcome.final_report.situations)
+    report = rank_situations(repaired, [PROP])
+    assert report.all_compliant() and {"s0", "s2"}.isdisjoint(report.situations)
     if given_model:
         assert_compiles_to(model, repaired)
 
 
+def _logged(outcome, scg):
+    """The outcome as the run log holds it: with the ranking of `scg` with
+    its avoided situations sunk as its final report."""
+    report = rank_situations(sink_situation(scg, *outcome.avoided), [PROP])
+    return replace(outcome, final_report=report)
+
+
 def test_outcome_round_trip():
-    # what history keeps of an outcome, its decision without its ranking,
-    # decodes to itself; the run log's form adds the report and nothing else
+    # an outcome, the decision that history keeps, decodes to itself; the run
+    # log's form adds the report and nothing else
     outcome = synthesize_safe_controller(
         _violating_scg(), [PROP], SynthesisConfig(max_removals=4)
     )
-    decision = replace(outcome, final_report=None)
-    assert "final_report" not in decision.to_dict()
-    again = decode(AdaptationOutcome, decision.to_dict())
-    assert again == decision
-    assert json.dumps(again.to_dict()) == json.dumps(decision.to_dict())
-    report = outcome.final_report.to_dict()
-    assert outcome.to_dict() == {**decision.to_dict(), "final_report": report}
+    assert "final_report" not in outcome.to_dict()
+    again = decode(AdaptationOutcome, outcome.to_dict())
+    assert again == outcome
+    assert json.dumps(again.to_dict()) == json.dumps(outcome.to_dict())
+    logged = _logged(outcome, _violating_scg())
+    report = logged.final_report.to_dict()
+    assert logged.to_dict() == {**outcome.to_dict(), "final_report": report}
     # a ranking is written, never read back
     with pytest.raises(SchemaError):
-        decode(AdaptationOutcome, outcome.to_dict())
+        decode(AdaptationOutcome, logged.to_dict())
 
 
 def test_outcomes_compare_by_value():
@@ -276,13 +285,14 @@ def test_outcomes_compare_by_value():
     outcome = synthesize(4)
     assert outcome == synthesize(4)
     assert outcome != synthesize(0)
-    decision = replace(outcome, final_report=None)
-    assert decision == decode(AdaptationOutcome, decision.to_dict())
-    assert outcome != decision and decision != outcome
-    r = outcome.final_report
+    assert outcome == decode(AdaptationOutcome, outcome.to_dict())
+    logged = _logged(outcome, _violating_scg())
+    assert logged == _logged(synthesize(4), _violating_scg())
+    assert logged != outcome and outcome != logged
+    r = logged.final_report
     worse = CriticalityReport(r.situations, r.names, r.values, r.scores, r.compliant, r.worst + 1.0)
-    assert outcome != replace(outcome, final_report=worse)
-    assert outcome != outcome.to_dict()
+    assert logged != replace(logged, final_report=worse)
+    assert logged != logged.to_dict()
 
 
 def test_controller_requires_avoided_to_be_sunk():

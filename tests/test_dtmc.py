@@ -732,18 +732,14 @@ def test_worst_situation_breaks_a_tie_by_the_least_id_as_text():
     assert report.worst_score() == 0.25
 
 
-def test_an_unknown_report_attribute_is_missing_and_scores_a_deferred_report_once():
+def test_an_unknown_report_attribute_is_missing():
     scg = make_scg({"s0": {"s0": 0.5, "f1": 0.5}, "s1": {"s0": 0.5, "s1": 0.5}}, 2)
     report = rank_situations(scg, [BoundedReachProperty("phi", "f1", 3, "<", 0.5)])
     fields = dict(vars(report))
     assert getattr(report, "nope", None) is None
+    assert not hasattr(report, "__array__")
     assert vars(report).keys() == fields.keys()
     assert all(vars(report)[name] is value for name, value in fields.items())
-    calls = []
-    deferred = CriticalityReport.deferred(lambda: calls.append(1) or report)
-    for _ in range(2):
-        assert getattr(deferred, "nope", None) is None and calls == [1]
-    assert deferred == report
 
 
 def test_scorer_keeps_the_first_of_equal_zero_scores():

@@ -9,12 +9,14 @@ these bytes unchanged (or log and justify the drift).
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from oddsafe.adapt import SynthesisConfig
 from oddsafe.cli import main
+from oddsafe.dtmc import rank_situations
 from oddsafe.experiments import TimelineConfig, default_properties, random_dense_scg, run_timeline
 from oddsafe.learn import EstimatorConfig
 from oddsafe.marsim import ScenarioConfig, generate_scenario, simulate
@@ -26,7 +28,7 @@ from oddsafe.runtime import (
     save_snapshot,
     write_trace,
 )
-from oddsafe.scg import save_scg, scg_to_dict, sink_situation, write_json_lines
+from oddsafe.scg import save_scg, scg_from_dict, scg_to_dict, sink_situation, write_json_lines
 
 from helpers import grid_doc, rq2_adaptive_run
 
@@ -179,8 +181,9 @@ def test_check_reports_match_golden_digests(name, tmp_path, capsys):
     assert _md5(capsys.readouterr().out) == json_digest
 
 
-#: every synthesis outcome, final report included, of the first 20 repair-grid
-#: benchmark inputs at seeds 7 and 3, each as json.dumps writes it, in order
+#: every synthesis outcome of the first 20 repair-grid benchmark inputs at
+#: seeds 7 and 3, with the ranking of its repaired SCG attached as its final
+#: report, as the run log writes one, each as json.dumps writes it, in order
 REPAIR_GRID_MD5 = "5d034caa69f06987cb34a88715ce9fd8"
 
 
@@ -194,5 +197,10 @@ def test_repair_grid_outcomes_match_their_golden_digest():
     text = []
     for seed in (7, 3):
         work = workloads.make_workload("repair-grid", seed, workloads.SCALES["full"], properties)
-        text += [json.dumps(work.op(work.make_input(i)).to_dict()) for i in range(20)]
+        for i in range(20):
+            doc, _ = planted = work.make_input(i)
+            outcome = work.op(planted)
+            repaired = sink_situation(scg_from_dict(doc), *outcome.avoided)
+            report = rank_situations(repaired, properties)
+            text.append(json.dumps(replace(outcome, final_report=report).to_dict()))
     assert _md5("".join(text)) == REPAIR_GRID_MD5

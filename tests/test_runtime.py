@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from oddsafe import experiments
-from oddsafe.dtmc import BoundedReachProperty
+from oddsafe.dtmc import BoundedReachProperty, rank_situations
 from oddsafe.errors import ModelError, NotFoundError, SchemaError, TraceError
 from oddsafe.learn import EstimatorConfig, ingest, rebuild_scg
 from oddsafe.marsim import ScenarioConfig, generate_scenario
@@ -34,6 +34,7 @@ from oddsafe.scg import (
     FailureMode,
     OddAttribute,
     decode,
+    encode,
     require_valid,
     scg_from_dict,
     scg_to_dict,
@@ -76,6 +77,27 @@ def test_trace_event_validation():
     with pytest.raises(TraceError):
         TraceEvent(t=0, kind="situation_entered")
     TraceEvent(t=0, kind="episode_reset")
+    # a timestep is >= 0, and a reset names nothing
+    with pytest.raises(TraceError, match="negative timestep"):
+        TraceEvent(t=-1, kind="situation_entered", id="s1")
+    with pytest.raises(TraceError, match="carries no id"):
+        TraceEvent(t=0, kind="episode_reset", id="s1")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"t": -1, "kind": "situation_entered", "id": "s1"}',
+        '{"t": 1, "kind": "episode_reset", "id": "s1"}',
+    ],
+    ids=["negative-timestep", "reset-with-an-id"],
+)
+def test_read_trace_names_the_line_of_an_event_walk_never_writes(tmp_path, line):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"t": 0, "kind": "episode_reset"}\n' + line + "\n")
+    with pytest.raises(SchemaError) as exc:
+        read_trace(path)
+    assert exc.value.paths == [f"{path}:2"]
 
 
 def test_malformed_trace_input_is_schema_error(tmp_path):
@@ -194,8 +216,33 @@ def test_synthesis_failure_safe_stops():
     assert entry.directive.kind == "safe_stop"
     assert entry.outcome is not None and not entry.outcome.success
     # history keeps the decision; the log alone carries the ranking
-    assert entry.outcome.final_report is not None
+    assert_logs_the_repaired_ranking(kb, entry)
     assert kb.history[-1].outcome == replace(entry.outcome, final_report=None)
+
+
+def assert_logs_the_repaired_ranking(kb, entry):
+    """The logged outcome's report, byte for byte, is the ranking of the
+    belief with its avoided situations sunk; history holds the decision."""
+    repaired = sink_situation(kb.scg, *entry.outcome.avoided)
+    expected = rank_situations(repaired, kb.properties).to_dict()
+    assert json.dumps(entry.outcome.final_report.to_dict()) == json.dumps(expected)
+    assert all(h.outcome is None or h.outcome.final_report is None for h in kb.history)
+
+
+@pytest.mark.parametrize("seed", [7, 15])
+def test_each_rq2_adaptation_logs_the_ranking_of_its_repaired_belief(monkeypatch, seed):
+    logged = []
+
+    def checked(kb, event):
+        kb, entry = step(kb, event)
+        if entry.outcome is not None:
+            assert_logs_the_repaired_ranking(kb, entry)
+            logged.append(entry)
+        return kb, entry
+
+    monkeypatch.setattr(experiments, "step", checked)
+    result = experiments.run_timeline(experiments.TimelineConfig(seed=seed))
+    assert logged == [e for e in result.adaptive_log if e.outcome] and logged
 
 
 def _text(doc) -> str:
@@ -328,8 +375,8 @@ def test_a_trace_write_that_fails_midway_leaves_the_old_file_alone(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace([TraceEvent(t=0, kind="situation_entered", id="s0")], path)
     old = path.read_bytes()
-    # the second event's time is no number: it fails after the first is written
-    events = [TraceEvent(t=1, kind="episode_reset"), TraceEvent(t=object(), kind="episode_reset")]
+    # the second event's id is no text: it fails after the first is written
+    events = [TraceEvent(t=1, kind="episode_reset"), TraceEvent(1, "situation_entered", object())]
     with pytest.raises(TypeError):
         write_trace(events, path)
     assert path.read_bytes() == old
@@ -420,6 +467,47 @@ def test_load_rejects_a_malformed_loop_cursor(key, value):
     with pytest.raises(SchemaError) as exc:
         load({**doc, key: value})
     assert exc.value.paths == [f"$.{key}"]
+
+
+def test_load_rejects_a_last_t_step_never_leaves():
+    doc = snapshot(_kb(violating=False))
+    assert load({**doc, "last_t": -1}).last_t == -1 and load({**doc, "last_t": 0}).last_t == 0
+    with pytest.raises(SchemaError) as exc:
+        load({**doc, "last_t": -7})
+    assert exc.value.paths == ["$.last_t"]
+
+
+def _history_of(entries) -> list:
+    """History entries from (t, controller_id, with an outcome) triples,
+    each outcome the one a synthesis on s1 of the violating belief gives."""
+    _, outcome = _adapted(4)
+    outcome = encode(replace(outcome, final_report=None))
+    return [{"t": t, "controller_id": c, "outcome": outcome if o else None} for t, c, o in entries]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [],
+        [(5, "c0", False)],
+        [(0, "c1", False)],
+        [(0, "c0", True)],
+        [(0, "c0", False), (3, "c1", False)],
+        [(0, "c0", False), (3, "c1", True), (2, "c1", True)],
+    ],
+    ids=["empty", "late-start", "other-controller", "initial-outcome", "no-outcome", "time-falls"],
+)
+def test_load_rejects_a_history_new_knowledge_base_and_step_never_write(entries):
+    # c0 at t 0 with no outcome, then one outcome per adaptation, in time order
+    kb, _ = _adapted(4)
+    doc = json.loads(_text(snapshot(kb)))
+    assert doc["history"] == _history_of([(0, "c0", False), (0, "c1", True)])
+    doc["history"] = _history_of([(0, "c0", False), (3, "c1", True), (3, "c1", True)])
+    assert len(load(doc).history) == 3
+    doc["history"] = _history_of(entries)
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.paths == ["$.history"]
 
 
 def _maritime_snapshot() -> dict:

@@ -414,10 +414,22 @@ def test_state_spaces_stay_right_under_concurrent_misses():
     assert wrong == []
 
 
-def _synthesised():
+def _synthesis_input():
     delta = {"s0": {"f1": 0.9, "s0": 0.1}, "s1": {"s0": 0.5, "s1": 0.5}, "s2": {"s2": 1.0}}
-    prop = BoundedReachProperty("phi", "f1", 50, "<", 0.5)
-    return synthesize_safe_controller(make_scg(delta, 3), [prop], SynthesisConfig(2))
+    return make_scg(delta, 3), BoundedReachProperty("phi", "f1", 50, "<", 0.5)
+
+
+def _synthesised():
+    scg, prop = _synthesis_input()
+    return synthesize_safe_controller(scg, [prop], SynthesisConfig(2))
+
+
+def _logged():
+    """_synthesised() as the run log holds it, its repaired SCG's ranking attached."""
+    scg, prop = _synthesis_input()
+    outcome = _synthesised()
+    report = rank_situations(sink_situation(scg, *outcome.avoided), [prop])
+    return replace(outcome, final_report=report)
 
 
 def _maritime_record() -> _Snapshot:
@@ -432,7 +444,7 @@ def _maritime_record() -> _Snapshot:
 def _records():
     """(record, what decode reads back of it): the record itself, unless a
     field is never written."""
-    outcome = replace(_synthesised(), final_report=None)  # as history records it
+    outcome = _synthesised()  # as history records it
     sunk = sink_situation(make_scg({"s0": {"s0": 1.0}, "s1": {"s1": 1.0}}, 2), "s0")
     controller = Controller("c1", sunk, ("s0",), "synthesised")
     variant = ExperimentRecord(2, ["phi"], 0.25, True, ["s0"], drifted_scg=sunk)
@@ -513,7 +525,7 @@ SCG = {
         (AugmentedScg, {**SCG, "delta": {**SCG["delta"], "s1": {"s1": "1.0"}}}, "$.delta.s1.s1"),
         (AugmentedScg, {**SCG, "delta": {**SCG["delta"], "s1": {"s1": True}}}, "$.delta.s1.s1"),
         # a run-log outcome's report is written, and no reader takes it
-        (AdaptationOutcome, _synthesised().to_dict(), "$.final_report"),
+        (AdaptationOutcome, _logged().to_dict(), "$.final_report"),
     ],
 )
 def test_decode_names_the_path_of_a_value_of_another_type(kind, doc, path):

@@ -5,8 +5,8 @@ every other property is pending, and is swept at once when the operator
 changed between dense and CSR, before any sink that is not settled, and
 before a stop that the pending values do not decide (see
 synthesize_safe_controller).  A compliant ranking whose pending properties
-are all upper bounds decides success unswept; the final report is then swept
-at its first read, on the operator as synthesis left it.  On a CSR operator
+are all upper bounds decides success unswept, and nothing sweeps them after:
+an outcome is the decision alone, with no final report.  On a CSR operator
 a target that no other state enters takes no sweep at all.  Outcomes must
 equal, byte for byte, those of a loop that sweeps every property in full
 after each sink.
@@ -17,13 +17,20 @@ import json
 import pickle
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oddsafe import adapt, dtmc
 from oddsafe.adapt import AdaptationOutcome, SynthesisConfig, synthesize_safe_controller
-from oddsafe.dtmc import BoundedReachProperty, build_model, score_situations, write_rows
+from oddsafe.dtmc import (
+    BoundedReachProperty,
+    build_model,
+    rank_situations,
+    score_situations,
+    write_rows,
+)
 from oddsafe.scg import sink_situation
 
 from helpers import make_scg, plain_reach_vector, random_scg
@@ -66,7 +73,6 @@ def resweep_everything(scg, properties, config):
         iterations=len(avoided) + 1,
         initial_violations=initial_violations,
         worst_initial_score=worst_initial_score,
-        final_report=report,
     )
     return outcome, sinks
 
@@ -246,12 +252,6 @@ def test_settled_sinks_cost_no_sweep(monkeypatch, k):
     # sweeps nothing, and the last ranking, compliant on upper bounds, decides
     # success unswept.
     assert len(calls) == 2
-    # Its first read sweeps what is pending: phi1 takes no kernel call, since
-    # no situation enters f1 once its traps are sunk, and phi2, pending once
-    # an f2 trap is sunk (k >= 2), takes one, since every ring cell leaks
-    # into f2.
-    outcome.final_report.to_dict()
-    assert len(calls) == 2 + (k >= 2)
 
 
 def _two_trap_ring_properties(comparator="<="):
@@ -263,43 +263,30 @@ def _two_trap_ring_properties(comparator="<="):
     ]
 
 
-def test_a_deferred_final_report_reads_the_operator_synthesis_left(monkeypatch):
-    # the runtime keeps writing re-estimated rows into the model it gave
-    # synthesis; the final report, swept at its first read, must not see them
-    scg = _ring_with_traps(40, [5, 15])
-    properties = _two_trap_ring_properties()
-    expected, _ = resweep_everything(scg, properties, SynthesisConfig())
-    model = build_model(scg)
-    calls = _counted_kernel(monkeypatch)
-    outcome = synthesize_safe_controller(scg, properties, SynthesisConfig(), model)
-    assert outcome.success and outcome.avoided == ["s15"]
-    assert len(calls) == 2  # the first ranking alone: the last one is unswept
-    write_rows(model, {f"s{i}": {"f2": 1.0} for i in range(0, 40, 3) if i != 15})
-    assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
-    assert len(calls) == 4
-
-
 @pytest.mark.parametrize(
     "copier", [copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))], ids=["deepcopy", "pickle"]
 )
-def test_a_copy_of_an_outcome_with_a_deferred_report_equals_it(copier):
-    # the scorer of a deferred report is a closure, so it is scored first
+def test_a_copy_of_an_outcome_equals_it_and_sweeps_nothing(monkeypatch, copier):
+    # an outcome holds plain values, and the run log's copy a scored report
     scg = _ring_with_traps(40, [5, 15])
     properties = _two_trap_ring_properties()
-    expected, _ = resweep_everything(scg, properties, SynthesisConfig())
     outcome = synthesize_safe_controller(scg, properties, SynthesisConfig())
-    assert "_score" in vars(outcome.final_report)
-    again = copier(outcome)
-    assert "_score" not in vars(again.final_report)
-    assert again == outcome == expected
-    assert json.dumps(again.to_dict()) == json.dumps(expected.to_dict())
+    assert outcome.final_report is None
+    report = rank_situations(sink_situation(scg, *outcome.avoided), properties)
+    logged = replace(outcome, final_report=report)
+    calls = _counted_kernel(monkeypatch)
+    for original in (outcome, logged):
+        again = copier(original)
+        assert again == original
+        assert json.dumps(again.to_dict()) == json.dumps(original.to_dict())
+    assert calls == []
 
 
 @pytest.mark.parametrize("comparator", [">=", "<="])
 def test_a_pending_lower_bound_property_is_swept_before_success(monkeypatch, comparator):
     # after s15 is sunk phi and psi are pending; a pending ">=" value bounds
     # its sweep from above, which decides nothing, so both are swept at once,
-    # while a pending "<=" waits with phi for the final report's first read
+    # while a pending "<=" is left unswept with phi
     scg = _ring_with_traps(40, [5, 15])
     properties = _two_trap_ring_properties(comparator)
     expected, _ = resweep_everything(scg, properties, SynthesisConfig())
@@ -308,7 +295,6 @@ def test_a_pending_lower_bound_property_is_swept_before_success(monkeypatch, com
     assert outcome.success and outcome.avoided == ["s15"]
     assert len(calls) == (4 if comparator == ">=" else 2)
     assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
-    assert len(calls) == 4
 
 
 def _two_f2_traps():
@@ -327,9 +313,15 @@ def test_a_stop_at_max_removals_decides_on_swept_values(monkeypatch, make, succe
     scg, properties = make()
     config = SynthesisConfig(max_removals=1)
     expected, _ = resweep_everything(scg, properties, config)
-    calls = _counted_kernel(monkeypatch)
+    swept, sweep = [], adapt.reach_vectors
+
+    def recorded(model, pending):
+        swept.append([p.name for p in pending])
+        return sweep(model, pending)
+
+    monkeypatch.setattr(adapt, "reach_vectors", recorded)
     outcome = synthesize_safe_controller(scg, properties, config)
     assert outcome.success == expected.success == success and len(outcome.avoided) == 1
-    swept = len(calls)
     assert json.dumps(outcome.to_dict()) == json.dumps(expected.to_dict())
-    assert len(calls) == swept  # the final report was swept before the stop
+    # the first ranking and the sweep before the stop each sweep every property
+    assert swept == [[p.name for p in properties]] * 2

@@ -80,13 +80,27 @@ def test_only_the_walk_builds_a_truth_sampler():
 
 def test_only_the_scorer_builds_a_criticality_report():
     # every ranking, synthesis's after each sink included, is scored by one
-    # function; a deferred report is made through cls.__new__ and scored by it
+    # function
     callers = [
         f"{path.stem}.{scope}"
         for path in sorted(Path(oddsafe.__file__).parent.glob("*.py"))
         for scope in _scopes_calling(ast.parse(path.read_text()), "CriticalityReport", "")
     ]
     assert callers == ["dtmc.score_situations"]
+
+
+def test_no_library_class_fills_itself_on_attribute_access():
+    # a record that computes its fields at their first read runs that work on
+    # any probe, hasattr or a copy included; a record holds its values
+    hooks = [
+        f"{path.name}:{node.name}.{item.name}"
+        for path in sorted(Path(oddsafe.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__getattr__", "__getstate__")
+    ]
+    assert hooks == []
 
 
 def _add_checkout_to_path():
