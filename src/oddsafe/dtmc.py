@@ -3,7 +3,10 @@
 Each SCG belief is compiled once into a Dtmc whose operator is dense or CSR
 by its density.  The checker runs value iteration for exactly k sweeps:
 x0(s) = 1 iff s carries the target label, and x{j}(s) = 1 for labelled
-states, otherwise the expectation of x{j-1} under the transition row.
+states, otherwise the expectation of x{j-1} under the transition row.  A
+labelled state whose row is exactly a unit self-loop, as every failure's
+is, keeps its 1 by the sweep alone; every other labelled state is clamped
+back to 1 after each sweep.
 """
 
 from __future__ import annotations
@@ -235,14 +238,36 @@ def write_rows(model: Dtmc, rows: dict[str, dict[str, float]]) -> None:
 
 
 def bounded_reach_vector(matrix: Operator, targets: set[int], k: int) -> np.ndarray:
-    """Reach-within-k probabilities of the target set, from every state."""
+    """Reach-within-k probabilities of the target set, from every state.
+
+    When every target row is exactly a unit self-loop, as transition_matrix
+    gives each failure, the sweeps run without clamping: such a row gives
+    1.0 * 1.0 plus products with zero, exactly 1.0 in any order of summation
+    while the sweeps stay finite, so each vector keeps the clamped loop's
+    bits.  Any other target set, one row of it not a unit self-loop (a
+    near-unit row included), is clamped back to 1.0 after every sweep.
+    """
     target_idx = np.array(sorted(targets), dtype=np.intp)
     x = np.zeros(matrix.shape[0])
     x[target_idx] = 1.0
+    clamp = not _absorbing(matrix, targets)
     for _ in range(k):
-        x = matrix @ x
-        x[target_idx] = 1.0
+        x = matrix @ x  # not bound to matrix.dot: its extra ops lift RSS (ROADMAP item 1a)
+        if clamp:
+            x[target_idx] = 1.0
     return x
+
+
+def _absorbing(matrix: Operator, targets: set[int]) -> bool:
+    """Whether each target row is exactly a unit self-loop: a dense row holds
+    1.0 on its diagonal and no other nonzero, a CSR row one stored entry,
+    (t, 1.0)."""
+    if isinstance(matrix, np.ndarray):
+        return all(matrix[t, t] == 1.0 and np.count_nonzero(matrix[t]) == 1 for t in targets)
+    ptr, cols, vals = matrix.indptr, matrix.indices, matrix.data
+    return all(
+        ptr[t + 1] - ptr[t] == 1 and cols[ptr[t]] == t and vals[ptr[t]] == 1.0 for t in targets
+    )
 
 
 def _unentered(matrix: Operator, targets: set[int]) -> bool:

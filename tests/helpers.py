@@ -117,9 +117,10 @@ def random_scg(
 
 
 def plain_reach_vector(matrix, targets: set[int], k: int) -> np.ndarray:
-    """k sweeps of x <- matrix @ x with the targets held at 1.0, from their
-    indicator: the reach kernel with no shortcut, the reference the checker's
-    and synthesis' shortcuts are compared against."""
+    """k sweeps of x <- matrix @ x with the targets clamped back to 1.0 after
+    each, from their indicator: the reach kernel with no shortcut, the
+    reference the kernel's unclamped sweeps of absorbing targets and the
+    checker's and synthesis' shortcuts are compared against."""
     targets = sorted(targets)
     x = np.zeros(matrix.shape[0])
     x[targets] = 1.0

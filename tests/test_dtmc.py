@@ -494,6 +494,52 @@ def test_an_unentered_target_is_its_indicator_without_a_sweep(monkeypatch):
     assert min(seen[True], seen[False]) >= 30, seen
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_the_kernel_equals_the_clamped_reference_byte_for_byte(seed):
+    # failures and a sunk situation have unit rows and are swept unclamped;
+    # near-unit rows, a situation that is no self-loop and a mixed set keep
+    # the clamp, and "plain" feeds the two near-unit rows that leave their
+    # state, so there it matters; "lone" is a self-loop of 1 - 1e-10 alone
+    rng = random.Random(seed)
+    n = rng.randint(6, 30)
+    scg = random_dense_scg(n, seed=seed) if seed % 2 else random_scg(rng, n_situations=n)
+    sunk, near, near_below, lone, plain = rng.sample(scg.situation_ids, 5)
+    scg = sink_situation(scg, sunk)
+    delta = {
+        **scg.delta,
+        near: {near: 1.0, plain: 1e-10},
+        near_below: {near_below: 1.0 - 1e-10, plain: 1e-10},
+        lone: {lone: 1.0 - 1e-10},
+        plain: {near: 0.5, near_below: 0.5},
+    }
+    model = build_model(make_scg(delta, n, sunk=scg.sunk))
+    index = model.space.index
+    f1, f2 = index["f1"], index["f2"]
+    unit_sets = {"f1": {f1}, "failures": {f1, f2}, "sunk": {index[sunk]}, "empty": set()}
+    clamped_sets = {
+        "near-unit": {index[near]},
+        "near-unit below": {index[near_below]},
+        "lone near-unit": {index[lone]},
+        "plain": {index[plain]},
+        "mixed": {f2, index[plain]},
+        "sunk and near-unit": {index[sunk], index[near]},
+    }
+    dense = _as_array(model.matrix)
+    for matrix in (dense, sp.csr_matrix(dense)):
+        for name, targets in {**unit_sets, **clamped_sets}.items():
+            assert dtmc._absorbing(matrix, targets) == (name in unit_sets), name
+            for k in (0, 1, 2, 7, 50):
+                x = bounded_reach_vector(matrix, targets, k)
+                assert x.tobytes() == plain_reach_vector(matrix, targets, k).tobytes(), (name, k)
+        for name in ("near-unit", "near-unit below", "lone near-unit"):
+            (t,) = clamped_sets[name]
+            unclamped = np.zeros(len(dense))
+            unclamped[t] = 1.0
+            for _ in range(2):
+                unclamped = matrix @ unclamped
+            assert unclamped[t] != 1.0 == bounded_reach_vector(matrix, {t}, 2)[t], name
+
+
 def test_property_validation():
     with pytest.raises(ValueError):
         BoundedReachProperty("p", "f1", 50, "==", 0.5)

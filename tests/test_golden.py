@@ -73,6 +73,20 @@ def test_an_rq2_log_replayed_as_a_trace_matches_its_golden_digest(
     assert hashlib.md5((tmp_path / "log.jsonl").read_bytes()).hexdigest() == GOLDEN[name]
 
 
+#: the rq2 logs of seeds 0-5 at rq2's defaults: for each seed its baseline
+#: log, then its adaptive log, one json.dumps line per entry
+RQ2_SEEDS_0_TO_5_MD5 = "8eed628c3563751b90fbaa398bd0a4d6"
+
+
+def test_the_rq2_logs_of_seeds_0_to_5_match_their_golden_digest():
+    digest = hashlib.md5()
+    for seed in range(6):
+        timeline = run_timeline(TimelineConfig(seed=seed))
+        for entry in (*timeline.baseline_log, *timeline.adaptive_log):
+            digest.update((json.dumps(entry.to_dict()) + "\n").encode())
+    assert digest.hexdigest() == RQ2_SEEDS_0_TO_5_MD5
+
+
 #: the seed-7 rq2 adaptive knowledge base's snapshot file, 18,137 bytes
 RQ2_SNAPSHOT_MD5 = "8a074e1a5114b480b1777946b8464538"
 
